@@ -108,6 +108,20 @@ def _emit(text, output):
                 fh.write("\n")
 
 
+def _comma_list(convert):
+    """Option callback parsing a comma list of numbers with convert."""
+    def callback(ctx, param, value):
+        if value is None:
+            return None
+        try:
+            return [convert(tok) for tok in str(value).split(",")]
+        except ValueError:
+            raise click.BadParameter(
+                "expected a comma list of numbers, got %r" % (value,)
+            )
+    return callback
+
+
 def _resolve_seed(seed):
     if seed is not None:
         return int(seed)
@@ -132,7 +146,7 @@ _PIPELINE_OPTIONS = [
     click.option("--seed", type=int, default=None,
                  help="RNG seed; drawn at random (and echoed) if omitted."),
     click.option("--threads", default=1, show_default=True,
-                 help="Threads for restart parallelism."),
+                 help="Accepted for compatibility; restarts run serially."),
 ]
 
 
@@ -196,7 +210,7 @@ def segment(input_file, k, embedding, normalize, outlier_mode, alpha, fraction,
         data = embed_dataset(coords, mode=embedding, normalize=normalize)
         mode = outlier_mode.replace("-", "_")
         ocfg = OutlierConfig(mode=mode, alpha=alpha, fraction=fraction, kappa=kappa)
-        result = segment_with_outliers(data, cfg, ocfg, threads=threads)
+        result = segment_with_outliers(data, cfg, ocfg)
     except GdmError as exc:
         raise click.ClickException(str(exc))
     metrics = None
@@ -251,6 +265,7 @@ def segment(input_file, k, embedding, normalize, outlier_mode, alpha, fraction,
 @click.option("--bodies", default=2, show_default=True,
               help="Number of rigid bodies.")
 @click.option("--points", default="40", show_default=True,
+              callback=_comma_list(int),
               help="Points per body: one int or a comma list.")
 @click.option("--noise", default=0.0, show_default=True,
               help="Gaussian noise scale on image coordinates.")
@@ -262,8 +277,7 @@ def segment(input_file, k, embedding, normalize, outlier_mode, alpha, fraction,
 def generate(output_file, bodies, points, noise, outliers, coplanar, seed):
     """Write a synthetic two-view scene as a correspondence file."""
     seed = _resolve_seed(seed)
-    counts = [int(tok) for tok in str(points).split(",")]
-    per_body = counts[0] if len(counts) == 1 else counts
+    per_body = points[0] if len(points) == 1 else points
     try:
         scene = sample_two_view_scene(
             n_bodies=bodies, points_per_body=per_body, noise_sigma=noise,
@@ -319,7 +333,7 @@ def eval_cmd(pred_file, truth_file, output):
 @click.option("--embedding", type=click.Choice(["nonlinear", "linear"]),
               default="nonlinear", show_default=True)
 @click.option("--normalize/--no-normalize", default=False, show_default=True)
-@click.option("--kappas", default=None,
+@click.option("--kappas", default=None, callback=_comma_list(float),
               help="Comma list of kappa thresholds to sweep.")
 @click.option("--kappa-min", default=0.001, show_default=True)
 @click.option("--kappa-max", default=0.5, show_default=True)
@@ -348,16 +362,15 @@ def roc(input_file, k, embedding, normalize, kappas, kappa_min, kappa_max,
             "ground truth required: give a label column or --truth"
         )
     seed = _resolve_seed(seed)
-    if kappas is not None:
-        grid = [float(tok) for tok in kappas.split(",")]
-    else:
+    grid = kappas
+    if grid is None:
         grid = np.geomspace(kappa_min, kappa_max, kappa_count).tolist()
     try:
         cfg = _build_config(k, epsilon, p, restarts, grad_iters, genetic_passes,
                             step, merge_candidates, seed)
         data = embed_dataset(coords, mode=embedding, normalize=normalize)
         curve = roc_sweep(data, cfg, np.flatnonzero(truth < 0), grid,
-                          fraction=fraction, alpha=alpha, threads=threads)
+                          fraction=fraction, alpha=alpha)
     except GdmError as exc:
         raise click.ClickException(str(exc))
     lines = ["kappa,tpr_pct,fpr_pct"]

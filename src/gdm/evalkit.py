@@ -254,14 +254,14 @@ def roc_sweep(a, cfg, true_outliers, kappa_grid, fraction=0.20, alpha=0.01,
 
     The segmentation and subspace fitting run once; every kappa in the
     grid is then applied to the cached point-to-subspace distances.
-    Returns a list of (kappa, tpr, fpr) tuples in grid order.
+    Returns a list of (kappa, tpr, fpr) tuples in grid order. threads
+    is accepted for compatibility and has no effect: restarts always run
+    serially.
     """
     grid = np.asarray(kappa_grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("kappa grid must be nonempty")
-    _, min_dist, _, _ = reassignment_distances(
-        a, cfg, fraction=fraction, alpha=alpha, threads=threads
-    )
+    _, min_dist, _, _ = reassignment_distances(a, cfg, fraction=fraction, alpha=alpha)
     n = min_dist.size
     points = []
     for kappa in grid:

@@ -235,26 +235,53 @@ def _cluster_svd_terms(a, row, params, on_degenerate, want_uv):
     return dim, grad_row
 
 
-def _soft_dims(a, rows, params, on_degenerate, want_uv):
+def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
+    """Soft objective value and, if want_grad, its gradient with respect to m.
+
+    With outlier set, row 0 of m is the outlier row: its mass adds
+    alpha * sum(M[0]) to the value and its gradient row is alpha * M[0];
+    the p-norm runs over rows 1..K only. Returns (value, gradient or
+    None). Inputs are not validated: the public functions below check
+    them once and call this kernel, and the optimizer calls it directly.
+    """
+    rows = m[1:] if outlier else m
     dims = np.zeros(rows.shape[0])
-    grows = np.zeros(rows.shape) if want_uv else None
+    grows = np.zeros(rows.shape) if want_grad else None
     for k in range(rows.shape[0]):
-        dim, grow = _cluster_svd_terms(a, rows[k], params, on_degenerate, want_uv)
-        dims[k] = dim
-        if want_uv:
+        dims[k], grow = _cluster_svd_terms(a, rows[k], params, on_degenerate, want_grad)
+        if want_grad:
             grows[k] = grow
-    return dims, grows
+    gd = pnorm(dims, params.p)
+    value = gd + params.alpha * float(m[0].sum()) if outlier else gd
+    if not want_grad:
+        return value, None
+    if gd == 0.0:
+        chain = np.zeros_like(grows)
+    else:
+        chain = ((dims / gd) ** (params.p - 1.0))[:, None] * grows
+    if not outlier:
+        return value, chain
+    grad = np.empty_like(m)
+    grad[0] = params.alpha * m[0]
+    grad[1:] = chain
+    return value, grad
+
+
+def _validate_soft(a, m, outlier):
+    a = _validate_data(a)
+    m = _validate_weights(m)
+    if outlier and m.shape[0] < 2:
+        raise InvalidInputError("outlier membership needs at least 2 rows")
+    if a.shape[1] != m.shape[1]:
+        raise InvalidInputError("data and membership disagree on point count")
+    return a, m
 
 
 def global_dimension_soft(a, m, params=None, on_degenerate="raise"):
     """Global dimension of a soft partition (membership matrix)."""
+    a, m = _validate_soft(a, m, outlier=False)
     params = params or ObjectiveParams()
-    a = _validate_data(a)
-    m = _validate_weights(m)
-    if a.shape[1] != m.shape[1]:
-        raise InvalidInputError("data and membership disagree on point count")
-    dims, _ = _soft_dims(a, m, params, on_degenerate, want_uv=False)
-    return pnorm(dims, params.p)
+    return value_and_gradient(a, m, params, False, on_degenerate, False)[0]
 
 
 def gd_gradient(a, m, params=None, on_degenerate="raise"):
@@ -264,21 +291,9 @@ def gd_gradient(a, m, params=None, on_degenerate="raise"):
     have a nonzero spectrum unless on_degenerate='zero', in which case
     degenerate clusters get zero rows.
     """
+    a, m = _validate_soft(a, m, outlier=False)
     params = params or ObjectiveParams()
-    a = _validate_data(a)
-    m = _validate_weights(m)
-    if a.shape[1] != m.shape[1]:
-        raise InvalidInputError("data and membership disagree on point count")
-    dims, grows = _soft_dims(a, m, params, on_degenerate, want_uv=True)
-    return _apply_pnorm_chain(dims, grows, params.p)
-
-
-def _apply_pnorm_chain(dims, grows, p):
-    gd = pnorm(dims, p)
-    if gd == 0.0:
-        return np.zeros_like(grows)
-    weights = (dims / gd) ** (p - 1.0)
-    return weights[:, None] * grows
+    return value_and_gradient(a, m, params, False, on_degenerate, True)[1]
 
 
 def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
@@ -288,15 +303,9 @@ def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
     of mass, and rows 1..K contribute their empirical dimensions through
     the usual p-norm.
     """
+    a, m = _validate_soft(a, m, outlier=True)
     params = params or ObjectiveParams()
-    a = _validate_data(a)
-    m = _validate_weights(m)
-    if m.shape[0] < 2:
-        raise InvalidInputError("outlier membership needs at least 2 rows")
-    if a.shape[1] != m.shape[1]:
-        raise InvalidInputError("data and membership disagree on point count")
-    dims, _ = _soft_dims(a, m[1:], params, on_degenerate, want_uv=False)
-    return params.alpha * float(m[0].sum()) + pnorm(dims, params.p)
+    return value_and_gradient(a, m, params, True, on_degenerate, False)[0]
 
 
 def gd_gradient_outlier(a, m, params=None, on_degenerate="raise"):
@@ -306,15 +315,6 @@ def gd_gradient_outlier(a, m, params=None, on_degenerate="raise"):
     the same structure as the classic gradient with the p-norm taken
     over the K true clusters.
     """
+    a, m = _validate_soft(a, m, outlier=True)
     params = params or ObjectiveParams()
-    a = _validate_data(a)
-    m = _validate_weights(m)
-    if m.shape[0] < 2:
-        raise InvalidInputError("outlier membership needs at least 2 rows")
-    if a.shape[1] != m.shape[1]:
-        raise InvalidInputError("data and membership disagree on point count")
-    dims, grows = _soft_dims(a, m[1:], params, on_degenerate, want_uv=True)
-    grad = np.empty_like(m)
-    grad[0] = params.alpha * m[0]
-    grad[1:] = _apply_pnorm_chain(dims, grows, params.p)
-    return grad
+    return value_and_gradient(a, m, params, True, on_degenerate, True)[1]

@@ -8,21 +8,19 @@ partition, and a greedy point-reassignment cleanup. Several restarts
 are run and the partition with the lowest hard global dimension wins.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dimension import batch_empirical_dimension
-from .exceptions import DegenerateClusterError, InvalidInputError, InvalidParameterError
+from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
     ObjectiveParams,
     _dim_of_columns,
-    _soft_dims,
-    _apply_pnorm_chain,
     _validate_data,
     hard_cluster_dims,
     pnorm,
+    value_and_gradient,
 )
 
 
@@ -186,33 +184,16 @@ def _descend_loop(a, m0, cfg, params, outlier):
     n_top = -(-n // 10)
     trace = []
     for _ in range(cfg.grad_iters):
-        value, grad = _soft_value_and_gradient(a, m, params, outlier)
+        value, grad = value_and_gradient(a, m, params, outlier, "zero", True)
         trace.append(value)
         col_norms = np.linalg.norm(grad, axis=0)
         rho = float(np.partition(col_norms, n - n_top)[n - n_top :].mean())
         if rho == 0.0:
             break
         m = project_columns(m - (cfg.step_target / rho) * grad)
-    value, _ = _soft_value_and_gradient(a, m, params, outlier, want_grad=False)
+    value, _ = value_and_gradient(a, m, params, outlier, "zero", False)
     trace.append(value)
     return m, np.array(trace)
-
-
-def _soft_value_and_gradient(a, m, params, outlier, want_grad=True):
-    rows = m[1:] if outlier else m
-    dims, grows = _soft_dims(a, rows, params, on_degenerate="zero", want_uv=want_grad)
-    value = pnorm(dims, params.p)
-    if outlier:
-        value += params.alpha * float(m[0].sum())
-    if not want_grad:
-        return value, None
-    if outlier:
-        grad = np.empty_like(m)
-        grad[0] = params.alpha * m[0]
-        grad[1:] = _apply_pnorm_chain(dims, grows, params.p)
-    else:
-        grad = _apply_pnorm_chain(dims, grows, params.p)
-    return value, grad
 
 
 def descend(a, m0, cfg):
@@ -287,65 +268,59 @@ def genetic_refine(a, labels, cfg):
     return labels
 
 
+def _hard_result(a, labels, cfg, **fields):
+    """SegmentationResult whose per-cluster dimensions and global
+    dimension are those of the hard partition given by labels."""
+    dims = hard_cluster_dims(a, labels, cfg.n_clusters, cfg.eps, on_degenerate="zero")
+    return SegmentationResult(
+        labels=labels, gd_value=pnorm(dims, cfg.p), per_cluster_dims=dims, **fields
+    )
+
+
+def _run_restarts(a, cfg, run):
+    """Run every restart serially and keep the best.
+
+    Restart i calls run(seed_i), where seed_i is the i-th child of
+    SeedSequence(cfg.seed).spawn(cfg.restarts), and returns (value,
+    outcome). Returns the outcome with the lowest (value, restart index)
+    and every value in restart order.
+    """
+    n = a.shape[1]
+    if cfg.restarts < 1:
+        raise InvalidParameterError("needs at least one restart")
+    if n <= cfg.n_clusters:
+        raise InvalidParameterError(
+            "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
+        )
+    runs = [run(child) for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
+    best = min(range(cfg.restarts), key=lambda i: (runs[i][0], i))
+    return runs[best][1], np.array([value for value, _ in runs])
+
+
 def _run_restart(a, cfg, params, seed_seq):
     rng = np.random.default_rng(seed_seq)
     labels0 = greedy_merge_init(a, cfg, rng)
     m0 = indicator_membership(labels0, cfg.n_clusters)
     m, trace = _descend_loop(a, m0, cfg, params, outlier=False)
-    labels = threshold(m)
-    labels = genetic_refine(a, labels, cfg)
-    dims = hard_cluster_dims(a, labels, cfg.n_clusters, cfg.eps, on_degenerate="zero")
-    gd = pnorm(dims, cfg.p)
-    return gd, labels, dims, m, trace
+    labels = genetic_refine(a, threshold(m), cfg)
+    result = _hard_result(
+        a, labels, cfg, outliers=np.empty(0, dtype=int), membership=m,
+        restarts_run=cfg.restarts, trace=trace,
+    )
+    return result.gd_value, result
 
 
 def gdm(a, cfg, threads=1):
     """Segment the columns of a into cfg.n_clusters clusters.
 
     Runs cfg.restarts independent restarts (merge initialization,
-    gradient descent, thresholding, reassignment cleanup) and returns
-    the result whose hard partition has the lowest global dimension.
-    Fully deterministic given cfg.seed; restarts may execute on several
-    threads without changing the selected partition.
+    gradient descent, thresholding, reassignment cleanup) one after the
+    other and returns the result whose hard partition has the lowest
+    global dimension, ties going to the earliest restart. Fully
+    deterministic given cfg.seed. threads is accepted for compatibility
+    and has no effect: restarts always run serially.
     """
     a = _validate_data(a)
-    n = a.shape[1]
-    if cfg.restarts < 1:
-        raise InvalidParameterError("gdm needs at least one restart")
-    if n <= cfg.n_clusters:
-        raise InvalidParameterError(
-            "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
-        )
     params = cfg.objective_params()
-    seed_seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-
-    results = [None] * cfg.restarts
-    errors = []
-
-    def run(i):
-        try:
-            results[i] = _run_restart(a, cfg, params, seed_seqs[i])
-        except DegenerateClusterError as exc:
-            errors.append(exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(cfg.restarts)))
-    else:
-        for i in range(cfg.restarts):
-            run(i)
-
-    completed = [(r[0], i) + r[1:] for i, r in enumerate(results) if r is not None]
-    if not completed:
-        raise errors[-1] if errors else DegenerateClusterError("all restarts failed")
-    gd, idx, labels, dims, m, trace = min(completed, key=lambda t: (t[0], t[1]))
-    return SegmentationResult(
-        labels=labels,
-        outliers=np.empty(0, dtype=int),
-        gd_value=gd,
-        per_cluster_dims=dims,
-        membership=m,
-        restarts_run=cfg.restarts,
-        trace=trace,
-        restart_gd_values=np.array([t[0] for t in sorted(completed, key=lambda t: t[1])]),
-    )
+    best, values = _run_restarts(a, cfg, lambda seed: _run_restart(a, cfg, params, seed))
+    return replace(best, restart_gd_values=values)

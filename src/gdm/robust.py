@@ -17,8 +17,7 @@ practical pipelines exploit:
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,13 +29,8 @@ from .exceptions import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .objective import _validate_data, hard_cluster_dims, pnorm
-from .optimizer import (
-    SegmentationResult,
-    _descend_loop,
-    gdm,
-    greedy_merge_init,
-)
+from .objective import _validate_data
+from .optimizer import _descend_loop, _hard_result, _run_restarts, gdm, greedy_merge_init
 
 # Initial membership mass placed on the outlier row after merge
 # initialization; the remaining 1 - beta sits on the point's own set.
@@ -76,7 +70,7 @@ class FittedSubspace(NamedTuple):
     dim: int
 
 
-def gdm_outlier_core(a, cfg, alpha=0.01, threads=1):
+def gdm_outlier_core(a, cfg, alpha=0.01):
     """Optimize the outlier-augmented objective, returning the soft
     (K+1) x N membership (row 0 is the outlier row) of the restart with
     the lowest final objective value.
@@ -87,31 +81,20 @@ def gdm_outlier_core(a, cfg, alpha=0.01, threads=1):
     """
     a = _validate_data(a)
     n = a.shape[1]
-    if cfg.restarts < 1:
-        raise InvalidParameterError("needs at least one restart")
-    if n <= cfg.n_clusters:
-        raise InvalidParameterError("need more points than clusters")
     params = cfg.objective_params(alpha=alpha)
-    seed_seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
 
-    def run(i):
-        rng = np.random.default_rng(seed_seqs[i])
-        labels0 = greedy_merge_init(a, cfg, rng)
+    def run(seed_seq):
+        labels0 = greedy_merge_init(a, cfg, np.random.default_rng(seed_seq))
         m0 = np.zeros((cfg.n_clusters + 1, n))
         m0[0] = OUTLIER_INIT_MASS
         m0[labels0 + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
         m, trace = _descend_loop(a, m0, cfg, params, outlier=True)
-        return trace[-1], i, m
+        return trace[-1], m
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, range(cfg.restarts)))
-    else:
-        runs = [run(i) for i in range(cfg.restarts)]
-    return min(runs, key=lambda t: (t[0], t[1]))[2]
+    return _run_restarts(a, cfg, run)[0]
 
 
-def known_fraction(a, cfg, fraction=0.20, alpha=0.01, threads=1):
+def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
     """Reject a preset fraction of the data ranked by outlier-row mass,
     then re-segment the survivors with the classic pipeline.
 
@@ -127,24 +110,17 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01, threads=1):
         raise InsufficientInliersError(
             "rejecting %d of %d points leaves too few to segment" % (n_out, n)
         )
-    membership = gdm_outlier_core(a, cfg, alpha=alpha, threads=threads)
+    membership = gdm_outlier_core(a, cfg, alpha=alpha)
     order = np.argsort(-membership[0], kind="stable")
     outliers = np.sort(order[:n_out])
     survivors = np.setdiff1d(np.arange(n), outliers)
-    inner = gdm(a[:, survivors], cfg, threads=threads)
+    inner = gdm(a[:, survivors], cfg)
     labels = np.full(n, -1, dtype=int)
     labels[survivors] = inner.labels
     full_membership = np.zeros((cfg.n_clusters, n))
     full_membership[:, survivors] = inner.membership
-    return SegmentationResult(
-        labels=labels,
-        outliers=outliers,
-        gd_value=inner.gd_value,
-        per_cluster_dims=inner.per_cluster_dims,
-        membership=full_membership,
-        restarts_run=inner.restarts_run,
-        trace=inner.trace,
-        restart_gd_values=inner.restart_gd_values,
+    return replace(
+        inner, labels=labels, outliers=outliers, membership=full_membership
     )
 
 
@@ -167,13 +143,6 @@ def fit_cluster_subspace(points, eps=0.35):
     return FittedSubspace(basis=u[:, :dim].copy(), dim=dim)
 
 
-def point_subspace_distance(v, subspace):
-    """Euclidean distance from a vector to a fitted subspace."""
-    v = np.asarray(v, dtype=float)
-    basis = subspace.basis
-    return float(np.linalg.norm(v - basis @ (basis.T @ v)))
-
-
 def subspace_distances(a, subspace):
     """Distance of every column of a to a fitted subspace."""
     basis = subspace.basis
@@ -181,7 +150,7 @@ def subspace_distances(a, subspace):
     return np.linalg.norm(residual, axis=0)
 
 
-def reassignment_distances(a, cfg, fraction=0.20, alpha=0.01, threads=1):
+def reassignment_distances(a, cfg, fraction=0.20, alpha=0.01):
     """Shared first stage of model_reassign and ROC sweeps.
 
     Runs known_fraction, fits one subspace per nonempty cluster, and
@@ -190,7 +159,7 @@ def reassignment_distances(a, cfg, fraction=0.20, alpha=0.01, threads=1):
     the ones known_fraction rejected.
     """
     a = _validate_data(a)
-    kf = known_fraction(a, cfg, fraction=fraction, alpha=alpha, threads=threads)
+    kf = known_fraction(a, cfg, fraction=fraction, alpha=alpha)
     n = a.shape[1]
     dists = np.full((cfg.n_clusters, n), np.inf)
     fitted_any = False
@@ -215,13 +184,15 @@ def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1,
 
     With adaptive_r set, the global kappa is replaced by per-cluster
     thresholds mean + adaptive_r * std of that cluster's fit residuals.
+    threads is accepted for compatibility and has no effect: restarts
+    always run serially.
     """
     if kappa <= 0.0:
         raise InvalidParameterError("kappa must be positive")
     a = _validate_data(a)
     n = a.shape[1]
     nearest, min_dist, dists, kf = reassignment_distances(
-        a, cfg, fraction=fraction, alpha=alpha, threads=threads
+        a, cfg, fraction=fraction, alpha=alpha
     )
     if adaptive_r is not None:
         thresholds = np.full(cfg.n_clusters, np.inf)
@@ -233,24 +204,17 @@ def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1,
     else:
         outlier_mask = min_dist > kappa
     labels = np.where(outlier_mask, -1, nearest)
-    outliers = np.flatnonzero(outlier_mask)
-    dims = hard_cluster_dims(a, labels, cfg.n_clusters, cfg.eps, on_degenerate="zero")
     membership = np.zeros((cfg.n_clusters, n))
     inlier_idx = np.flatnonzero(~outlier_mask)
     membership[labels[inlier_idx], inlier_idx] = 1.0
-    return SegmentationResult(
-        labels=labels,
-        outliers=outliers,
-        gd_value=pnorm(dims, cfg.p),
-        per_cluster_dims=dims,
-        membership=membership,
-        restarts_run=kf.restarts_run,
-        trace=kf.trace,
+    return _hard_result(
+        a, labels, cfg, outliers=np.flatnonzero(outlier_mask),
+        membership=membership, restarts_run=kf.restarts_run, trace=kf.trace,
         restart_gd_values=kf.restart_gd_values,
     )
 
 
-def gdm_naive(a, cfg, alpha=0.01, threads=1):
+def gdm_naive(a, cfg, alpha=0.01):
     """Threshold the augmented membership directly.
 
     Unsound in practice (the right alpha is data dependent; a bad one
@@ -258,36 +222,27 @@ def gdm_naive(a, cfg, alpha=0.01, threads=1):
     behind this explicit call for completeness and comparison.
     """
     a = _validate_data(a)
-    membership = gdm_outlier_core(a, cfg, alpha=alpha, threads=threads)
+    membership = gdm_outlier_core(a, cfg, alpha=alpha)
     winners = np.argmax(membership, axis=0)
-    labels = winners - 1
-    outliers = np.flatnonzero(winners == 0)
-    dims = hard_cluster_dims(a, labels, cfg.n_clusters, cfg.eps, on_degenerate="zero")
-    return SegmentationResult(
-        labels=labels,
-        outliers=outliers,
-        gd_value=pnorm(dims, cfg.p),
-        per_cluster_dims=dims,
-        membership=membership,
-        restarts_run=cfg.restarts,
-        trace=np.empty(0),
+    return _hard_result(
+        a, winners - 1, cfg, outliers=np.flatnonzero(winners == 0),
+        membership=membership, restarts_run=cfg.restarts, trace=np.empty(0),
     )
 
 
-def segment_with_outliers(a, cfg, outlier_cfg, threads=1):
+def segment_with_outliers(a, cfg, outlier_cfg):
     """Dispatch to the pipeline selected by outlier_cfg.mode."""
     if outlier_cfg.mode == "none":
-        return gdm(a, cfg, threads=threads)
+        return gdm(a, cfg)
     if outlier_cfg.mode == "naive":
-        return gdm_naive(a, cfg, alpha=outlier_cfg.alpha, threads=threads)
+        return gdm_naive(a, cfg, alpha=outlier_cfg.alpha)
     if outlier_cfg.mode == "known_fraction":
         return known_fraction(
-            a, cfg, fraction=outlier_cfg.fraction, alpha=outlier_cfg.alpha,
-            threads=threads,
+            a, cfg, fraction=outlier_cfg.fraction, alpha=outlier_cfg.alpha
         )
     return model_reassign(
         a, cfg, kappa=outlier_cfg.kappa, fraction=outlier_cfg.fraction,
-        alpha=outlier_cfg.alpha, threads=threads,
+        alpha=outlier_cfg.alpha,
     )
 
 

@@ -172,6 +172,20 @@ def test_wrong_column_count_rejected(tmp_path, runner):
     assert ":1:" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["generate", "{dir}/bad.csv", "--points", "4x"],
+    ["generate", "{dir}/bad.csv", "--points", "10,"],
+    ["roc", "{scene}", "--k", "2", "--kappas", "0.1,abc"],
+    ["roc", "{scene}", "--k", "2", "--kappas", ""],
+])
+def test_malformed_list_flag_is_a_usage_error(args, scene_file, tmp_path, runner):
+    args = [a.format(dir=tmp_path, scene=scene_file) for a in args]
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert "Invalid value" in res.output
+    assert not isinstance(res.exception, ValueError)
+
+
 def test_infeasible_config_fails_cleanly(scene_file, runner):
     res = runner.invoke(cli, ["segment", str(scene_file), "--k", "60", "--seed", "1"])
     assert res.exit_code == 1

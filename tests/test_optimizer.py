@@ -281,6 +281,17 @@ class TestGdm:
         np.testing.assert_array_equal(r1.labels, r4.labels)
         assert r1.gd_value == r4.gd_value
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", ["zero", "rank1"])
+    def test_degenerate_data_completes_every_restart(self, kind, k):
+        rng = np.random.default_rng(k)
+        if kind == "zero":
+            a = np.zeros((9, 12))
+        else:
+            a = np.outer(rng.normal(size=9), rng.normal(size=12))
+        res = gdm(a, GdmConfig(n_clusters=k, restarts=3, seed=5))
+        assert res.restart_gd_values.size == res.restarts_run == 3
+
     def test_single_cluster(self):
         mix = sample_subspace_mixture(
             SyntheticSpec(dims=(3,), points_per_cluster=40, seed=8)

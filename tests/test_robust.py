@@ -17,7 +17,6 @@ from gdm import (
     known_fraction,
     misclassification_rate,
     model_reassign,
-    point_subspace_distance,
     sample_subspace_mixture,
     segment_with_outliers,
     subspace_distances,
@@ -157,16 +156,20 @@ class TestFittedSubspace:
             fit_cluster_subspace(np.zeros((3, 4)))
 
 
+def point_distance(v, sub):
+    return subspace_distances(v[:, None], sub)[0]
+
+
 class TestSubspaceDistance:
     def test_in_span_and_orthogonal(self):
         basis, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(5, 2)))
         sub = fit_cluster_subspace(basis @ np.random.default_rng(1).normal(size=(2, 10)))
         v_in = basis @ np.array([0.3, -0.7])
-        assert point_subspace_distance(v_in, sub) < 1e-12
+        assert point_distance(v_in, sub) < 1e-12
         # complete to an orthogonal direction
         q, _ = np.linalg.qr(np.concatenate([basis, np.eye(5)[:, :1]], axis=1))
         v_orth = 2.0 * q[:, 2]
-        assert point_subspace_distance(v_orth, sub) == pytest.approx(2.0, abs=1e-10)
+        assert point_distance(v_orth, sub) == pytest.approx(2.0, abs=1e-10)
 
     def test_matches_least_squares_oracle(self):
         rng = np.random.default_rng(2)
@@ -174,18 +177,9 @@ class TestSubspaceDistance:
         sub = fit_cluster_subspace(basis @ rng.normal(size=(3, 30)))
         for _ in range(10):
             v = rng.normal(size=9)
-            assert point_subspace_distance(v, sub) == pytest.approx(
+            assert point_distance(v, sub) == pytest.approx(
                 lstsq_subspace_distance(v, sub.basis), abs=1e-10
             )
-
-    def test_batched_distances(self):
-        rng = np.random.default_rng(3)
-        basis, _ = np.linalg.qr(rng.normal(size=(6, 2)))
-        sub = fit_cluster_subspace(basis @ rng.normal(size=(2, 12)))
-        pts = rng.normal(size=(6, 8))
-        batch = subspace_distances(pts, sub)
-        for j in range(8):
-            assert batch[j] == pytest.approx(point_subspace_distance(pts[:, j], sub), abs=1e-12)
 
 
 class TestModelReassign:
