@@ -39,6 +39,15 @@ def _split_fields(line):
     return line.split()
 
 
+def _as_label(value, path, lineno):
+    """A parsed label value as an int; nan, inf and fractions are errors."""
+    if not value.is_integer():
+        raise ParseError(
+            "%s:%d: label %r is not an integer" % (path, lineno, value)
+        )
+    return int(value)
+
+
 def read_correspondences(path):
     """Parse a correspondence file into (coords (n, 4), labels or None)."""
     coords = []
@@ -73,7 +82,7 @@ def read_correspondences(path):
             saw_data = True
             coords.append(values[:4])
             if n_cols == 5:
-                labels.append(int(values[4]))
+                labels.append(_as_label(values[4], path, lineno))
     if not coords:
         raise ParseError("%s: no data rows found" % (path,))
     coords = np.asarray(coords, dtype=float)
@@ -88,11 +97,12 @@ def read_label_file(path):
             if not line or line.startswith("#"):
                 continue
             try:
-                out.append(int(float(line)))
+                value = float(line)
             except ValueError:
                 raise ParseError(
                     "%s:%d: cannot parse %r as a label" % (path, lineno, line)
                 )
+            out.append(_as_label(value, path, lineno))
     if not out:
         raise ParseError("%s: no labels found" % (path,))
     return np.asarray(out, dtype=int)

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dimension import batch_empirical_dimension
+from .dimension import RELATIVE_ZERO_TOL, batch_empirical_dimension
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
+    DEGENERATE_SMAX,
     ObjectiveParams,
     _dim_of_columns,
     _validate_data,
@@ -126,15 +127,37 @@ def _decode_pairs(codes, m):
     return i, j
 
 
+def _point_grams(a):
+    """Outer products v v^T of the columns of a, shape (N, D, D).
+
+    The columns are first scaled by 2^-exp, the power of two that puts
+    max|a| in [0.5, 1), so sums of these Grams cannot overflow. Returns
+    (grams, exp). Empirical dimension is scale-invariant and a power of
+    two changes no rounding (barring underflow), so spectra are those of
+    the unscaled data times 4^-exp.
+    """
+    _, exp = np.frexp(np.max(np.abs(a)))
+    cols = np.ldexp(a, -exp).T
+    return cols[:, :, None] * cols[:, None, :], int(exp)
+
+
 def greedy_merge_init(a, cfg, rng=None):
     """Agglomerative initialization: merge down to n_clusters sets.
 
     Starting from the all-singletons partition, each round samples up
     to cfg.merge_candidates distinct pairs of current sets (all pairs
     when fewer exist), scores the global dimension of each hypothetical
-    merge, and commits the best one. Only the two touched sets'
-    dimensions are recomputed; the rest are cached. Spectra of merged
-    sets come from D x D Gram matrices, which add under merging.
+    merge, and commits the best one. Spectra of merged sets come from
+    D x D Gram matrices, which add under merging.
+
+    Each set lives in the slot of its first point: one (N, D, D) array
+    holds the set Grams and an ordered array the live slots. The merged
+    dimension of every scored pair of slots is cached in an N x N array;
+    when slot x absorbs slot y, row and column x are invalidated, so a
+    pair is re-scored only after one of its sets changed. A cached value
+    is the one a fresh eigendecomposition would return, so the sampled
+    pairs, the scores and the chosen merge are those of scoring every
+    pair afresh.
 
     Returns a label vector. If N <= n_clusters each point keeps its own
     singleton label and no merging happens.
@@ -145,36 +168,36 @@ def greedy_merge_init(a, cfg, rng=None):
         rng = np.random.default_rng(cfg.seed)
     if n <= cfg.n_clusters:
         return np.arange(n)
-    members = [[j] for j in range(n)]
-    grams = list(a.T[:, :, None] * a.T[:, None, :])
+    grams, _ = _point_grams(a)
+    live = np.arange(n)
+    owner = np.arange(n)
     # A singleton has dimension 1 unless the point is exactly zero.
-    dims = (np.linalg.norm(a, axis=0) > 0.0).astype(float)
-    dp = dims**cfg.p
-    while len(members) > cfg.n_clusters:
-        m_sets = len(members)
+    dp = np.any(a != 0.0, axis=0).astype(float) ** cfg.p
+    merged_cache = np.full((n, n), np.nan)
+    while live.size > cfg.n_clusters:
+        m_sets = live.size
         total_pairs = m_sets * (m_sets - 1) // 2
         n_cand = min(cfg.merge_candidates, total_pairs)
         codes = rng.choice(total_pairs, size=n_cand, replace=False)
         ia, ib = _decode_pairs(codes, m_sets)
-        gram_stack = np.stack([grams[x] + grams[y] for x, y in zip(ia, ib)])
-        evals = np.linalg.eigvalsh(gram_stack)
-        spectra = np.sqrt(np.clip(evals, 0.0, None))
-        merged_dims = batch_empirical_dimension(spectra, cfg.eps)
-        scores = merged_dims**cfg.p - dp[ia] - dp[ib]
+        sa, sb = live[ia], live[ib]
+        merged_dims = merged_cache[sa, sb]
+        miss = np.isnan(merged_dims)
+        if miss.any():
+            evals = np.linalg.eigvalsh(grams[sa[miss]] + grams[sb[miss]])
+            spectra = np.sqrt(np.clip(evals, 0.0, None))
+            merged_dims[miss] = batch_empirical_dimension(spectra, cfg.eps)
+            merged_cache[sa[miss], sb[miss]] = merged_dims[miss]
+        scores = merged_dims**cfg.p - dp[sa] - dp[sb]
         best = int(np.argmin(scores))
-        x, y = int(ia[best]), int(ib[best])
-        members[x] = members[x] + members[y]
-        grams[x] = grams[x] + grams[y]
-        dims[x] = merged_dims[best]
+        x, y = sa[best], sb[best]
+        grams[x] += grams[y]
         dp[x] = merged_dims[best] ** cfg.p
-        del members[y]
-        del grams[y]
-        dims = np.delete(dims, y)
-        dp = np.delete(dp, y)
-    labels = np.empty(n, dtype=int)
-    for k, idx in enumerate(members):
-        labels[idx] = k
-    return labels
+        owner[owner == y] = x
+        merged_cache[x, :] = np.nan
+        merged_cache[:, x] = np.nan
+        live = np.delete(live, ib[best])
+    return np.searchsorted(live, owner)
 
 
 def _descend_loop(a, m0, cfg, params, outlier):
@@ -218,6 +241,94 @@ def threshold(m):
     return np.argmax(m, axis=0)
 
 
+# Points whose candidate moves one batched eigvalsh screens in
+# genetic_refine.
+_SCREEN_BLOCK = 32
+
+# Error bound of a Gram eigenvalue against the SVD path's squared
+# singular value. Let A be a candidate cluster's rescaled D x n block
+# and Ghat its computed Gram: a running sum of m rounded point outer
+# products +-fl(v v^T) (every term added or subtracted since the last
+# rebuild), with mass = sum ||v||^2 over those terms, so ||A||_2^2 <= mass.
+# - Recursive summation: |Ghat - A A^T| <= gamma_m sum |v||v|^T
+#   entrywise, gamma_m = m u / (1 - m u), so ||Ghat - A A^T||_2 <=
+#   gamma_m * mass.
+# - eigvalsh is backward stable: its eigenvalues are exact for Ghat + F,
+#   ||F||_2 <= p(D) u ||Ghat||_2.
+# - The SVD path's singular values s are exact for A + dA, ||dA||_2 <=
+#   p(D, n) u ||A||_2, so |s_i^2 - sigma_i^2| <= (2 p(D, n) u + O(u^2)) mass.
+# By Weyl's theorem each perturbation moves every eigenvalue by at most
+# its 2-norm, so each computed eigenvalue lam lies within
+#     E = c * ((m + D) * u * mass + m * tiny)
+# of the matching s^2. (m + D) covers gamma_m and LAPACK's modestly
+# growing p(D) and p(D, n), taken as at most n + D with n <= m; c = 8
+# absorbs their constant factors and the O(u^2) terms; m * tiny covers
+# products and rescaled entries that underflow. Hence
+# sqrt(max(lam - E, 0)) <= s <= sqrt(lam + E).
+_GRAM_ERROR_FACTOR = 8.0
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_TINY = np.finfo(float).tiny
+
+
+def _dim_lower_bounds(evals, err, exp, eps):
+    """Lower bounds on the SVD-path empirical dimension of matrices whose
+    squared singular values lie within err of the Gram eigenvalues evals
+    (shape (..., D)); the data were scaled by 2^-exp.
+
+    The numerator norm takes the low singular values, zeroed below
+    RELATIVE_ZERO_TOL times the largest high one, so it keeps only
+    values the SVD path keeps too; the denominator takes every high one.
+    A matrix whose top singular value may be at most DEGENERATE_SMAX, or
+    whose bound is not finite, gets 0.
+    """
+    lo = np.sqrt(np.maximum(evals - err[..., None], 0.0))
+    hi = np.sqrt(np.maximum(evals + err[..., None], 0.0))
+    top = hi.max(axis=-1, keepdims=True)
+    delta = eps / (1.0 - eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slo = lo / top
+        slo[slo < RELATIVE_ZERO_TOL] = 0.0
+        num = np.sum(slo**eps, axis=-1) ** (1.0 / eps)
+        den = np.sum((hi / top) ** delta, axis=-1) ** (1.0 / delta)
+        dims = num / den
+    degenerate = np.ldexp(lo.max(axis=-1), exp) <= DEGENERATE_SMAX
+    dims[degenerate | ~np.isfinite(dims)] = 0.0
+    return dims
+
+
+def _screen_moves(idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
+                  exp, cfg):
+    """For each point of idx, True when no single move of it can lower
+    the hard global dimension below pnorm(dims) by the SVD path.
+
+    One batched eigvalsh covers, per point, its cluster's Gram minus
+    v v^T and every other cluster's Gram plus v v^T. Each candidate
+    partition's GD is bounded from below with _dim_lower_bounds; a point
+    is cleared only when every bound reaches gd * (1 + 1e-9), which
+    leaves room for the rounding of both p-norms.
+    """
+    b, k_total, d = idx.size, grams.shape[0], grams.shape[1]
+    rows = np.arange(b)
+    src = labels[idx]
+    batch = grams[None] + point_grams[idx, None]
+    batch[rows, src] = grams[src] - point_grams[idx]
+    count = terms[None] + 1.0
+    total = mass[None] + sq_norms[idx, None]
+    err = _GRAM_ERROR_FACTOR * ((count + d) * _UNIT_ROUNDOFF * total + count * _TINY)
+    dim_lo = _dim_lower_bounds(np.linalg.eigvalsh(batch), err, exp, cfg.eps)
+    # cand[i, k] is point i's candidate partition when it moves to k.
+    cand = np.broadcast_to(dims, (b, k_total, k_total)).copy()
+    cand[rows, :, src] = dim_lo[rows, src][:, None]
+    diag = np.arange(k_total)
+    cand[:, diag, diag] = dim_lo
+    top = cand.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gd_lo = top * np.sum((cand / top[..., None]) ** cfg.p, axis=-1) ** (1.0 / cfg.p)
+    gd_lo[top <= 0.0] = 0.0
+    gd_lo[rows, src] = np.inf
+    return np.all(gd_lo >= pnorm(dims, cfg.p) * (1.0 + 1e-9), axis=1)
+
+
 def genetic_refine(a, labels, cfg):
     """Greedy single-point reassignment passes.
 
@@ -226,6 +337,16 @@ def genetic_refine(a, labels, cfg):
     strictly lowers the hard global dimension. Moves that would empty a
     cluster are disallowed. Stops after cfg.genetic_passes sweeps or
     after the first sweep with no accepted move.
+
+    Every decision is the one the per-candidate SVDs give, but most
+    points never need them. Per-cluster D x D Grams are rebuilt from the
+    point Grams at the start of each pass and updated by -+v v^T on each
+    accepted move. The next 32 points are screened with one batched
+    eigvalsh (_screen_moves), and a point is skipped only when a
+    rigorous lower bound on every candidate's global dimension shows
+    that no move can win. Every other point runs the per-candidate SVDs,
+    so accepted moves and stored dimensions are SVD values. After an
+    accepted move the screen restarts at the next point.
     """
     a = _validate_data(a)
     labels = np.array(labels, dtype=int)
@@ -233,11 +354,25 @@ def genetic_refine(a, labels, cfg):
     n = labels.size
     sizes = np.bincount(labels, minlength=k_total)
     dims = hard_cluster_dims(a, labels, k_total, cfg.eps, on_degenerate="zero")
+    point_grams, exp = _point_grams(a)
+    sq_norms = np.einsum("nii->n", point_grams)
     for _ in range(cfg.genetic_passes):
         changed = False
+        grams = np.tensordot(indicator_membership(labels, k_total), point_grams, axes=1)
+        terms = sizes.astype(float)
+        mass = np.bincount(labels, weights=sq_norms, minlength=k_total)
+        skip, first = np.zeros(0, dtype=bool), 0
         for j in range(n):
             k0 = labels[j]
             if sizes[k0] <= 1:
+                continue
+            if j - first >= skip.size:
+                first = j
+                skip = _screen_moves(
+                    np.arange(j, min(j + _SCREEN_BLOCK, n)), labels, dims, grams,
+                    terms, mass, point_grams, sq_norms, exp, cfg,
+                )
+            if skip[j - first]:
                 continue
             gd_cur = pnorm(dims, cfg.p)
             mask_src = labels == k0
@@ -262,6 +397,11 @@ def genetic_refine(a, labels, cfg):
                 dims[best_k] = best_tgt
                 sizes[k0] -= 1
                 sizes[best_k] += 1
+                grams[k0] -= point_grams[j]
+                grams[best_k] += point_grams[j]
+                terms[[k0, best_k]] += 1.0
+                mass[[k0, best_k]] += sq_norms[j]
+                skip = skip[:0]
                 changed = True
         if not changed:
             break

@@ -164,6 +164,20 @@ def test_parse_failure_reports_line_number(tmp_path, runner):
     assert ":3:" in res.output
 
 
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1.7"])
+def test_non_integer_label_is_a_parse_error(label, tmp_path, runner):
+    scene = tmp_path / "labels.csv"
+    scene.write_text("x,y,x2,y2,label\n1,2,3,4,0\n5,6,7,8,%s\n" % label)
+    res = runner.invoke(cli, ["segment", str(scene), "--k", "2"])
+    assert res.exit_code == 2, res.output
+    assert ":3:" in res.output and "not an integer" in res.output
+    pred = tmp_path / "pred.txt"
+    pred.write_text("0\n%s\n" % label)
+    res = runner.invoke(cli, ["eval", str(pred), str(pred)])
+    assert res.exit_code == 2, res.output
+    assert ":2:" in res.output and "not an integer" in res.output
+
+
 def test_wrong_column_count_rejected(tmp_path, runner):
     bad = tmp_path / "bad2.csv"
     bad.write_text("1,2,3\n")

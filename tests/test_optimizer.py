@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from gdm import (
     ObjectiveParams,
     SyntheticSpec,
     descend,
+    embed_dataset,
     gdm,
     genetic_refine,
     global_dimension_hard,
@@ -17,12 +20,13 @@ from gdm import (
     project_columns,
     project_simplex,
     sample_subspace_mixture,
+    sample_two_view_scene,
     threshold,
     validate_membership,
 )
 from gdm.optimizer import _descend_loop
 
-from oracles import project_simplex_qp
+from oracles import project_simplex_qp, reference_merge_init, reference_refine
 
 PARAMS = ObjectiveParams()
 
@@ -303,3 +307,92 @@ class TestGdm:
     def test_requires_more_points_than_clusters(self):
         with pytest.raises(InvalidParameterError):
             gdm(np.eye(3), GdmConfig(n_clusters=3, seed=0))
+
+
+def oracle_case(kind, k, seed):
+    """Data for comparing the optimizer stages with the reference oracles."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixture":
+        spec = SyntheticSpec(dims=(2, 3, 1)[:k], points_per_cluster=16,
+                             noise_sigma=0.01, seed=seed)
+        return sample_subspace_mixture(spec).data
+    if kind == "two_view":
+        scene = sample_two_view_scene(k, [48 // k] * k, noise_sigma=0.001, seed=seed)
+        return embed_dataset(scene.correspondences)
+    # exactly rank-deficient clusters: ranks 1-3 in R^9, no noise
+    a = np.concatenate(
+        [rng.normal(size=(9, r)) @ rng.normal(size=(r, 16)) for r in (1, 3, 2)[:k]],
+        axis=1,
+    )
+    if kind == "zero_and_duplicate":
+        a[:, [3, 20]] = 0.0
+        a[:, [5, 9, 30]] = a[:, [1, 1, 17]]
+        a[4] = 0.0
+    return a
+
+
+# Powers of two near 1e-150 and 1e150: the scaled data carry the same
+# bits, so the labels of the unscaled reference are the exact answer.
+ORACLE_SCALES = [1.0, 2.0**-498, 2.0**498]
+
+
+@pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["mixture", "two_view", "rank_deficient",
+                                  "zero_and_duplicate"])
+def test_stages_match_reference_oracles(kind, k, scale):
+    seed = 40 + k
+    a = oracle_case(kind, k, seed)
+    cfg = GdmConfig(n_clusters=k, seed=seed)
+    merged = greedy_merge_init(a * scale, cfg, np.random.default_rng(seed))
+    np.testing.assert_array_equal(
+        merged, reference_merge_init(a, cfg, np.random.default_rng(seed))
+    )
+    scrambled = np.random.default_rng(seed).integers(0, k, size=a.shape[1])
+    scrambled[:k] = np.arange(k)
+    for start in (merged, scrambled):
+        np.testing.assert_array_equal(
+            genetic_refine(a * scale, start, cfg), reference_refine(a * scale, start, cfg)
+        )
+
+
+def test_refine_matches_reference_below_the_degenerate_floor():
+    # Cluster 1 stays below DEGENERATE_SMAX (dimension 0) when the
+    # off-line point 10 joins it, so that move lowers the global
+    # dimension; its Gram spectrum alone would score cluster 1 near 3.
+    rng = np.random.default_rng(0)
+    a = np.zeros((9, 15))
+    a[0, :10] = 1e-13 * rng.uniform(1.0, 3.0, 10)
+    a[1, 10] = 1e-15
+    a[2:4, 11:] = 1e-15 * rng.normal(size=(2, 4))
+    labels = np.array([0] * 11 + [1] * 4)
+    cfg = GdmConfig(n_clusters=2, seed=0)
+    refined = genetic_refine(a, labels, cfg)
+    np.testing.assert_array_equal(refined, reference_refine(a, labels, cfg))
+    assert refined[10] == 1
+
+
+def test_large_finite_input_gives_the_unscaled_labels():
+    mix = sample_subspace_mixture(
+        SyntheticSpec(dims=(2, 3), points_per_cluster=25, noise_sigma=0.01, seed=12)
+    )
+    cfg = GdmConfig(n_clusters=2, restarts=3, seed=12)
+    np.testing.assert_array_equal(gdm(mix.data * 1e160, cfg).labels,
+                                  gdm(mix.data, cfg).labels)
+
+
+# SHA-256 of the int64 labels gdm returns on one fixed two-view scene per
+# K. A change that alters them must say why and record the new digest.
+GOLDEN_LABEL_SHA256 = {
+    2: "7a2d1817052f5e48eadb566600fcc15d186cd3d7b2f2bfb2994008c15993a210",
+    3: "a74fe69936ae735691b99b3386b4343001f53cb49ac6052728acb30edd3b41df",
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_golden_labels_two_view(k):
+    scene = sample_two_view_scene(k, {2: [50, 50], 3: [34, 33, 33]}[k],
+                                  noise_sigma=0.001, seed=3)
+    res = gdm(embed_dataset(scene.correspondences), GdmConfig(n_clusters=k, seed=3))
+    labels = np.asarray(res.labels, dtype=np.int64)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == GOLDEN_LABEL_SHA256[k]
