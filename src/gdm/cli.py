@@ -6,12 +6,14 @@ synthetic two-view scene as a correspondence file), ``eval`` (compare
 two label files), and ``roc`` (kappa sweep of the outlier detector).
 
 Correspondence files are CSV/TSV with one row per feature,
-``x,y,x2,y2[,label]``; a header row is detected automatically and
-lines starting with ``#`` are ignored. Every flag can also be supplied
-through an environment variable named ``GDM_<COMMAND>_<FLAG>``.
+``x,y,x2,y2[,label]``; lines starting with ``#`` are ignored, and the
+first remaining line is taken as a header when it does not parse as
+numbers (any later such line is an error). Every flag can also be
+supplied through an environment variable named ``GDM_<COMMAND>_<FLAG>``.
 """
 
 import json
+import math
 import sys
 import time
 
@@ -53,17 +55,19 @@ def read_correspondences(path):
     coords = []
     labels = []
     n_cols = None
-    saw_data = False
+    first_line = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            if first_line is None:
+                first_line = lineno
             fields = _split_fields(line)
             try:
                 values = [float(t) for t in fields]
             except ValueError:
-                if not saw_data:
+                if lineno == first_line:
                     continue  # header row
                 raise ParseError(
                     "%s:%d: cannot parse %r as numbers" % (path, lineno, line)
@@ -79,7 +83,6 @@ def read_correspondences(path):
                 raise ParseError(
                     "%s:%d: inconsistent column count" % (path, lineno)
                 )
-            saw_data = True
             coords.append(values[:4])
             if n_cols == 5:
                 labels.append(_as_label(values[4], path, lineno))
@@ -362,6 +365,14 @@ def roc(input_file, k, embedding, normalize, kappas, kappa_min, kappa_max,
         grad_iters, genetic_passes, step, merge_candidates, seed, threads,
         output):
     """Sweep kappa over a grid and report the outlier-detection ROC."""
+    if kappas is None:
+        if not all(math.isfinite(b) and b > 0.0 for b in (kappa_min, kappa_max)):
+            raise click.BadParameter("the grid bounds must be positive and finite",
+                                     param_hint="--kappa-min/--kappa-max")
+        kappas = np.geomspace(kappa_min, kappa_max, kappa_count).tolist()
+    elif not all(math.isfinite(v) and v >= 0.0 for v in kappas):
+        raise click.BadParameter("kappas must be finite and nonnegative",
+                                 param_hint="--kappas")
     coords, truth = read_correspondences(input_file)
     if truth_file is not None:
         truth = read_label_file(truth_file)
@@ -372,14 +383,11 @@ def roc(input_file, k, embedding, normalize, kappas, kappa_min, kappa_max,
             "ground truth required: give a label column or --truth"
         )
     seed = _resolve_seed(seed)
-    grid = kappas
-    if grid is None:
-        grid = np.geomspace(kappa_min, kappa_max, kappa_count).tolist()
     try:
         cfg = _build_config(k, epsilon, p, restarts, grad_iters, genetic_passes,
                             step, merge_candidates, seed)
         data = embed_dataset(coords, mode=embedding, normalize=normalize)
-        curve = roc_sweep(data, cfg, np.flatnonzero(truth < 0), grid,
+        curve = roc_sweep(data, cfg, np.flatnonzero(truth < 0), kappas,
                           fraction=fraction, alpha=alpha)
     except GdmError as exc:
         raise click.ClickException(str(exc))

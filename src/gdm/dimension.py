@@ -10,10 +10,14 @@ where ||u||_p = (sum u_i^p)^(1/p) for any p > 0 (not a norm for p < 1).
 It is invariant to scaling and rotation, never exceeds the true
 dimension of the span, and converges to it for spherically symmetric
 samples. eps = 1 degenerates to the effective rank ||sigma||_1 / max(sigma).
+
+This module is the one place where spectra become dimensions: the public
+estimators, the objective's per-cluster dimensions and gradient, and the
+refine screen's lower bounds all take their two norms from
+_power_norms, so the normalisation and the zero tolerance live here.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,28 +35,9 @@ from .exceptions import (
 # into contributions far above the estimator's stated tolerances.
 RELATIVE_ZERO_TOL = 1e-12
 
-
-class SingularSpectrum(NamedTuple):
-    """Thin SVD factors A = U @ diag(sigma) @ V.T."""
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-
-def thin_svd(a):
-    """Thin singular value decomposition of a real matrix.
-
-    Returns a :class:`SingularSpectrum` with U of shape (D, r), sigma of
-    length r = min(D, N) sorted nonincreasing, and V of shape (N, r).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInputError("expected a 2-d matrix, got shape %s" % (a.shape,))
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix entries must be finite")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return SingularSpectrum(U=u, sigma=s, V=vt.T)
+# Cluster matrices with a top singular value at or below this are
+# treated as empty; with on_degenerate="zero" they contribute dimension 0.
+DEGENERATE_SMAX = 1e-14
 
 
 def singular_values(a):
@@ -71,6 +56,38 @@ def numerical_rank(sigma, rel_tol=RELATIVE_ZERO_TOL):
     return int(np.sum(sigma > rel_tol * sigma.max()))
 
 
+def _check_eps(eps):
+    """Raise InvalidParameterError unless eps lies in (0, 1]."""
+    if not 0.0 < eps <= 1.0:
+        raise InvalidParameterError("eps must be in (0, 1], got %r" % (eps,))
+
+
+def _power_norms(s, eps, upper=None):
+    """(||s||_eps, ||upper||_delta) along the last axis, delta = eps / (1 - eps).
+
+    Both spectra are first divided by the largest entry of upper (of s
+    when upper is None), and entries of s below RELATIVE_ZERO_TOL after
+    that are zeroed. eps = 1 gives (||s||_1, ||upper||_inf = 1). A 1-d
+    spectrum gives Python floats: its roots are scalar powers, whose
+    last bit can differ from the array powers a stack of spectra gets.
+    """
+    # Scale invariance lets us normalize by the largest value, which
+    # keeps the p-th powers bounded for any eps.
+    top = (s if upper is None else upper).max(axis=-1, keepdims=True)
+    sn = s / top
+    sn[sn < RELATIVE_ZERO_TOL] = 0.0
+    if eps == 1.0:
+        num = sn.sum(axis=-1)
+        return (float(num) if sn.ndim == 1 else num), 1.0
+    un = sn if upper is None else upper / top
+    delta = eps / (1.0 - eps)
+    num = (sn**eps).sum(axis=-1)
+    den = (un**delta).sum(axis=-1)
+    if sn.ndim == 1:
+        num, den = float(num), float(den)
+    return num ** (1.0 / eps), den ** (1.0 / delta)
+
+
 def empirical_dimension(sigma, eps=0.35):
     """Empirical dimension of a singular spectrum.
 
@@ -87,25 +104,15 @@ def empirical_dimension(sigma, eps=0.35):
     -------
     float in [1, len(sigma)].
     """
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParameterError("eps must be in (0, 1], got %r" % (eps,))
+    _check_eps(eps)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or sigma.size == 0:
         raise InvalidInputError("sigma must be a nonempty 1-d vector")
     if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
         raise InvalidInputError("singular values must be finite and nonnegative")
-    smax = sigma.max()
-    if smax <= 0.0:
+    if sigma.max() <= 0.0:
         raise DegenerateSpectrumError("all singular values are zero")
-    # Scale invariance lets us normalize by the largest value, which
-    # keeps the p-th powers bounded for any eps.
-    s = sigma / smax
-    s[s < RELATIVE_ZERO_TOL] = 0.0
-    if eps == 1.0:
-        return float(s.sum())
-    delta = eps / (1.0 - eps)
-    num = float(np.sum(s**eps)) ** (1.0 / eps)
-    den = float(np.sum(s**delta)) ** (1.0 / delta)
+    num, den = _power_norms(sigma, eps)
     return num / den
 
 
@@ -115,23 +122,13 @@ def batch_empirical_dimension(sigmas, eps=0.35):
     Rows that are identically zero get dimension 0 (the continuous
     extension used for empty clusters).
     """
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParameterError("eps must be in (0, 1], got %r" % (eps,))
+    _check_eps(eps)
     sigmas = np.asarray(sigmas, dtype=float)
-    smax = sigmas.max(axis=1)
-    ok = smax > 0.0
+    ok = sigmas.max(axis=1) > 0.0
     dims = np.zeros(sigmas.shape[0])
-    if not np.any(ok):
-        return dims
-    s = sigmas[ok] / smax[ok, None]
-    s[s < RELATIVE_ZERO_TOL] = 0.0
-    if eps == 1.0:
-        dims[ok] = s.sum(axis=1)
-        return dims
-    delta = eps / (1.0 - eps)
-    num = np.sum(s**eps, axis=1) ** (1.0 / eps)
-    den = np.sum(s**delta, axis=1) ** (1.0 / delta)
-    dims[ok] = num / den
+    if np.any(ok):
+        num, den = _power_norms(sigmas[ok], eps)
+        dims[ok] = num / den
     return dims
 
 

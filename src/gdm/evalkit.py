@@ -182,13 +182,15 @@ def sample_two_view_scene(n_bodies, points_per_body, noise_sigma=0.0,
     """
     if n_bodies < 1:
         raise InvalidParameterError("need at least one rigid body")
-    rng = np.random.default_rng(seed)
     if np.isscalar(points_per_body):
         counts = [int(points_per_body)] * n_bodies
     else:
         counts = [int(c) for c in points_per_body]
         if len(counts) != n_bodies:
             raise InvalidParameterError("points_per_body length must match n_bodies")
+    if min(counts) < 1 or n_outliers < 0 or not noise_sigma >= 0.0:
+        raise InvalidParameterError("invalid point counts or noise/outlier settings")
+    rng = np.random.default_rng(seed)
     rows = []
     labels = []
     motions = []
@@ -254,13 +256,16 @@ def roc_sweep(a, cfg, true_outliers, kappa_grid, fraction=0.20, alpha=0.01,
 
     The segmentation and subspace fitting run once; every kappa in the
     grid is then applied to the cached point-to-subspace distances.
-    Returns a list of (kappa, tpr, fpr) tuples in grid order. threads
+    Returns a list of (kappa, tpr, fpr) tuples in grid order. Kappas
+    must be nonnegative; 0 and inf give the curve's end points. threads
     is accepted for compatibility and has no effect: restarts always run
     serially.
     """
     grid = np.asarray(kappa_grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("kappa grid must be nonempty")
+    if not np.all(grid >= 0.0):
+        raise InvalidParameterError("every kappa must be a nonnegative number")
     _, min_dist, _, _ = reassignment_distances(a, cfg, fraction=fraction, alpha=alpha)
     n = min_dist.size
     points = []

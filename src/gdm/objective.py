@@ -37,16 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimension import RELATIVE_ZERO_TOL, empirical_dimension
+from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms
 from .exceptions import (
     DegenerateClusterError,
     InvalidInputError,
     InvalidParameterError,
 )
-
-# Scaled cluster matrices with a top singular value at or below this are
-# treated as empty; with on_degenerate="zero" they contribute dimension 0.
-DEGENERATE_SMAX = 1e-14
 
 # Relative floor applied to singular values inside the gradient's D_k
 # diagonal (bounded subgradient surrogate near the non-smooth set).
@@ -130,32 +126,43 @@ def scaled_cluster_matrix(a, m, k):
 
 
 def pnorm(values, p):
-    """(sum v_i^p)^(1/p) for nonnegative values, stable for large p.
+    """(sum v_i^p)^(1/p) along the last axis for nonnegative values,
+    stable for large p.
 
     Values are summed in sorted order so the result is exactly invariant
-    under permutations of its input.
+    under permutations of its input. A 1-d input gives a float (0.0 when
+    empty), a stack of vectors an array with one norm per vector.
     """
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        return 0.0
-    top = v[-1]
-    if top <= 0.0:
-        return 0.0
-    return float(top * np.sum((v / top) ** p) ** (1.0 / p))
+    v = np.sort(np.asarray(values, dtype=float), axis=-1)
+    if v.ndim == 1:
+        if v.size == 0 or v[-1] <= 0.0:
+            return 0.0
+        top = scale = v[-1]
+    else:
+        top = v[..., -1]
+        # An all-zero vector is divided by 1 and keeps norm 0.
+        scale = np.where(top > 0.0, top, 1.0)[..., None]
+    norm = top * ((v / scale) ** p).sum(axis=-1) ** (1.0 / p)
+    return float(norm) if v.ndim == 1 else norm
+
+
+def _is_degenerate(s, on_degenerate):
+    """True when the nonincreasing spectrum s is empty or its top value is at
+    most DEGENERATE_SMAX (dimension 0); raises there unless on_degenerate='zero'."""
+    if s.size and s[0] > DEGENERATE_SMAX:
+        return False
+    if on_degenerate == "zero":
+        return True
+    raise DegenerateClusterError("cluster is empty or identically zero")
 
 
 def _dim_of_columns(cols, eps, on_degenerate):
     """Empirical dimension of a (possibly empty) block of data columns."""
-    if cols.size == 0:
-        smax = 0.0
-    else:
-        s = np.linalg.svd(cols, compute_uv=False)
-        smax = s[0]
-    if smax <= DEGENERATE_SMAX:
-        if on_degenerate == "zero":
-            return 0.0
-        raise DegenerateClusterError("cluster is empty or identically zero")
-    return empirical_dimension(s, eps)
+    s = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
+    if _is_degenerate(s, on_degenerate):
+        return 0.0
+    norm_e, norm_d = _power_norms(s, eps)
+    return norm_e / norm_d
 
 
 def hard_cluster_dims(a, labels, n_clusters, eps=0.35, on_degenerate="raise"):
@@ -167,6 +174,7 @@ def hard_cluster_dims(a, labels, n_clusters, eps=0.35, on_degenerate="raise"):
     labels = np.asarray(labels)
     if labels.shape != (a.shape[1],):
         raise InvalidInputError("labels must have one entry per data column")
+    _check_eps(eps)
     return np.array(
         [
             _dim_of_columns(a[:, labels == k], eps, on_degenerate)
@@ -206,33 +214,23 @@ def _cluster_svd_terms(a, row, params, on_degenerate, want_uv):
     chain factor.
     """
     scaled = a * row[None, :]
-    if want_uv:
-        u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    else:
-        s = np.linalg.svd(scaled, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    if smax <= DEGENERATE_SMAX:
-        if on_degenerate == "zero":
-            return 0.0, np.zeros(a.shape[1]) if want_uv else None
-        raise DegenerateClusterError("scaled cluster matrix is identically zero")
-    sn = s / smax
-    sn[sn < RELATIVE_ZERO_TOL] = 0.0
-    eps, delta = params.eps, params.delta
-    norm_e = float(np.sum(sn**eps)) ** (1.0 / eps)
-    norm_d = float(np.sum(sn**delta)) ** (1.0 / delta)
-    dim = norm_e / norm_d
     if not want_uv:
-        return dim, None
+        return _dim_of_columns(scaled, params.eps, on_degenerate), None
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    if _is_degenerate(s, on_degenerate):
+        return 0.0, np.zeros(a.shape[1])
+    eps, delta = params.eps, params.delta
+    norm_e, norm_d = _power_norms(s, eps)
     # D (diagonal of the chain rule through the singular values),
     # expressed in the normalized spectrum: the 1/smax factor restores
-    # the original scale.
-    sf = np.maximum(sn, GRADIENT_SIGMA_FLOOR)
+    # the original scale. The floor also covers the values the norms zeroed.
+    smax = s[0]
+    sf = np.maximum(s / smax, GRADIENT_SIGMA_FLOOR)
     c1 = norm_e ** (1.0 - eps) / norm_d
     c2 = norm_e * norm_d ** (-1.0 - delta)
     dvec = (c1 * sf ** (eps - 1.0) - c2 * sf ** (delta - 1.0)) / smax
     w = dvec[:, None] * (u.T @ a)
-    grad_row = np.sum(vt * w, axis=0)
-    return dim, grad_row
+    return norm_e / norm_d, np.sum(vt * w, axis=0)
 
 
 def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):

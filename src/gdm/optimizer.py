@@ -12,10 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dimension import RELATIVE_ZERO_TOL, batch_empirical_dimension
+from .dimension import DEGENERATE_SMAX, _power_norms, batch_empirical_dimension
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
-    DEGENERATE_SMAX,
     ObjectiveParams,
     _dim_of_columns,
     _validate_data,
@@ -275,21 +274,17 @@ def _dim_lower_bounds(evals, err, exp, eps):
     squared singular values lie within err of the Gram eigenvalues evals
     (shape (..., D)); the data were scaled by 2^-exp.
 
-    The numerator norm takes the low singular values, zeroed below
-    RELATIVE_ZERO_TOL times the largest high one, so it keeps only
-    values the SVD path keeps too; the denominator takes every high one.
+    The numerator norm takes the low singular values and the denominator
+    every high one, both divided by the largest high one. The spectrum
+    kernel zeroes low values below its relative tolerance, so the
+    numerator keeps only values the SVD path keeps too.
     A matrix whose top singular value may be at most DEGENERATE_SMAX, or
     whose bound is not finite, gets 0.
     """
     lo = np.sqrt(np.maximum(evals - err[..., None], 0.0))
     hi = np.sqrt(np.maximum(evals + err[..., None], 0.0))
-    top = hi.max(axis=-1, keepdims=True)
-    delta = eps / (1.0 - eps)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slo = lo / top
-        slo[slo < RELATIVE_ZERO_TOL] = 0.0
-        num = np.sum(slo**eps, axis=-1) ** (1.0 / eps)
-        den = np.sum((hi / top) ** delta, axis=-1) ** (1.0 / delta)
+        num, den = _power_norms(lo, eps, upper=hi)
         dims = num / den
     degenerate = np.ldexp(lo.max(axis=-1), exp) <= DEGENERATE_SMAX
     dims[degenerate | ~np.isfinite(dims)] = 0.0
@@ -321,10 +316,7 @@ def _screen_moves(idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
     cand[rows, :, src] = dim_lo[rows, src][:, None]
     diag = np.arange(k_total)
     cand[:, diag, diag] = dim_lo
-    top = cand.max(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gd_lo = top * np.sum((cand / top[..., None]) ** cfg.p, axis=-1) ** (1.0 / cfg.p)
-    gd_lo[top <= 0.0] = 0.0
+    gd_lo = pnorm(cand, cfg.p)
     gd_lo[rows, src] = np.inf
     return np.all(gd_lo >= pnorm(dims, cfg.p) * (1.0 + 1e-9), axis=1)
 

@@ -4,12 +4,18 @@ Everything here is deliberately brute force: central differences for
 gradients, KKT support enumeration for the simplex projection,
 exhaustive set-partition enumeration, rank counting for dimensions.
 None of it shares code with the implementation under test, except the
-two reference optimizer stages at the end: they are the straightforward
-greedy merge init (a Python list of Grams, every sampled pair scored
-afresh) and greedy refine (one SVD per candidate move) that the cached,
+two reference optimizer stages: they are the straightforward greedy
+merge init (a Python list of Grams, every sampled pair scored afresh)
+and greedy refine (one SVD per candidate move) that the cached,
 Gram-screened optimizer stages must reproduce label for label. They
 call the library's spectrum primitives, which the stages under test
 also use.
+
+The spectrum references at the end check those primitives in turn:
+they spell out, separately for each caller and with their own copies
+of the tolerances, the spectrum-to-dimension arithmetic that the
+library shares in one kernel, and the library must match them bit for
+bit.
 """
 
 import itertools
@@ -17,6 +23,12 @@ import itertools
 import numpy as np
 
 from gdm.dimension import batch_empirical_dimension
+from gdm.exceptions import (
+    DegenerateClusterError,
+    DegenerateSpectrumError,
+    InvalidInputError,
+    InvalidParameterError,
+)
 from gdm.objective import _dim_of_columns, _validate_data, hard_cluster_dims, pnorm
 from gdm.optimizer import _decode_pairs
 
@@ -197,3 +209,152 @@ def reference_refine(a, labels, cfg):
         if not changed:
             break
     return labels
+
+
+# Tolerances of the spectrum references, fixed independently of the
+# library's constants.
+RELATIVE_ZERO_TOL = 1e-12
+DEGENERATE_SMAX = 1e-14
+GRADIENT_SIGMA_FLOOR = 1e-8
+
+
+def reference_empirical_dimension(sigma, eps=0.35):
+    """Empirical dimension of a singular spectrum.
+
+    Parameters
+    ----------
+    sigma : array-like of nonnegative reals
+        Singular values (any order).
+    eps : float in (0, 1]
+        Strictness parameter. Small values track true dimension
+        tightly; values near 1 are lenient. eps = 1 gives the
+        effective rank sum(sigma) / max(sigma).
+
+    Returns
+    -------
+    float in [1, len(sigma)].
+    """
+    if not 0.0 < eps <= 1.0:
+        raise InvalidParameterError("eps must be in (0, 1], got %r" % (eps,))
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 1 or sigma.size == 0:
+        raise InvalidInputError("sigma must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
+        raise InvalidInputError("singular values must be finite and nonnegative")
+    smax = sigma.max()
+    if smax <= 0.0:
+        raise DegenerateSpectrumError("all singular values are zero")
+    # Scale invariance lets us normalize by the largest value, which
+    # keeps the p-th powers bounded for any eps.
+    s = sigma / smax
+    s[s < RELATIVE_ZERO_TOL] = 0.0
+    if eps == 1.0:
+        return float(s.sum())
+    delta = eps / (1.0 - eps)
+    num = float(np.sum(s**eps)) ** (1.0 / eps)
+    den = float(np.sum(s**delta)) ** (1.0 / delta)
+    return num / den
+
+
+def reference_batch_empirical_dimension(sigmas, eps=0.35):
+    """Empirical dimension of each row of a stack of spectra.
+
+    Rows that are identically zero get dimension 0 (the continuous
+    extension used for empty clusters).
+    """
+    if not 0.0 < eps <= 1.0:
+        raise InvalidParameterError("eps must be in (0, 1], got %r" % (eps,))
+    sigmas = np.asarray(sigmas, dtype=float)
+    smax = sigmas.max(axis=1)
+    ok = smax > 0.0
+    dims = np.zeros(sigmas.shape[0])
+    if not np.any(ok):
+        return dims
+    s = sigmas[ok] / smax[ok, None]
+    s[s < RELATIVE_ZERO_TOL] = 0.0
+    if eps == 1.0:
+        dims[ok] = s.sum(axis=1)
+        return dims
+    delta = eps / (1.0 - eps)
+    num = np.sum(s**eps, axis=1) ** (1.0 / eps)
+    den = np.sum(s**delta, axis=1) ** (1.0 / delta)
+    dims[ok] = num / den
+    return dims
+
+
+def reference_pnorm(values, p):
+    """(sum v_i^p)^(1/p) for nonnegative values, stable for large p.
+
+    Values are summed in sorted order so the result is exactly invariant
+    under permutations of its input.
+    """
+    v = np.sort(np.asarray(values, dtype=float))
+    if v.size == 0:
+        return 0.0
+    top = v[-1]
+    if top <= 0.0:
+        return 0.0
+    return float(top * np.sum((v / top) ** p) ** (1.0 / p))
+
+
+def reference_cluster_svd_terms(a, row, params, on_degenerate, want_uv):
+    """Spectrum-derived quantities for one scaled cluster.
+
+    Returns (dim, grad_row or None). The gradient row is the unweighted
+    part V[n, :] @ D @ U.T @ A[:, n]; the caller applies the p-norm
+    chain factor.
+    """
+    scaled = a * row[None, :]
+    if want_uv:
+        u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    else:
+        s = np.linalg.svd(scaled, compute_uv=False)
+    smax = s[0] if s.size else 0.0
+    if smax <= DEGENERATE_SMAX:
+        if on_degenerate == "zero":
+            return 0.0, np.zeros(a.shape[1]) if want_uv else None
+        raise DegenerateClusterError("scaled cluster matrix is identically zero")
+    sn = s / smax
+    sn[sn < RELATIVE_ZERO_TOL] = 0.0
+    eps, delta = params.eps, params.delta
+    norm_e = float(np.sum(sn**eps)) ** (1.0 / eps)
+    norm_d = float(np.sum(sn**delta)) ** (1.0 / delta)
+    dim = norm_e / norm_d
+    if not want_uv:
+        return dim, None
+    # D (diagonal of the chain rule through the singular values),
+    # expressed in the normalized spectrum: the 1/smax factor restores
+    # the original scale.
+    sf = np.maximum(sn, GRADIENT_SIGMA_FLOOR)
+    c1 = norm_e ** (1.0 - eps) / norm_d
+    c2 = norm_e * norm_d ** (-1.0 - delta)
+    dvec = (c1 * sf ** (eps - 1.0) - c2 * sf ** (delta - 1.0)) / smax
+    w = dvec[:, None] * (u.T @ a)
+    grad_row = np.sum(vt * w, axis=0)
+    return dim, grad_row
+
+
+def reference_dim_lower_bounds(evals, err, exp, eps):
+    """Lower bounds on the SVD-path empirical dimension of matrices whose
+    squared singular values lie within err of the Gram eigenvalues evals
+    (shape (..., D)); the data were scaled by 2^-exp.
+
+    The numerator norm takes the low singular values, zeroed below
+    RELATIVE_ZERO_TOL times the largest high one, so it keeps only
+    values the SVD path keeps too; the denominator takes every high one.
+    A matrix whose top singular value may be at most DEGENERATE_SMAX, or
+    whose bound is not finite, gets 0.
+    """
+    lo = np.sqrt(np.maximum(evals - err[..., None], 0.0))
+    hi = np.sqrt(np.maximum(evals + err[..., None], 0.0))
+    top = hi.max(axis=-1, keepdims=True)
+    delta = eps / (1.0 - eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slo = lo / top
+        slo[slo < RELATIVE_ZERO_TOL] = 0.0
+        num = np.sum(slo**eps, axis=-1) ** (1.0 / eps)
+        den = np.sum((hi / top) ** delta, axis=-1) ** (1.0 / delta)
+        dims = num / den
+    degenerate = np.ldexp(lo.max(axis=-1), exp) <= DEGENERATE_SMAX
+    dims[degenerate | ~np.isfinite(dims)] = 0.0
+    return dims

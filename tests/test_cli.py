@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from gdm.cli import cli
+from gdm.cli import ParseError, cli, read_correspondences
 
 
 @pytest.fixture
@@ -178,6 +178,20 @@ def test_non_integer_label_is_a_parse_error(label, tmp_path, runner):
     assert ":2:" in res.output and "not an integer" in res.output
 
 
+def test_only_the_first_line_may_be_a_header(tmp_path, runner):
+    bad = tmp_path / "late_header.csv"
+    bad.write_text("x,y,x2,y2\n1,2,oops,4\nfoo,bar\n1,2,3,4\n5,6,7,8\n")
+    with pytest.raises(ParseError, match=":2:"):
+        read_correspondences(bad)
+    res = runner.invoke(cli, ["segment", str(bad), "--k", "2"])
+    assert res.exit_code == 2
+    assert ":2:" in res.output
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# scene\n\nx,y,x2,y2\n1,2,3,4\n5,6,7,8\n")
+    coords, labels = read_correspondences(commented)
+    assert coords.shape == (2, 4) and labels is None
+
+
 def test_wrong_column_count_rejected(tmp_path, runner):
     bad = tmp_path / "bad2.csv"
     bad.write_text("1,2,3\n")
@@ -198,6 +212,35 @@ def test_malformed_list_flag_is_a_usage_error(args, scene_file, tmp_path, runner
     assert res.exit_code == 2, res.output
     assert "Invalid value" in res.output
     assert not isinstance(res.exception, ValueError)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kappa-min", "0"],
+    ["--kappa-min", "-0.1"],
+    ["--kappa-min", "nan"],
+    ["--kappa-max", "inf"],
+    ["--kappas", "0.1,nan"],
+    ["--kappas", "inf"],
+    ["--kappas", "0.1,-0.2"],
+])
+def test_bad_kappa_is_a_usage_error(flags, scene_file, runner):
+    res = runner.invoke(cli, ["roc", str(scene_file), "--k", "2"] + flags)
+    assert res.exit_code == 2, res.output
+    assert "Invalid value" in res.output
+
+
+@pytest.mark.parametrize("flags", [
+    ["--points", "0"],
+    ["--points", "10,0"],
+    ["--outliers", "-3"],
+    ["--noise", "-1"],
+])
+def test_generate_rejects_bad_counts(flags, tmp_path, runner):
+    path = tmp_path / "bad.csv"
+    res = runner.invoke(cli, ["generate", str(path), "--seed", "1"] + flags)
+    assert res.exit_code == 1, res.output
+    assert "Error" in res.output
+    assert not path.exists()
 
 
 def test_infeasible_config_fails_cleanly(scene_file, runner):

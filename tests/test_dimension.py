@@ -10,7 +10,7 @@ from gdm import (
     empirical_dimension,
     numerical_rank,
     p_lower_bound,
-    thin_svd,
+    singular_values,
 )
 
 from oracles import random_orthogonal
@@ -26,30 +26,6 @@ P_BOUND_TABLE = {
 def subspace_sample(rng, ambient, d, n):
     basis, _ = np.linalg.qr(rng.normal(size=(ambient, d)))
     return basis @ rng.normal(size=(d, n))
-
-
-class TestThinSvd:
-    def test_diagonal(self):
-        spec = thin_svd(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(spec.sigma, [3.0, 2.0, 1.0])
-
-    def test_zero_matrix(self):
-        spec = thin_svd(np.zeros((4, 6)))
-        np.testing.assert_array_equal(spec.sigma, np.zeros(4))
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(9, 50))
-        spec = thin_svd(a)
-        recon = spec.U @ np.diag(spec.sigma) @ spec.V.T
-        assert np.linalg.norm(recon - a) < 1e-10 * np.linalg.norm(a)
-        assert np.abs(spec.U.T @ spec.U - np.eye(9)).max() < 1e-10
-        assert np.abs(spec.V.T @ spec.V - np.eye(9)).max() < 1e-10
-        assert np.all(np.diff(spec.sigma) <= 0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            thin_svd([[1.0, np.nan]])
 
 
 class TestEmpiricalDimension:
@@ -171,3 +147,10 @@ def test_numerical_rank():
     assert numerical_rank([5.0, 1.0, 1e-10], rel_tol=1e-8) == 2
     assert numerical_rank([1.0, 0.5, 1e-3]) == 3
     assert numerical_rank(np.zeros(4)) == 0
+
+
+def test_singular_values():
+    np.testing.assert_allclose(singular_values(np.diag([1.0, 3.0, 2.0])), [3.0, 2.0, 1.0])
+    np.testing.assert_array_equal(singular_values(np.zeros((4, 6))), np.zeros(4))
+    with pytest.raises(InvalidInputError):
+        singular_values([[1.0, np.nan]])

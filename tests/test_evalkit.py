@@ -108,6 +108,11 @@ class TestTwoViewScene:
             sample_two_view_scene(0, 10)
         with pytest.raises(InvalidParameterError):
             sample_two_view_scene(2, (10,))
+        for kwargs in ({"points_per_body": 0}, {"points_per_body": (10, 0)},
+                       {"n_outliers": -3}, {"noise_sigma": -1.0},
+                       {"noise_sigma": np.nan}):
+            with pytest.raises(InvalidParameterError):
+                sample_two_view_scene(**{"n_bodies": 2, "points_per_body": 10, **kwargs})
         with pytest.raises(SceneGenerationError):
             sample_two_view_scene(1, 10, seed=0, max_retries=0)
 
@@ -188,3 +193,8 @@ class TestRocSweep:
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
             roc_sweep(self.mix.data, self.cfg, self.mix.outliers, [])
+
+    @pytest.mark.parametrize("kappa", [np.nan, -0.1, -np.inf])
+    def test_invalid_kappa(self, kappa):
+        with pytest.raises(InvalidParameterError):
+            roc_sweep(self.mix.data, self.cfg, self.mix.outliers, [0.1, kappa])

@@ -1,0 +1,141 @@
+"""The spectrum-to-dimension primitives against their bitwise references.
+
+Every empirical dimension the library computes goes through one kernel
+in gdm.dimension. These tests pin that kernel, and each caller of it,
+to the separate routines in oracles.py: results must be equal bit for
+bit, not merely close, because the optimizer's labels depend on exact
+ties and on comparisons between these values.
+"""
+
+import numpy as np
+import pytest
+
+from gdm import (
+    DegenerateClusterError,
+    DegenerateSpectrumError,
+    ObjectiveParams,
+    batch_empirical_dimension,
+    empirical_dimension,
+    pnorm,
+)
+from gdm.objective import _cluster_svd_terms
+from gdm.optimizer import _dim_lower_bounds
+
+from oracles import (
+    reference_batch_empirical_dimension,
+    reference_cluster_svd_terms,
+    reference_dim_lower_bounds,
+    reference_empirical_dimension,
+    reference_pnorm,
+)
+
+EPS_VALUES = [0.1, 0.35, 0.9]
+
+
+def assert_bitwise(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def rank_deficient(rng, d=9, n=30, rank=3):
+    return rng.normal(size=(d, rank)) @ rng.normal(size=(rank, n))
+
+
+def spectra(seed):
+    """Seeded spectra, one per row: log-uniform over 16 decades with two
+    entries forced below 1e-12 times the largest, exact zeros, exactly
+    rank-deficient SVD spectra, and an all-zero row."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(6):
+        s = 10.0 ** -rng.uniform(0.0, 16.0, size=9) * 10.0 ** rng.uniform(-5, 5)
+        s[rng.choice(9, size=2, replace=False)] = s.max() * 10.0 ** -rng.uniform(12.1, 15.0, size=2)
+        rows.append(s)
+    rows.append(np.array([3.0, 2.0, 0.0, 1.0, 0.0, 0.0, 1e-13, 5e-12, 0.5]))
+    for rank in (1, 2, 5):
+        rows.append(np.linalg.svd(rank_deficient(rng, rank=rank), compute_uv=False))
+    rows.append(np.zeros(9))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("eps", EPS_VALUES + [1.0])
+def test_empirical_dimension_matches_reference(seed, eps):
+    stack = spectra(seed)
+    for sigma in stack[:-1]:
+        assert_bitwise(empirical_dimension(sigma, eps),
+                       reference_empirical_dimension(sigma, eps))
+    for fn in (empirical_dimension, reference_empirical_dimension):
+        with pytest.raises(DegenerateSpectrumError):
+            fn(stack[-1], eps)
+    assert_bitwise(batch_empirical_dimension(stack, eps),
+                   reference_batch_empirical_dimension(stack, eps))
+    assert_bitwise(batch_empirical_dimension(np.zeros((3, 9)), eps),
+                   reference_batch_empirical_dimension(np.zeros((3, 9)), eps))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("eps", EPS_VALUES)
+def test_cluster_terms_match_reference(seed, eps):
+    rng = np.random.default_rng(seed)
+    params = ObjectiveParams(eps=eps)
+    full = rng.normal(size=(9, 30))
+    deficient = rank_deficient(rng)
+    deficient[:, :4] = 0.0
+    rows = [
+        rng.uniform(size=30),
+        (rng.uniform(size=30) < 0.3).astype(float),
+        np.zeros(30),
+        np.full(30, 1e-17),
+    ]
+    for a in (full, deficient):
+        for row in rows:
+            for want_uv in (False, True):
+                got = _cluster_svd_terms(a, row, params, "zero", want_uv)
+                want = reference_cluster_svd_terms(a, row, params, "zero", want_uv)
+                assert_bitwise(got[0], want[0])
+                if want_uv:
+                    assert_bitwise(got[1], want[1])
+                else:
+                    assert got[1] is None and want[1] is None
+    for fn in (_cluster_svd_terms, reference_cluster_svd_terms):
+        for want_uv in (False, True):
+            with pytest.raises(DegenerateClusterError):
+                fn(full, np.zeros(30), params, "raise", want_uv)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("eps", EPS_VALUES)
+@pytest.mark.parametrize("exp", [0, -3, 40])
+def test_dim_lower_bounds_match_reference(seed, eps, exp):
+    rng = np.random.default_rng(seed)
+    grams = []
+    for rank in (1, 3, 9, 9, 2, 0):
+        cols = rng.normal(size=(9, rank)) @ rng.normal(size=(rank, 20))
+        grams.append(cols @ cols.T)
+    evals = np.linalg.eigvalsh(np.array(grams).reshape(2, 3, 9, 9))
+    for err in (np.zeros((2, 3)), 10.0 ** -rng.uniform(3, 14, size=(2, 3))):
+        assert_bitwise(_dim_lower_bounds(evals, err, exp, eps),
+                       reference_dim_lower_bounds(evals, err, exp, eps))
+
+
+@pytest.mark.parametrize("p", [2.0, 15.0, 30.0])
+def test_pnorm_matches_reference(p):
+    rng = np.random.default_rng(7)
+    vectors = [rng.uniform(0.0, 9.0, size=k) for k in (1, 2, 3, 5)]
+    vectors += [np.zeros(3), np.array([]), np.array([0.0, 2.5, 0.0]),
+                np.array([3.0, 3.0, 1.0])]
+    for v in vectors:
+        assert_bitwise(pnorm(v, p), reference_pnorm(v, p))
+    # A stack gives one norm per vector. Its roots are array powers, so
+    # rows may differ from the 1-d value in the last bit only.
+    stack = rng.uniform(0.0, 9.0, size=(4, 5, 3))
+    stack[1, 2] = 0.0
+    norms = pnorm(stack, p)
+    assert norms.shape == (4, 5)
+    want = np.array([[reference_pnorm(v, p) for v in block] for block in stack])
+    np.testing.assert_allclose(norms, want, rtol=1e-15, atol=0.0)
+    assert norms[1, 2] == 0.0
