@@ -156,7 +156,7 @@ _PIPELINE_OPTIONS = [
                  help="Target step length on the membership simplex."),
     click.option("--merge-candidates", default=100, show_default=True,
                  help="Candidate pairs sampled per merge round."),
-    click.option("--seed", type=int, default=None,
+    click.option("--seed", type=click.IntRange(min=0), default=None,
                  help="RNG seed; drawn at random (and echoed) if omitted."),
     click.option("--threads", default=1, show_default=True,
                  help="Accepted for compatibility; restarts run serially."),
@@ -286,7 +286,7 @@ def segment(input_file, k, embedding, normalize, outlier_mode, alpha, fraction,
               help="Bad matches to inject (label -1).")
 @click.option("--coplanar", is_flag=True, default=False,
               help="Place each body's points on a plane.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 def generate(output_file, bodies, points, noise, outliers, coplanar, seed):
     """Write a synthetic two-view scene as a correspondence file."""
     seed = _resolve_seed(seed)
@@ -350,7 +350,8 @@ def eval_cmd(pred_file, truth_file, output):
               help="Comma list of kappa thresholds to sweep.")
 @click.option("--kappa-min", default=0.001, show_default=True)
 @click.option("--kappa-max", default=0.5, show_default=True)
-@click.option("--kappa-count", default=20, show_default=True,
+@click.option("--kappa-count", type=click.IntRange(min=1), default=20,
+              show_default=True,
               help="Size of the geometric kappa grid when --kappas is unset.")
 @click.option("--alpha", default=0.01, show_default=True)
 @click.option("--fraction", default=0.20, show_default=True)

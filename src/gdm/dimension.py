@@ -124,6 +124,10 @@ def batch_empirical_dimension(sigmas, eps=0.35):
     """
     _check_eps(eps)
     sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 2 or sigmas.shape[1] == 0:
+        raise InvalidInputError("sigmas must be a 2-d stack of nonempty spectra")
+    if not np.all(np.isfinite(sigmas)) or np.any(sigmas < 0):
+        raise InvalidInputError("singular values must be finite and nonnegative")
     ok = sigmas.max(axis=1) > 0.0
     dims = np.zeros(sigmas.shape[0])
     if np.any(ok):

@@ -6,13 +6,19 @@ whose union yields the lowest global dimension), projected gradient
 descent on the soft membership matrix, thresholding back to a hard
 partition, and a greedy point-reassignment cleanup. Several restarts
 are run and the partition with the lowest hard global dimension wins.
+
+Every restart's merge starts from the same N singletons, so the merged
+dimension of two points is a function of the data alone. One call
+computes each such point-pair dimension at most once and shares it
+across its restarts through an N x N cache (NaN where not yet scored);
+the labels are those of scoring every pair afresh.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dimension import DEGENERATE_SMAX, _power_norms, batch_empirical_dimension
+from .dimension import DEGENERATE_SMAX, _power_norms
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
     ObjectiveParams,
@@ -57,6 +63,10 @@ class GdmConfig:
             raise InvalidParameterError("p must be positive")
         if self.merge_candidates < 1:
             raise InvalidParameterError("merge_candidates must be >= 1")
+        if self.seed is not None and not (
+            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
+        ):
+            raise InvalidParameterError("seed must be None or an integer >= 0")
 
     def objective_params(self, alpha=0.01):
         return ObjectiveParams(eps=self.eps, p=self.p, alpha=alpha)
@@ -149,17 +159,11 @@ def greedy_merge_init(a, cfg, rng=None):
     merge, and commits the best one. Spectra of merged sets come from
     D x D Gram matrices, which add under merging.
 
-    Each set lives in the slot of its first point: one (N, D, D) array
-    holds the set Grams and an ordered array the live slots. The merged
-    dimension of every scored pair of slots is cached in an N x N array;
-    when slot x absorbs slot y, row and column x are invalidated, so a
-    pair is re-scored only after one of its sets changed. A cached value
-    is the one a fresh eigendecomposition would return, so the sampled
-    pairs, the scores and the chosen merge are those of scoring every
-    pair afresh.
-
     Returns a label vector. If N <= n_clusters each point keeps its own
-    singleton label and no merging happens.
+    singleton label and no merging happens. Each call scores its pairs
+    afresh; the restarts of gdm and gdm_outlier_core run the same merge
+    through _merge_init with one singleton-pair cache per call, which
+    changes no label.
     """
     a = _validate_data(a)
     n = a.shape[1]
@@ -167,36 +171,71 @@ def greedy_merge_init(a, cfg, rng=None):
         rng = np.random.default_rng(cfg.seed)
     if n <= cfg.n_clusters:
         return np.arange(n)
+    return _merge_init(a, cfg, rng, np.full((n, n), np.nan))
+
+
+def _merge_init(a, cfg, rng, pair_dims):
+    """greedy_merge_init on validated data with N > n_clusters, sharing
+    singleton-pair dimensions through pair_dims.
+
+    Each set lives in the slot of its first point: one (N, D, D) array
+    holds the set Grams and the first entries of an ordered array the
+    live slots. The merged dimension of every scored pair of slots is
+    cached in an N x N array; when slot x absorbs slot y, row and column
+    x are invalidated, so a pair is re-scored only after one of its sets
+    changed. pair_dims (N x N, NaN where unknown) holds the merged
+    dimension of point pairs {i}, {j}, i < j: a pure function of the
+    data, so every restart of one call may share it. The cache starts as
+    a copy of it, and every point-pair value this merge computes is
+    written back. A cached value is the one a fresh eigendecomposition
+    would return (a slot's Gram is a sum of the same point Grams, and a
+    batched eigvalsh gives each matrix the same bits whatever else is in
+    its batch), so the sampled pairs, the scores and the chosen merge
+    are those of scoring every pair afresh.
+    """
+    n = a.shape[1]
     grams, _ = _point_grams(a)
     live = np.arange(n)
     owner = np.arange(n)
+    singleton = np.ones(n, dtype=bool)
     # A singleton has dimension 1 unless the point is exactly zero.
     dp = np.any(a != 0.0, axis=0).astype(float) ** cfg.p
-    merged_cache = np.full((n, n), np.nan)
-    while live.size > cfg.n_clusters:
-        m_sets = live.size
+    merged_cache = pair_dims.copy()
+    for m_sets in range(n, cfg.n_clusters, -1):
         total_pairs = m_sets * (m_sets - 1) // 2
         n_cand = min(cfg.merge_candidates, total_pairs)
         codes = rng.choice(total_pairs, size=n_cand, replace=False)
         ia, ib = _decode_pairs(codes, m_sets)
         sa, sb = live[ia], live[ib]
         merged_dims = merged_cache[sa, sb]
-        miss = np.isnan(merged_dims)
-        if miss.any():
-            evals = np.linalg.eigvalsh(grams[sa[miss]] + grams[sb[miss]])
+        miss = np.flatnonzero(np.isnan(merged_dims))
+        if miss.size:
+            ma, mb = sa[miss], sb[miss]
+            # Even a single miss is a (1, D) stack: a 1-d spectrum would
+            # take scalar roots, whose last bit can differ from a stack's.
+            evals = np.linalg.eigvalsh(grams[ma] + grams[mb])
             spectra = np.sqrt(np.clip(evals, 0.0, None))
-            merged_dims[miss] = batch_empirical_dimension(spectra, cfg.eps)
-            merged_cache[sa[miss], sb[miss]] = merged_dims[miss]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                num, den = _power_norms(spectra, cfg.eps)
+                dims = num / den
+            # eigvalsh sorts ascending: an all-zero spectrum has dimension 0.
+            dims[spectra[:, -1] == 0.0] = 0.0
+            merged_dims[miss] = dims
+            merged_cache[ma, mb] = dims
+            both = singleton[ma] & singleton[mb]
+            pair_dims[ma[both], mb[both]] = dims[both]
         scores = merged_dims**cfg.p - dp[sa] - dp[sb]
         best = int(np.argmin(scores))
         x, y = sa[best], sb[best]
         grams[x] += grams[y]
         dp[x] = merged_dims[best] ** cfg.p
+        singleton[x] = False
         owner[owner == y] = x
         merged_cache[x, :] = np.nan
         merged_cache[:, x] = np.nan
-        live = np.delete(live, ib[best])
-    return np.searchsorted(live, owner)
+        gone = ib[best]
+        live[gone : m_sets - 1] = live[gone + 1 : m_sets]
+    return np.searchsorted(live[: cfg.n_clusters], owner)
 
 
 def _descend_loop(a, m0, cfg, params, outlier):
@@ -412,10 +451,13 @@ def _hard_result(a, labels, cfg, **fields):
 def _run_restarts(a, cfg, run):
     """Run every restart serially and keep the best.
 
-    Restart i calls run(seed_i), where seed_i is the i-th child of
-    SeedSequence(cfg.seed).spawn(cfg.restarts), and returns (value,
-    outcome). Returns the outcome with the lowest (value, restart index)
-    and every value in restart order.
+    Restart i merges the points down to cfg.n_clusters sets with
+    _merge_init, drawing from default_rng(seed_i), where seed_i is the
+    i-th child of SeedSequence(cfg.seed).spawn(cfg.restarts), then calls
+    run(labels0) on the merged labels, which returns (value, outcome).
+    All restarts share one singleton-pair cache, since every merge
+    starts from the same N singletons. Returns the outcome with the
+    lowest (value, restart index) and every value in restart order.
     """
     n = a.shape[1]
     if cfg.restarts < 1:
@@ -424,14 +466,16 @@ def _run_restarts(a, cfg, run):
         raise InvalidParameterError(
             "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
         )
-    runs = [run(child) for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
+    pair_dims = np.full((n, n), np.nan)
+    runs = [
+        run(_merge_init(a, cfg, np.random.default_rng(child), pair_dims))
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    ]
     best = min(range(cfg.restarts), key=lambda i: (runs[i][0], i))
     return runs[best][1], np.array([value for value, _ in runs])
 
 
-def _run_restart(a, cfg, params, seed_seq):
-    rng = np.random.default_rng(seed_seq)
-    labels0 = greedy_merge_init(a, cfg, rng)
+def _run_restart(a, cfg, params, labels0):
     m0 = indicator_membership(labels0, cfg.n_clusters)
     m, trace = _descend_loop(a, m0, cfg, params, outlier=False)
     labels = genetic_refine(a, threshold(m), cfg)
@@ -454,5 +498,7 @@ def gdm(a, cfg, threads=1):
     """
     a = _validate_data(a)
     params = cfg.objective_params()
-    best, values = _run_restarts(a, cfg, lambda seed: _run_restart(a, cfg, params, seed))
+    best, values = _run_restarts(
+        a, cfg, lambda labels0: _run_restart(a, cfg, params, labels0)
+    )
     return replace(best, restart_gd_values=values)

@@ -30,7 +30,7 @@ from .exceptions import (
     InvalidParameterError,
 )
 from .objective import _validate_data
-from .optimizer import _descend_loop, _hard_result, _run_restarts, gdm, greedy_merge_init
+from .optimizer import _descend_loop, _hard_result, _run_restarts, gdm
 
 # Initial membership mass placed on the outlier row after merge
 # initialization; the remaining 1 - beta sits on the point's own set.
@@ -83,8 +83,7 @@ def gdm_outlier_core(a, cfg, alpha=0.01):
     n = a.shape[1]
     params = cfg.objective_params(alpha=alpha)
 
-    def run(seed_seq):
-        labels0 = greedy_merge_init(a, cfg, np.random.default_rng(seed_seq))
+    def run(labels0):
         m0 = np.zeros((cfg.n_clusters + 1, n))
         m0[0] = OUTLIER_INIT_MASS
         m0[labels0 + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS

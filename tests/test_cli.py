@@ -222,11 +222,26 @@ def test_malformed_list_flag_is_a_usage_error(args, scene_file, tmp_path, runner
     ["--kappas", "0.1,nan"],
     ["--kappas", "inf"],
     ["--kappas", "0.1,-0.2"],
+    ["--kappa-count", "0"],
+    ["--kappa-count", "-1"],
 ])
 def test_bad_kappa_is_a_usage_error(flags, scene_file, runner):
     res = runner.invoke(cli, ["roc", str(scene_file), "--k", "2"] + flags)
     assert res.exit_code == 2, res.output
     assert "Invalid value" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["segment", "{scene}", "--k", "2", "--seed", "-1"],
+    ["roc", "{scene}", "--k", "2", "--seed", "-1"],
+    ["generate", "{dir}/neg.csv", "--seed", "-3"],
+])
+def test_negative_seed_is_a_usage_error(args, scene_file, tmp_path, runner):
+    args = [a.format(dir=tmp_path, scene=scene_file) for a in args]
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert "Invalid value" in res.output
+    assert not (tmp_path / "neg.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [

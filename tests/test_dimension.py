@@ -126,6 +126,18 @@ class TestEmpiricalDimension:
         for i in (0, 1, 3, 7):
             assert out[i] == pytest.approx(empirical_dimension(sig[i], 0.35), abs=1e-12)
 
+    @pytest.mark.parametrize("sigmas", [
+        [1.0, 0.5],
+        [[[1.0, 0.5]]],
+        np.zeros((2, 0)),
+        [[1.0, np.nan, 0.5]],
+        [[np.inf, 1.0]],
+        [[1.0, -2.0, 0.5]],
+    ], ids=["1-d", "3-d", "empty-rows", "nan", "inf", "negative"])
+    def test_batch_rejects_invalid_input(self, sigmas):
+        with pytest.raises(InvalidInputError):
+            batch_empirical_dimension(sigmas, 0.35)
+
 
 class TestPLowerBound:
     def test_table_values(self):

@@ -15,8 +15,10 @@ from gdm import (
     genetic_refine,
     global_dimension_hard,
     greedy_merge_init,
+    hard_cluster_dims,
     indicator_membership,
     misclassification_rate,
+    pnorm,
     project_columns,
     project_simplex,
     sample_subspace_mixture,
@@ -24,7 +26,9 @@ from gdm import (
     threshold,
     validate_membership,
 )
-from gdm.optimizer import _descend_loop
+from gdm.dimension import _power_norms
+from gdm.optimizer import _descend_loop, _merge_init, _point_grams
+from gdm.robust import OUTLIER_INIT_MASS, gdm_outlier_core
 
 from oracles import project_simplex_qp, reference_merge_init, reference_refine
 
@@ -48,6 +52,11 @@ def test_config_validation():
         GdmConfig(n_clusters=2, step_target=0.0)
     with pytest.raises(InvalidParameterError):
         GdmConfig(n_clusters=2, eps=1.0)
+    for seed in (-1, -(2**40), 1.5, "7"):
+        with pytest.raises(InvalidParameterError):
+            GdmConfig(n_clusters=2, seed=seed)
+    for seed in (None, 0, 2**70, np.int64(5)):
+        assert GdmConfig(n_clusters=2, seed=seed).seed is seed
 
 
 class TestProjectSimplex:
@@ -334,12 +343,12 @@ def oracle_case(kind, k, seed):
 # Powers of two near 1e-150 and 1e150: the scaled data carry the same
 # bits, so the labels of the unscaled reference are the exact answer.
 ORACLE_SCALES = [1.0, 2.0**-498, 2.0**498]
+ORACLE_KINDS = ["mixture", "two_view", "rank_deficient", "zero_and_duplicate"]
 
 
 @pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("kind", ["mixture", "two_view", "rank_deficient",
-                                  "zero_and_duplicate"])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
 def test_stages_match_reference_oracles(kind, k, scale):
     seed = 40 + k
     a = oracle_case(kind, k, seed)
@@ -354,6 +363,81 @@ def test_stages_match_reference_oracles(kind, k, scale):
         np.testing.assert_array_equal(
             genetic_refine(a * scale, start, cfg), reference_refine(a * scale, start, cfg)
         )
+
+
+def replay_merges(a, cfg):
+    """Reference merge init of every restart, one fresh call per child
+    seed, in the order gdm draws them."""
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    return [reference_merge_init(a, cfg, np.random.default_rng(c)) for c in children]
+
+
+@pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_restarts_match_reference_replay(kind, k, scale):
+    # The restarts of one gdm call share point-pair merge dimensions;
+    # replaying each restart from the unshared reference stages must
+    # give the same values and the same winner, bit for bit.
+    seed = 40 + k
+    a = oracle_case(kind, k, seed)
+    cfg = GdmConfig(n_clusters=k, restarts=4, seed=seed)
+    values, outcomes = [], []
+    for merged in replay_merges(a, cfg):
+        m = descend(a * scale, indicator_membership(merged, k), cfg)
+        labels = reference_refine(a * scale, threshold(m), cfg)
+        dims = hard_cluster_dims(a * scale, labels, k, cfg.eps, on_degenerate="zero")
+        values.append(pnorm(dims, cfg.p))
+        outcomes.append(labels)
+    res = gdm(a * scale, cfg)
+    np.testing.assert_array_equal(res.restart_gd_values, values)
+    np.testing.assert_array_equal(res.labels, outcomes[int(np.argmin(values))])
+
+
+@pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_outlier_core_matches_reference_replay(kind, k, scale):
+    seed = 40 + k
+    a = oracle_case(kind, k, seed)
+    n = a.shape[1]
+    cfg = GdmConfig(n_clusters=k, restarts=4, seed=seed)
+    params = cfg.objective_params(alpha=0.01)
+    values, outcomes = [], []
+    for merged in replay_merges(a, cfg):
+        m0 = np.zeros((k + 1, n))
+        m0[0] = OUTLIER_INIT_MASS
+        m0[merged + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
+        m, trace = _descend_loop(a * scale, m0, cfg, params, outlier=True)
+        values.append(trace[-1])
+        outcomes.append(m)
+    membership = gdm_outlier_core(a * scale, cfg, alpha=0.01)
+    np.testing.assert_array_equal(membership, outcomes[int(np.argmin(values))])
+
+
+@pytest.mark.parametrize("kind", ["two_view", "zero_and_duplicate"])
+def test_shared_pair_dims_are_fresh_merged_dimensions(kind):
+    a = oracle_case(kind, 3, 43)
+    n = a.shape[1]
+    cfg = GdmConfig(n_clusters=3, merge_candidates=40, seed=43)
+    pair_dims = np.full((n, n), np.nan)
+    for child in np.random.SeedSequence(cfg.seed).spawn(5):
+        shared = _merge_init(a, cfg, np.random.default_rng(child), pair_dims)
+        fresh = greedy_merge_init(a, cfg, np.random.default_rng(child))
+        np.testing.assert_array_equal(shared, fresh)
+    i, j = np.nonzero(~np.isnan(pair_dims))
+    assert np.all(i < j)
+    assert i.size > 2 * n
+    grams, _ = _point_grams(a)
+    for x, y, got in zip(i, j, pair_dims[i, j]):
+        evals = np.linalg.eigvalsh((grams[x] + grams[y])[None])
+        spectrum = np.sqrt(np.clip(evals, 0.0, None))
+        if spectrum.max() == 0.0:
+            want = 0.0
+        else:
+            num, den = _power_norms(spectrum, cfg.eps)
+            want = (num / den)[0]
+        assert got.tobytes() == np.float64(want).tobytes(), (x, y)
 
 
 def test_refine_matches_reference_below_the_degenerate_floor():
