@@ -159,7 +159,7 @@ _PIPELINE_OPTIONS = [
     click.option("--seed", type=click.IntRange(min=0), default=None,
                  help="RNG seed; drawn at random (and echoed) if omitted."),
     click.option("--threads", default=1, show_default=True,
-                 help="Accepted for compatibility; restarts run serially."),
+                 help="Accepted for compatibility; restarts run in one thread."),
 ]
 
 
@@ -200,7 +200,7 @@ def cli():
               type=click.Choice(["none", "naive", "known-fraction", "model-reassign"]),
               default="none", show_default=True)
 @click.option("--alpha", default=0.01, show_default=True,
-              help="Outlier unit cost of the augmented objective.")
+              help="Weight of the outlier row's charge alpha/2 * sum(M[0]^2).")
 @click.option("--fraction", default=0.20, show_default=True,
               help="Fraction of points rejected by known-fraction.")
 @click.option("--kappa", default=0.05, show_default=True,

@@ -259,7 +259,7 @@ def roc_sweep(a, cfg, true_outliers, kappa_grid, fraction=0.20, alpha=0.01,
     Returns a list of (kappa, tpr, fpr) tuples in grid order. Kappas
     must be nonnegative; 0 and inf give the curve's end points. threads
     is accepted for compatibility and has no effect: restarts always run
-    serially.
+    in one thread.
     """
     grid = np.asarray(kappa_grid, dtype=float)
     if grid.size == 0:

@@ -10,10 +10,13 @@ dimensions
 
 At a 0/1 membership matrix this agrees with the global dimension of the
 corresponding hard partition. The outlier-augmented variant adds a row
-(index 0) whose mass is charged a flat unit cost alpha instead of a
+(index 0) whose mass is charged a quadratic price instead of a
 dimension:
 
-    GD_out(M) = alpha * sum(M[0]) + || (d_1, ..., d_K) ||_p.
+    GD_out(M) = alpha / 2 * sum(M[0]^2) + || (d_1, ..., d_K) ||_p,
+
+so a point's outlier charge grows as alpha * M[0, n], the gradient of
+that row.
 
 The gradient is analytic. With A_k the scaled matrix for cluster k,
 A_k = U_k S_k V_k^T its thin SVD, delta = eps / (1 - eps) and
@@ -55,8 +58,9 @@ class ObjectiveParams:
 
     eps is the empirical-dimension strictness (must be strictly inside
     (0, 1) so that delta = eps / (1 - eps) is finite), p the exponent of
-    the combining norm, and alpha the flat unit cost of outlier-row mass
-    (used only by the outlier-augmented objective).
+    the combining norm, and alpha the weight of the quadratic outlier-row
+    charge alpha / 2 * sum(M[0]^2) (used only by the outlier-augmented
+    objective).
     """
 
     eps: float = 0.35
@@ -67,9 +71,10 @@ class ObjectiveParams:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise InvalidParameterError("eps must be in (0, 1), got %r" % (self.eps,))
-        if self.p <= 0.0:
+        # Written as not (x > 0) so that NaN is rejected too.
+        if not self.p > 0.0:
             raise InvalidParameterError("p must be positive, got %r" % (self.p,))
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise InvalidParameterError(
                 "alpha must be nonnegative, got %r" % (self.alpha,)
             )
@@ -236,11 +241,12 @@ def _cluster_svd_terms(a, row, params, on_degenerate, want_uv):
 def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
     """Soft objective value and, if want_grad, its gradient with respect to m.
 
-    With outlier set, row 0 of m is the outlier row: its mass adds
-    alpha * sum(M[0]) to the value and its gradient row is alpha * M[0];
-    the p-norm runs over rows 1..K only. Returns (value, gradient or
-    None). Inputs are not validated: the public functions below check
-    them once and call this kernel, and the optimizer calls it directly.
+    With outlier set, row 0 of m is the outlier row: it adds
+    alpha / 2 * sum(M[0]^2) to the value, whose gradient row is
+    alpha * M[0]; the p-norm runs over rows 1..K only. Returns (value,
+    gradient or None). Inputs are not validated: the public functions
+    below check them once and call this kernel, and the optimizer calls
+    it directly.
     """
     rows = m[1:] if outlier else m
     dims = np.zeros(rows.shape[0])
@@ -250,7 +256,7 @@ def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
         if want_grad:
             grows[k] = grow
     gd = pnorm(dims, params.p)
-    value = gd + params.alpha * float(m[0].sum()) if outlier else gd
+    value = gd + params.alpha / 2.0 * float((m[0] ** 2).sum()) if outlier else gd
     if not want_grad:
         return value, None
     if gd == 0.0:
@@ -297,9 +303,9 @@ def gd_gradient(a, m, params=None, on_degenerate="raise"):
 def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
     """Outlier-augmented global dimension.
 
-    m has K + 1 rows; row 0 is the outlier row, charged alpha per unit
-    of mass, and rows 1..K contribute their empirical dimensions through
-    the usual p-norm.
+    m has K + 1 rows; row 0 is the outlier row, charged
+    alpha / 2 * sum(M[0]^2), and rows 1..K contribute their empirical
+    dimensions through the usual p-norm.
     """
     a, m = _validate_soft(a, m, outlier=True)
     params = params or ObjectiveParams()

@@ -7,11 +7,14 @@ descent on the soft membership matrix, thresholding back to a hard
 partition, and a greedy point-reassignment cleanup. Several restarts
 are run and the partition with the lowest hard global dimension wins.
 
-Every restart's merge starts from the same N singletons, so the merged
-dimension of two points is a function of the data alone. One call
-computes each such point-pair dimension at most once and shares it
-across its restarts through an N x N cache (NaN where not yet scored);
-the labels are those of scoring every pair afresh.
+The restarts of one call merge in lockstep waves: each round draws
+every restart's candidate pairs from its own generator, scores them as
+one array with one eigvalsh batch, and commits each restart's own best
+merge; a wave holds as many restarts as fit in _WAVE_BYTES. Every merge
+starts from the same N singletons, so the merged dimension of two
+points is a function of the data alone, and one call computes each
+such point-pair dimension at most once for all its restarts. The labels
+are those of merging each restart alone and scoring every pair afresh.
 """
 
 from dataclasses import dataclass, field, replace
@@ -51,15 +54,22 @@ class GdmConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        counts = ("n_clusters", "restarts", "grad_iters", "genetic_passes",
+                  "merge_candidates")
+        for name in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError("%s must be an integer" % name)
         if self.n_clusters < 1:
             raise InvalidParameterError("n_clusters must be >= 1")
         if min(self.restarts, self.grad_iters, self.genetic_passes) < 0:
             raise InvalidParameterError("iteration counts must be >= 0")
-        if self.step_target <= 0.0:
-            raise InvalidParameterError("step_target must be positive")
+        # The tests below are written so that NaN fails them too.
+        if not 0.0 < self.step_target < np.inf:
+            raise InvalidParameterError("step_target must be positive and finite")
         if not 0.0 < self.eps < 1.0:
             raise InvalidParameterError("eps must be in (0, 1)")
-        if self.p <= 0.0:
+        if not self.p > 0.0:
             raise InvalidParameterError("p must be positive")
         if self.merge_candidates < 1:
             raise InvalidParameterError("merge_candidates must be >= 1")
@@ -127,13 +137,33 @@ def indicator_membership(labels, n_clusters):
     return m
 
 
-def _decode_pairs(codes, m):
-    """Map flat pair codes to index pairs (i, j), i < j, among m items."""
-    counts = m - 1 - np.arange(m - 1)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    i = np.searchsorted(starts, codes, side="right") - 1
-    j = codes - starts[i] + i + 1
-    return i, j
+def _decode_pairs(codes, m, tri, first):
+    """Map flat pair codes to index pairs (i, j), i < j, among m items,
+    each shifted by first.
+
+    Codes run row-major over (0, 1), (0, 2), ..., (m-2, m-1). Counted
+    from the last code, row i = m-1-u holds codes u(u-1)/2 to u(u+1)/2 - 1,
+    with j falling from m-1, so one search in tri (tri[u] = u(u-1)/2 for
+    u = 0, 1, ..., at least m entries) finds every row.
+    """
+    back = (m * (m - 1) // 2 - 1) - codes
+    u = np.searchsorted(tri, back, side="right") - 1
+    last = (m - 1) + first
+    return last - u, (last - back) + tri[u]
+
+
+def _pair_table(n):
+    """(N, N) table of pair numbers: the pairs (i, j), i < j, are numbered
+    row-major, (0, 1), (0, 2), ..., (N-2, N-1), as pair codes are, and
+    entries (i, j) and (j, i) both hold the number of (i, j). The
+    diagonal holds N(N-1)/2, one past the last pair."""
+    table = np.empty((n, n), dtype=np.min_scalar_type(n * (n - 1) // 2))
+    start = 0
+    for i in range(n - 1):
+        table[i, i + 1 :] = table[i + 1 :, i] = np.arange(start, start + n - 1 - i)
+        start += n - 1 - i
+    np.fill_diagonal(table, start)
+    return table
 
 
 def _point_grams(a):
@@ -160,10 +190,10 @@ def greedy_merge_init(a, cfg, rng=None):
     D x D Gram matrices, which add under merging.
 
     Returns a label vector. If N <= n_clusters each point keeps its own
-    singleton label and no merging happens. Each call scores its pairs
-    afresh; the restarts of gdm and gdm_outlier_core run the same merge
-    through _merge_init with one singleton-pair cache per call, which
-    changes no label.
+    singleton label and no merging happens. This is _merge_init on a
+    wave of one restart with a fresh cache; gdm and gdm_outlier_core
+    merge their restarts in waves through the same function, which gives
+    every restart these labels.
     """
     a = _validate_data(a)
     n = a.shape[1]
@@ -171,71 +201,120 @@ def greedy_merge_init(a, cfg, rng=None):
         rng = np.random.default_rng(cfg.seed)
     if n <= cfg.n_clusters:
         return np.arange(n)
-    return _merge_init(a, cfg, rng, np.full((n, n), np.nan))
+    return _merge_init(a, cfg, [rng], np.full(_merge_cache_size(n, 1), np.nan))[0]
 
 
-def _merge_init(a, cfg, rng, pair_dims):
-    """greedy_merge_init on validated data with N > n_clusters, sharing
-    singleton-pair dimensions through pair_dims.
+# Bytes one merge wave may hold: _merge_bytes per restart. With D = 9 and
+# 100 candidates, N = 400 merges one restart at a time, N = 240 three
+# and N = 150 five in lockstep. Each restart in a wave adds its bytes to
+# the peak memory of the call, so the budget trades rounds for memory.
+_WAVE_BYTES = 1_750_000
 
-    Each set lives in the slot of its first point: one (N, D, D) array
-    holds the set Grams and the first entries of an ordered array the
-    live slots. The merged dimension of every scored pair of slots is
-    cached in an N x N array; when slot x absorbs slot y, row and column
-    x are invalidated, so a pair is re-scored only after one of its sets
-    changed. pair_dims (N x N, NaN where unknown) holds the merged
-    dimension of point pairs {i}, {j}, i < j: a pure function of the
-    data, so every restart of one call may share it. The cache starts as
-    a copy of it, and every point-pair value this merge computes is
-    written back. A cached value is the one a fresh eigendecomposition
+
+def _merge_bytes(n, d, candidates):
+    """Bytes _merge_init holds per restart: N set Grams (D x D), a packed
+    upper triangle of merged dimensions, and at most two D x D matrices
+    per candidate for a round's eigvalsh batch."""
+    return 8 * (n * d * d + n * (n - 1) // 2 + 2 * candidates * d * d)
+
+
+def _merge_cache_size(n, restarts):
+    """Length of _merge_init's cache for a wave of that many restarts:
+    the shared point-pair block plus one block per restart."""
+    n_pairs = n * (n - 1) // 2
+    return n_pairs + restarts * (n_pairs + 1)
+
+
+def _merge_init(a, cfg, rngs, cache):
+    """Merge a wave of restarts in lockstep on validated data with
+    N > n_clusters; returns one label vector per generator in rngs.
+
+    Every restart of the wave goes from N sets to n_clusters, one merge
+    per round, so each round draws every restart's candidates from its
+    own generator (the same rng.choice call as a lone restart), scores
+    them as one (R, C) array with one eigvalsh over every restart's cache
+    misses, and commits each restart's own argmin. A restart keeps each
+    set in the slot of its first point. Restart i's slot s is entry
+    i * N + s of the set Grams, and its live slots stay in ascending
+    order in live[i * N : i * N + sets], so candidates have sa < sb.
+
+    Merged dimensions are cached by pair of slots, numbered as in
+    _pair_table (P = N(N-1)/2 pairs). cache[:P] holds, NaN where
+    unknown, the merged dimension of point pairs {i}, {j}: a pure
+    function of the data, shared by every restart of one call. A pair
+    with a slot that holds more than one point lives in its restart's
+    own block of P + 1 entries after that (_merge_cache_size); this call
+    clears those blocks, and the last entry of each absorbs the
+    invalidation of a slot's pair with itself. When slot x absorbs
+    another set, every pair with x in its restart's block is
+    invalidated. A cached value is the one a fresh eigendecomposition
     would return (a slot's Gram is a sum of the same point Grams, and a
     batched eigvalsh gives each matrix the same bits whatever else is in
-    its batch), so the sampled pairs, the scores and the chosen merge
-    are those of scoring every pair afresh.
+    its batch), so every restart samples, scores and merges exactly as
+    it would alone with no cache.
     """
     n = a.shape[1]
-    grams, _ = _point_grams(a)
-    live = np.arange(n)
-    owner = np.arange(n)
-    singleton = np.ones(n, dtype=bool)
+    r = len(rngs)
+    n_pairs = n * (n - 1) // 2
+    rows = np.arange(r)
+    base = rows[:, None] * n
+    # Where restart i's own block starts; a slot's offset is 0 while it
+    # holds one point, so a pair of singletons indexes the shared block.
+    block = n_pairs + rows * (n_pairs + 1)
+    cache[n_pairs : _merge_cache_size(n, r)] = np.nan
+    offset = np.zeros(r * n, dtype=np.int64)
+    table = _pair_table(n)
+    tri = np.arange(n) * (np.arange(n) - 1) // 2
+    grams = np.tile(_point_grams(a)[0], (r, 1, 1))
     # A singleton has dimension 1 unless the point is exactly zero.
-    dp = np.any(a != 0.0, axis=0).astype(float) ** cfg.p
-    merged_cache = pair_dims.copy()
+    dp = np.tile(np.any(a != 0.0, axis=0).astype(float) ** cfg.p, r)
+    live = np.tile(np.arange(n), r)
+    merges = []
     for m_sets in range(n, cfg.n_clusters, -1):
         total_pairs = m_sets * (m_sets - 1) // 2
         n_cand = min(cfg.merge_candidates, total_pairs)
-        codes = rng.choice(total_pairs, size=n_cand, replace=False)
-        ia, ib = _decode_pairs(codes, m_sets)
+        codes = np.array([rng.choice(total_pairs, size=n_cand, replace=False)
+                          for rng in rngs])
+        # Positions in live, so restart i's are shifted by i * N.
+        ia, ib = _decode_pairs(codes, m_sets, tri, base)
         sa, sb = live[ia], live[ib]
-        merged_dims = merged_cache[sa, sb]
+        ga, gb = sa + base, sb + base
+        at = table[sa, sb] + np.maximum(offset[ga], offset[gb])
+        merged_dims = cache[at]
         miss = np.flatnonzero(np.isnan(merged_dims))
         if miss.size:
-            ma, mb = sa[miss], sb[miss]
             # Even a single miss is a (1, D) stack: a 1-d spectrum would
             # take scalar roots, whose last bit can differ from a stack's.
-            evals = np.linalg.eigvalsh(grams[ma] + grams[mb])
+            batch = grams[ga.ravel()[miss]]
+            batch += grams[gb.ravel()[miss]]
+            evals = np.linalg.eigvalsh(batch)
             spectra = np.sqrt(np.clip(evals, 0.0, None))
             with np.errstate(divide="ignore", invalid="ignore"):
                 num, den = _power_norms(spectra, cfg.eps)
                 dims = num / den
             # eigvalsh sorts ascending: an all-zero spectrum has dimension 0.
             dims[spectra[:, -1] == 0.0] = 0.0
-            merged_dims[miss] = dims
-            merged_cache[ma, mb] = dims
-            both = singleton[ma] & singleton[mb]
-            pair_dims[ma[both], mb[both]] = dims[both]
-        scores = merged_dims**cfg.p - dp[sa] - dp[sb]
-        best = int(np.argmin(scores))
-        x, y = sa[best], sb[best]
+            merged_dims.ravel()[miss] = dims
+            cache[at.ravel()[miss]] = dims
+        scores = merged_dims**cfg.p - dp[ga] - dp[gb]
+        pick = scores.argmin(axis=1) + rows * n_cand
+        x, y = ga.ravel()[pick], gb.ravel()[pick]
         grams[x] += grams[y]
-        dp[x] = merged_dims[best] ** cfg.p
-        singleton[x] = False
-        owner[owner == y] = x
-        merged_cache[x, :] = np.nan
-        merged_cache[:, x] = np.nan
-        gone = ib[best]
-        live[gone : m_sets - 1] = live[gone + 1 : m_sets]
-    return np.searchsorted(live[: cfg.n_clusters], owner)
+        offset[x] = block
+        merges.append((x, y))
+        cache[table[sa.ravel()[pick]] + block[:, None]] = np.nan
+        for i, slot, gone, dim in zip(rows.tolist(), x.tolist(), ib.ravel()[pick].tolist(),
+                                      merged_dims.ravel()[pick].tolist()):
+            # A scalar power (libm pow), as a lone restart computes it.
+            dp[slot] = dim**cfg.p
+            live[gone : i * n + m_sets - 1] = live[gone + 1 : i * n + m_sets]
+    # Set y joined set x: replayed from the last merge back, every slot
+    # takes the slot of its final set.
+    owner = np.arange(r * n)
+    for x, y in reversed(merges):
+        owner[y] = owner[x]
+    return [np.searchsorted(live[i * n : i * n + cfg.n_clusters] + i * n,
+                            owner[i * n : (i + 1) * n]) for i in rows]
 
 
 def _descend_loop(a, m0, cfg, params, outlier):
@@ -449,28 +528,35 @@ def _hard_result(a, labels, cfg, **fields):
 
 
 def _run_restarts(a, cfg, run):
-    """Run every restart serially and keep the best.
+    """Run every restart and keep the best.
 
-    Restart i merges the points down to cfg.n_clusters sets with
-    _merge_init, drawing from default_rng(seed_i), where seed_i is the
-    i-th child of SeedSequence(cfg.seed).spawn(cfg.restarts), then calls
-    run(labels0) on the merged labels, which returns (value, outcome).
-    All restarts share one singleton-pair cache, since every merge
-    starts from the same N singletons. Returns the outcome with the
-    lowest (value, restart index) and every value in restart order.
+    Restart i merges the points down to cfg.n_clusters sets, drawing
+    from default_rng(seed_i), where seed_i is the i-th child of
+    SeedSequence(cfg.seed).spawn(cfg.restarts), then calls run(labels0)
+    on the merged labels, which returns (value, outcome). Consecutive
+    restarts merge together in lockstep waves (_merge_init), as many per
+    wave as fit in _WAVE_BYTES; run is then called for each restart of
+    the wave in restart order before the next wave merges. All waves
+    share one point-pair cache, since every merge starts from the same N
+    singletons. Neither changes any merged label. Returns the outcome
+    with the lowest (value, restart index) and every value in restart
+    order.
     """
-    n = a.shape[1]
+    d, n = a.shape
     if cfg.restarts < 1:
         raise InvalidParameterError("needs at least one restart")
     if n <= cfg.n_clusters:
         raise InvalidParameterError(
             "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
         )
-    pair_dims = np.full((n, n), np.nan)
-    runs = [
-        run(_merge_init(a, cfg, np.random.default_rng(child), pair_dims))
-        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    ]
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    wave = _WAVE_BYTES // _merge_bytes(n, d, cfg.merge_candidates)
+    wave = min(cfg.restarts, max(1, wave))
+    cache = np.full(_merge_cache_size(n, wave), np.nan)
+    runs = []
+    for first in range(0, cfg.restarts, wave):
+        rngs = [np.random.default_rng(c) for c in children[first : first + wave]]
+        runs += [run(labels0) for labels0 in _merge_init(a, cfg, rngs, cache)]
     best = min(range(cfg.restarts), key=lambda i: (runs[i][0], i))
     return runs[best][1], np.array([value for value, _ in runs])
 
@@ -490,11 +576,13 @@ def gdm(a, cfg, threads=1):
     """Segment the columns of a into cfg.n_clusters clusters.
 
     Runs cfg.restarts independent restarts (merge initialization,
-    gradient descent, thresholding, reassignment cleanup) one after the
-    other and returns the result whose hard partition has the lowest
-    global dimension, ties going to the earliest restart. Fully
-    deterministic given cfg.seed. threads is accepted for compatibility
-    and has no effect: restarts always run serially.
+    gradient descent, thresholding, reassignment cleanup) and returns
+    the result whose hard partition has the lowest global dimension,
+    ties going to the earliest restart. The merges of consecutive
+    restarts run in lockstep waves and the later stages one restart
+    after the other; each restart's result is the one it gets alone.
+    Fully deterministic given cfg.seed. threads is accepted for
+    compatibility and has no effect: everything runs in one thread.
     """
     a = _validate_data(a)
     params = cfg.objective_params()

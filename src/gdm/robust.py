@@ -1,7 +1,7 @@
 """Outlier detection and rejection around global dimension minimization.
 
 The core idea: add an extra membership row (row 0) whose mass is
-charged a flat price alpha per point instead of contributing a
+charged alpha / 2 * M[0, n]^2 per point instead of contributing a
 dimension. A point that raises the dimension of every real cluster is
 cheaper to park in the outlier row. Thresholding that row directly
 ("naive") is unreliable because the right alpha is data dependent, but
@@ -55,11 +55,12 @@ class OutlierConfig:
     def __post_init__(self):
         if self.mode not in ("none", "naive", "known_fraction", "model_reassign"):
             raise InvalidParameterError("unknown outlier mode %r" % (self.mode,))
-        if self.alpha < 0.0:
+        # Written as not (x > 0) so that NaN is rejected too.
+        if not self.alpha >= 0.0:
             raise InvalidParameterError("alpha must be nonnegative")
         if not 0.0 < self.fraction < 1.0:
             raise InvalidParameterError("fraction must be in (0, 1)")
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise InvalidParameterError("kappa must be positive")
 
 
@@ -184,9 +185,9 @@ def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1,
     With adaptive_r set, the global kappa is replaced by per-cluster
     thresholds mean + adaptive_r * std of that cluster's fit residuals.
     threads is accepted for compatibility and has no effect: restarts
-    always run serially.
+    always run in one thread.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise InvalidParameterError("kappa must be positive")
     a = _validate_data(a)
     n = a.shape[1]

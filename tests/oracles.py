@@ -30,7 +30,6 @@ from gdm.exceptions import (
     InvalidParameterError,
 )
 from gdm.objective import _dim_of_columns, _validate_data, hard_cluster_dims, pnorm
-from gdm.optimizer import _decode_pairs
 
 
 def finite_difference_gradient(fn, m, h=1e-6):
@@ -128,6 +127,15 @@ def interior_membership(k, n, rng, floor=0.3):
     return (1.0 - floor) * m + floor / k
 
 
+def reference_decode_pairs(codes, m):
+    """Map flat pair codes to index pairs (i, j), i < j, among m items."""
+    counts = m - 1 - np.arange(m - 1)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    i = np.searchsorted(starts, codes, side="right") - 1
+    j = codes - starts[i] + i + 1
+    return i, j
+
+
 def reference_merge_init(a, cfg, rng=None):
     """Greedy merge init scoring every sampled pair from a list of Grams."""
     a = _validate_data(a)
@@ -146,7 +154,7 @@ def reference_merge_init(a, cfg, rng=None):
         total_pairs = m_sets * (m_sets - 1) // 2
         n_cand = min(cfg.merge_candidates, total_pairs)
         codes = rng.choice(total_pairs, size=n_cand, replace=False)
-        ia, ib = _decode_pairs(codes, m_sets)
+        ia, ib = reference_decode_pairs(codes, m_sets)
         gram_stack = np.stack([grams[x] + grams[y] for x, y in zip(ia, ib)])
         evals = np.linalg.eigvalsh(gram_stack)
         spectra = np.sqrt(np.clip(evals, 0.0, None))

@@ -258,6 +258,19 @@ def test_generate_rejects_bad_counts(flags, tmp_path, runner):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--p", "nan"],
+    ["--step", "nan"],
+    ["--alpha", "nan", "--outlier-mode", "known-fraction"],
+    ["--kappa", "nan", "--outlier-mode", "model-reassign"],
+])
+def test_nan_parameter_is_an_error(flags, scene_file, runner):
+    res = runner.invoke(cli, ["segment", str(scene_file), "--k", "2", "--seed", "1"] + flags)
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "Error" in res.output
+
+
 def test_infeasible_config_fails_cleanly(scene_file, runner):
     res = runner.invoke(cli, ["segment", str(scene_file), "--k", "60", "--seed", "1"])
     assert res.exit_code == 1

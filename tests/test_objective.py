@@ -35,6 +35,9 @@ def test_objective_params_validation():
         ObjectiveParams(p=0.0)
     with pytest.raises(InvalidParameterError):
         ObjectiveParams(alpha=-1.0)
+    for bad in (dict(p=float("nan")), dict(alpha=float("nan"))):
+        with pytest.raises(InvalidParameterError):
+            ObjectiveParams(**bad)
 
 
 def test_validate_membership():
@@ -219,7 +222,8 @@ class TestOutlierObjective:
     def test_additivity_of_outlier_charge(self):
         base = global_dimension_soft(self.a, self.m[1:], self.params)
         got = global_dimension_outlier(self.a, self.m, self.params)
-        assert got == pytest.approx(base + 0.02 * self.m[0].sum(), abs=1e-12)
+        charge = 0.02 / 2 * (self.m[0] ** 2).sum()
+        assert got == pytest.approx(base + charge, abs=1e-12)
 
     def test_gradient_outlier_row_is_linear(self):
         grad = gd_gradient_outlier(self.a, self.m, self.params)
@@ -230,14 +234,16 @@ class TestOutlierObjective:
         m[0, 6] = 0.5
         assert gd_gradient_outlier(self.a, m, self.params)[0, 6] == pytest.approx(0.01)
 
-    def test_gradient_cluster_rows_match_finite_differences(self):
+    def test_gradient_matches_finite_differences(self):
+        # Row 0 checks that the value charges alpha / 2 * sum(M[0]^2), the
+        # antiderivative of the outlier row's gradient alpha * M[0].
         grad = gd_gradient_outlier(self.a, self.m, self.params)
         fd = finite_difference_gradient(
             lambda mm: global_dimension_outlier(self.a, mm, self.params), self.m
         )
-        rows = slice(1, None)
-        scale = np.abs(fd[rows]).max()
-        assert np.abs(grad[rows] - fd[rows]).max() < 1e-5 * scale
+        for rows in (slice(0, 1), slice(1, None)):
+            scale = np.abs(fd[rows]).max()
+            assert np.abs(grad[rows] - fd[rows]).max() < 1e-5 * scale, rows
 
 
 def test_natural_partition_minimizes_empirical_gd_brute_force():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -27,7 +28,16 @@ from gdm import (
     validate_membership,
 )
 from gdm.dimension import _power_norms
-from gdm.optimizer import _descend_loop, _merge_init, _point_grams
+from gdm import optimizer
+from gdm.optimizer import (
+    _decode_pairs,
+    _descend_loop,
+    _merge_bytes,
+    _merge_cache_size,
+    _merge_init,
+    _pair_table,
+    _point_grams,
+)
 from gdm.robust import OUTLIER_INIT_MASS, gdm_outlier_core
 
 from oracles import project_simplex_qp, reference_merge_init, reference_refine
@@ -57,6 +67,13 @@ def test_config_validation():
             GdmConfig(n_clusters=2, seed=seed)
     for seed in (None, 0, 2**70, np.int64(5)):
         assert GdmConfig(n_clusters=2, seed=seed).seed is seed
+    nan = float("nan")
+    for bad in (dict(p=nan), dict(step_target=nan), dict(step_target=np.inf),
+                dict(n_clusters=2.5), dict(n_clusters=True), dict(restarts=2.5),
+                dict(grad_iters=1.5), dict(genetic_passes=3.0), dict(merge_candidates=2.5)):
+        with pytest.raises(InvalidParameterError):
+            GdmConfig(**{"n_clusters": 2, **bad})
+    assert GdmConfig(n_clusters=np.int64(2), restarts=np.int32(3)).restarts == 3
 
 
 class TestProjectSimplex:
@@ -103,6 +120,20 @@ class TestProjectSimplex:
 
 
 class TestGreedyMergeInit:
+    def test_pair_codes_and_positions_run_row_major(self):
+        # Code c and packed position c both name the c-th pair of
+        # (0, 1), (0, 2), ..., (m-2, m-1).
+        tri = np.arange(40) * (np.arange(40) - 1) // 2
+        for m in range(2, 41):
+            pairs = np.array(list(itertools.combinations(range(m), 2))).T
+            codes = np.arange(pairs.shape[1])
+            np.testing.assert_array_equal(_decode_pairs(codes, m, tri, 0), pairs)
+            np.testing.assert_array_equal(_decode_pairs(codes, m, tri, 5), pairs + 5)
+            table = _pair_table(m)
+            np.testing.assert_array_equal(table[pairs[0], pairs[1]], codes)
+            np.testing.assert_array_equal(table[pairs[1], pairs[0]], codes)
+            assert np.all(np.diag(table) == codes.size)
+
     def test_identity_when_n_equals_k(self):
         a = np.eye(3)
         cfg = GdmConfig(n_clusters=3, seed=0)
@@ -372,13 +403,37 @@ def replay_merges(a, cfg):
     return [reference_merge_init(a, cfg, np.random.default_rng(c)) for c in children]
 
 
+# How 4 restarts split into merge waves: one at a time, a ragged 3 + 1,
+# and all in one wave.
+WAVE_LAYOUTS = [[1, 1, 1, 1], [3, 1], [4]]
+
+
+def in_waves(monkeypatch, a, cfg, layout, call):
+    """call() with the wave budget set so that the restarts of cfg merge
+    in the given layout; checks that they did."""
+    seen = []
+
+    def spy(a, cfg, rngs, cache):
+        seen.append(len(rngs))
+        return _merge_init(a, cfg, rngs, cache)
+
+    with monkeypatch.context() as patch:
+        per_restart = _merge_bytes(a.shape[1], a.shape[0], cfg.merge_candidates)
+        patch.setattr(optimizer, "_WAVE_BYTES", layout[0] * per_restart)
+        patch.setattr(optimizer, "_merge_init", spy)
+        out = call()
+    assert seen == layout
+    return out
+
+
 @pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
-def test_restarts_match_reference_replay(kind, k, scale):
-    # The restarts of one gdm call share point-pair merge dimensions;
-    # replaying each restart from the unshared reference stages must
-    # give the same values and the same winner, bit for bit.
+def test_restarts_match_reference_replay(kind, k, scale, monkeypatch):
+    # The restarts of one gdm call merge in lockstep waves and share
+    # point-pair merge dimensions; replaying each restart alone from the
+    # unshared reference stages must give the same values and the same
+    # winner, bit for bit, whatever the waves.
     seed = 40 + k
     a = oracle_case(kind, k, seed)
     cfg = GdmConfig(n_clusters=k, restarts=4, seed=seed)
@@ -389,15 +444,16 @@ def test_restarts_match_reference_replay(kind, k, scale):
         dims = hard_cluster_dims(a * scale, labels, k, cfg.eps, on_degenerate="zero")
         values.append(pnorm(dims, cfg.p))
         outcomes.append(labels)
-    res = gdm(a * scale, cfg)
-    np.testing.assert_array_equal(res.restart_gd_values, values)
-    np.testing.assert_array_equal(res.labels, outcomes[int(np.argmin(values))])
+    for layout in WAVE_LAYOUTS:
+        res = in_waves(monkeypatch, a, cfg, layout, lambda: gdm(a * scale, cfg))
+        np.testing.assert_array_equal(res.restart_gd_values, values)
+        np.testing.assert_array_equal(res.labels, outcomes[int(np.argmin(values))])
 
 
 @pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
-def test_outlier_core_matches_reference_replay(kind, k, scale):
+def test_outlier_core_matches_reference_replay(kind, k, scale, monkeypatch):
     seed = 40 + k
     a = oracle_case(kind, k, seed)
     n = a.shape[1]
@@ -411,25 +467,35 @@ def test_outlier_core_matches_reference_replay(kind, k, scale):
         m, trace = _descend_loop(a * scale, m0, cfg, params, outlier=True)
         values.append(trace[-1])
         outcomes.append(m)
-    membership = gdm_outlier_core(a * scale, cfg, alpha=0.01)
-    np.testing.assert_array_equal(membership, outcomes[int(np.argmin(values))])
+    for layout in WAVE_LAYOUTS:
+        membership = in_waves(monkeypatch, a, cfg, layout,
+                              lambda: gdm_outlier_core(a * scale, cfg, alpha=0.01))
+        np.testing.assert_array_equal(membership, outcomes[int(np.argmin(values))])
 
 
 @pytest.mark.parametrize("kind", ["two_view", "zero_and_duplicate"])
 def test_shared_pair_dims_are_fresh_merged_dimensions(kind):
+    # Five restarts merge in waves of 3 and 2 on one cache: each must give
+    # its lone merge's labels, and every entry of the shared point-pair
+    # block (packed upper triangle) the dimension of one fresh
+    # eigendecomposition.
     a = oracle_case(kind, 3, 43)
     n = a.shape[1]
     cfg = GdmConfig(n_clusters=3, merge_candidates=40, seed=43)
-    pair_dims = np.full((n, n), np.nan)
-    for child in np.random.SeedSequence(cfg.seed).spawn(5):
-        shared = _merge_init(a, cfg, np.random.default_rng(child), pair_dims)
-        fresh = greedy_merge_init(a, cfg, np.random.default_rng(child))
-        np.testing.assert_array_equal(shared, fresh)
-    i, j = np.nonzero(~np.isnan(pair_dims))
-    assert np.all(i < j)
+    cache = np.full(_merge_cache_size(n, 3), np.nan)
+    children = np.random.SeedSequence(cfg.seed).spawn(5)
+    for wave in (children[:3], children[3:]):
+        merged = _merge_init(a, cfg, [np.random.default_rng(c) for c in wave], cache)
+        for child, labels in zip(wave, merged):
+            fresh = greedy_merge_init(a, cfg, np.random.default_rng(child))
+            np.testing.assert_array_equal(labels, fresh)
+    i, j = np.triu_indices(n, 1)
+    pair_dims = cache[: i.size]
+    known = ~np.isnan(pair_dims)
+    i, j = i[known], j[known]
     assert i.size > 2 * n
     grams, _ = _point_grams(a)
-    for x, y, got in zip(i, j, pair_dims[i, j]):
+    for x, y, got in zip(i, j, pair_dims[known]):
         evals = np.linalg.eigvalsh((grams[x] + grams[y])[None])
         spectrum = np.sqrt(np.clip(evals, 0.0, None))
         if spectrum.max() == 0.0:

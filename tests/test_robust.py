@@ -43,6 +43,9 @@ def test_outlier_config_validation():
         OutlierConfig(fraction=1.5)
     with pytest.raises(InvalidParameterError):
         OutlierConfig(kappa=0.0)
+    for bad in (dict(alpha=float("nan")), dict(kappa=float("nan"))):
+        with pytest.raises(InvalidParameterError):
+            OutlierConfig(**bad)
 
 
 class TestOutlierCore:
@@ -212,8 +215,9 @@ class TestModelReassign:
 
     def test_kappa_must_be_positive(self):
         mix = planted(11, outlier_count=5, points=20)
-        with pytest.raises(InvalidParameterError):
-            model_reassign(mix.data, GdmConfig(n_clusters=2, seed=11), kappa=0.0)
+        for kappa in (0.0, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                model_reassign(mix.data, GdmConfig(n_clusters=2, seed=11), kappa=kappa)
 
 
 def test_gdm_naive_flags_and_labels():
