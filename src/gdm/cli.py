@@ -145,7 +145,8 @@ _PIPELINE_OPTIONS = [
     click.option("--epsilon", default=0.35, show_default=True,
                  help="Empirical dimension strictness, in (0, 1)."),
     click.option("--p", default=15.0, show_default=True,
-                 help="Exponent of the dimension-combining norm."),
+                 help="Exponent of the dimension-combining norm; finite, "
+                      "with 2 * D**p below the largest float."),
     click.option("--restarts", default=10, show_default=True,
                  help="Independent restarts."),
     click.option("--grad-iters", default=30, show_default=True,

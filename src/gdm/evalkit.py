@@ -254,12 +254,15 @@ def roc_sweep(a, cfg, true_outliers, kappa_grid, fraction=0.20, alpha=0.01,
               threads=1):
     """TPR/FPR curve of the nearest-subspace distance test.
 
-    The segmentation and subspace fitting run once; every kappa in the
-    grid is then applied to the cached point-to-subspace distances.
-    Returns a list of (kappa, tpr, fpr) tuples in grid order. Kappas
-    must be nonnegative; 0 and inf give the curve's end points. threads
-    is accepted for compatibility and has no effect: restarts always run
-    in one thread.
+    The segmentation and subspace fitting run once per call; every kappa
+    in the grid is then applied to the same point-to-subspace distances.
+    The segmentation itself (known_fraction) is reused when it repeats
+    the last seeded known_fraction call, as when model_reassign has just
+    segmented the same data with the same cfg, fraction and alpha; no
+    result changes. Returns a list of (kappa, tpr, fpr) tuples in grid
+    order. Kappas must be nonnegative; 0 and inf give the curve's end
+    points. threads is accepted for compatibility and has no effect:
+    restarts always run in one thread.
     """
     grid = np.asarray(kappa_grid, dtype=float)
     if grid.size == 0:

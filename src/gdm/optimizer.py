@@ -17,6 +17,7 @@ such point-pair dimension at most once for all its restarts. The labels
 are those of merging each restart alone and scoring every pair afresh.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,8 +70,8 @@ class GdmConfig:
             raise InvalidParameterError("step_target must be positive and finite")
         if not 0.0 < self.eps < 1.0:
             raise InvalidParameterError("eps must be in (0, 1)")
-        if not self.p > 0.0:
-            raise InvalidParameterError("p must be positive")
+        if not 0.0 < self.p < np.inf:
+            raise InvalidParameterError("p must be positive and finite")
         if self.merge_candidates < 1:
             raise InvalidParameterError("merge_candidates must be >= 1")
         if self.seed is not None and not (
@@ -196,6 +197,7 @@ def greedy_merge_init(a, cfg, rng=None):
     every restart these labels.
     """
     a = _validate_data(a)
+    _check_merge_power(a.shape[0], cfg.p)
     n = a.shape[1]
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -209,6 +211,24 @@ def greedy_merge_init(a, cfg, rng=None):
 # and N = 150 five in lockstep. Each restart in a wave adds its bytes to
 # the peak memory of the call, so the budget trades rounds for memory.
 _WAVE_BYTES = 1_750_000
+
+
+def _check_merge_power(d, p):
+    """Raise unless a merge score, dim**p - dp[sa] - dp[sb] with every
+    dimension at most D, stays finite: it needs 2 * D**p < inf, since
+    inf - inf is NaN and argmin would commit the first NaN pair."""
+    try:
+        finite = math.isfinite(2.0 * float(d) ** p)
+    except OverflowError:
+        finite = False
+    if not finite:
+        # Rounded down to 0.01, with room for the logarithms' rounding.
+        bound = math.log(np.finfo(float).max / 2.0) / math.log(d)
+        largest = math.floor(bound * 100.0 - 1e-6) / 100.0
+        raise InvalidParameterError(
+            "p = %g overflows the merge scores of %d-dimensional data; "
+            "the largest p allowed is %.2f" % (p, d, largest)
+        )
 
 
 def _merge_bytes(n, d, candidates):
@@ -543,6 +563,7 @@ def _run_restarts(a, cfg, run):
     order.
     """
     d, n = a.shape
+    _check_merge_power(d, cfg.p)
     if cfg.restarts < 1:
         raise InvalidParameterError("needs at least one restart")
     if n <= cfg.n_clusters:

@@ -14,10 +14,18 @@ practical pipelines exploit:
   empirical dimension to each cluster, re-assign every point (including
   prior rejects) to its nearest subspace, and reject points farther
   than kappa from all of them.
+
+model_reassign, roc_sweep, reassignment_distances and
+segment_with_outliers all run known_fraction. It remembers its last
+seeded call: a call that repeats that call's data (bit for bit),
+config, number of rejects and alpha returns copies of its result
+instead of segmenting again, so a ROC sweep of the data a
+model_reassign just segmented costs one segmentation, not two. No
+result changes, and a call with cfg.seed None always segments anew.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +43,12 @@ from .optimizer import _descend_loop, _hard_result, _run_restarts, gdm
 # Initial membership mass placed on the outlier row after merge
 # initialization; the remaining 1 - beta sits on the point's own set.
 OUTLIER_INIT_MASS = 0.05
+
+# known_fraction's last seeded call as one (key, result) tuple, replaced
+# whole so that concurrent callers at worst both compute. One entry is
+# all that evaluating a scene and then sweeping it needs; more would
+# carry results across passes over a set of scenes.
+_last_known_fraction = None
 
 
 @dataclass(frozen=True)
@@ -94,13 +108,26 @@ def gdm_outlier_core(a, cfg, alpha=0.01):
     return _run_restarts(a, cfg, run)[0]
 
 
+def _copy_arrays(result):
+    """The result with a fresh copy of every array field."""
+    return replace(result, **{
+        f.name: getattr(result, f.name).copy()
+        for f in fields(result)
+        if isinstance(getattr(result, f.name), np.ndarray)
+    })
+
+
 def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
     """Reject a preset fraction of the data ranked by outlier-row mass,
     then re-segment the survivors with the classic pipeline.
 
     The rerun is cold started (fresh restarts on the survivor set) so
-    results are deterministic given cfg.seed.
+    results are deterministic given cfg.seed. A seeded call that repeats
+    the last seeded call's data (bit for bit), cfg, number of rejects
+    and alpha returns copies of that call's result without segmenting
+    again; the result is the one a fresh computation gives.
     """
+    global _last_known_fraction
     a = _validate_data(a)
     n = a.shape[1]
     if not 0.0 < fraction < 1.0:
@@ -110,6 +137,18 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
         raise InsufficientInliersError(
             "rejecting %d of %d points leaves too few to segment" % (n_out, n)
         )
+    if cfg.seed is None:
+        return _known_fraction(a, cfg, n_out, alpha)
+    key = (a.shape, a.tobytes(), cfg, n_out, alpha)
+    last = _last_known_fraction
+    if last is None or last[0] != key:
+        last = (key, _known_fraction(a, cfg, n_out, alpha))
+        _last_known_fraction = last
+    return _copy_arrays(last[1])
+
+
+def _known_fraction(a, cfg, n_out, alpha):
+    n = a.shape[1]
     membership = gdm_outlier_core(a, cfg, alpha=alpha)
     order = np.argsort(-membership[0], kind="stable")
     outliers = np.sort(order[:n_out])
@@ -184,8 +223,11 @@ def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1,
 
     With adaptive_r set, the global kappa is replaced by per-cluster
     thresholds mean + adaptive_r * std of that cluster's fit residuals.
-    threads is accepted for compatibility and has no effect: restarts
-    always run in one thread.
+    The known_fraction stage is reused when it repeats the last seeded
+    known_fraction call (same data, cfg, fraction and alpha), as after a
+    roc_sweep of the same data; no result changes. threads is accepted
+    for compatibility and has no effect: restarts always run in one
+    thread.
     """
     if not kappa > 0.0:
         raise InvalidParameterError("kappa must be positive")

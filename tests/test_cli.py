@@ -263,6 +263,8 @@ def test_generate_rejects_bad_counts(flags, tmp_path, runner):
     ["--step", "nan"],
     ["--alpha", "nan", "--outlier-mode", "known-fraction"],
     ["--kappa", "nan", "--outlier-mode", "model-reassign"],
+    ["--p", "inf"],
+    ["--p", "400"],
 ])
 def test_nan_parameter_is_an_error(flags, scene_file, runner):
     res = runner.invoke(cli, ["segment", str(scene_file), "--k", "2", "--seed", "1"] + flags)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,12 +69,22 @@ def test_config_validation():
     for seed in (None, 0, 2**70, np.int64(5)):
         assert GdmConfig(n_clusters=2, seed=seed).seed is seed
     nan = float("nan")
-    for bad in (dict(p=nan), dict(step_target=nan), dict(step_target=np.inf),
+    for bad in (dict(p=nan), dict(p=np.inf), dict(step_target=nan), dict(step_target=np.inf),
                 dict(n_clusters=2.5), dict(n_clusters=True), dict(restarts=2.5),
                 dict(grad_iters=1.5), dict(genetic_passes=3.0), dict(merge_candidates=2.5)):
         with pytest.raises(InvalidParameterError):
             GdmConfig(**{"n_clusters": 2, **bad})
     assert GdmConfig(n_clusters=np.int64(2), restarts=np.int32(3)).restarts == 3
+
+
+def test_p_that_overflows_merge_scores_is_rejected():
+    # With D = 9, 2 * 9**p is finite up to p = 322.72.
+    a = np.random.default_rng(0).normal(size=(9, 12))
+    cfg = GdmConfig(n_clusters=2, restarts=2, seed=1)
+    for run in (gdm, gdm_outlier_core, greedy_merge_init):
+        with pytest.raises(InvalidParameterError, match="largest p allowed is 322.72"):
+            run(a, replace(cfg, p=322.73))
+    assert gdm(a, replace(cfg, p=322.72)).labels.size == 12
 
 
 class TestProjectSimplex:

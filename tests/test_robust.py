@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from gdm import (
     subspace_distances,
     tpr_fpr,
 )
+from gdm import robust
 from gdm.robust import OUTLIER_INIT_MASS
 
 from oracles import lstsq_subspace_distance
@@ -113,6 +116,142 @@ class TestKnownFraction:
         mix = planted(6, outlier_count=0, points=4)
         with pytest.raises(InsufficientInliersError):
             known_fraction(mix.data, GdmConfig(n_clusters=2, seed=6), fraction=0.9)
+
+
+RESULT_ARRAYS = ("labels", "outliers", "membership", "per_cluster_dims", "trace",
+                 "restart_gd_values")
+
+
+def assert_same_result(got, want):
+    """Bitwise equality of every field of two SegmentationResults."""
+    for name in RESULT_ARRAYS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+    assert np.float64(got.gd_value).tobytes() == np.float64(want.gd_value).tobytes()
+    assert got.restarts_run == want.restarts_run
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Counts the gdm_outlier_core runs made by known_fraction."""
+    calls = []
+    real = robust.gdm_outlier_core
+
+    def spy(a, cfg, alpha=0.01):
+        calls.append((a.shape, cfg, alpha))
+        return real(a, cfg, alpha=alpha)
+
+    monkeypatch.setattr(robust, "gdm_outlier_core", spy)
+    return calls
+
+
+class TestKnownFractionSlot:
+    """known_fraction remembers its last seeded call and nothing more."""
+
+    cfg = GdmConfig(n_clusters=2, seed=21, restarts=2, grad_iters=8, genetic_passes=2)
+
+    def data(self):
+        a = planted(21, outlier_count=6, points=15).data
+        a[0, 0] = 0.0
+        return a
+
+    def test_hit_is_a_fresh_computation(self, core_calls):
+        a = self.data()
+        first = known_fraction(a, self.cfg)
+        for name in RESULT_ARRAYS:
+            getattr(first, name)[...] = 7
+        hit = known_fraction(a, self.cfg)
+        again = known_fraction(a, self.cfg)
+        assert len(core_calls) == 1
+        for name in RESULT_ARRAYS:
+            assert not np.shares_memory(getattr(hit, name), getattr(again, name))
+            getattr(hit, name)[...] = -3
+        robust._last_known_fraction = None
+        fresh = known_fraction(a, self.cfg)
+        assert len(core_calls) == 2
+        assert_same_result(again, fresh)
+        assert np.all(fresh.labels[fresh.outliers] == -1)
+
+    @pytest.mark.parametrize("change", [
+        "one_ulp", "negative_zero", "n_clusters", "eps", "p", "restarts",
+        "grad_iters", "genetic_passes", "step_target", "merge_candidates",
+        "seed", "fraction", "alpha",
+    ])
+    def test_misses_on_any_key_change(self, change, core_calls):
+        a, cfg, kw = self.data(), self.cfg, dict(fraction=0.2, alpha=0.01)
+        b, other_cfg, other_kw = a.copy(), cfg, dict(kw)
+        if change == "one_ulp":
+            b[3, 5] = np.nextafter(b[3, 5], np.inf)
+        elif change == "negative_zero":
+            b[0, 0] = -0.0
+        elif change == "fraction":
+            other_kw["fraction"] = 0.3
+        elif change == "alpha":
+            other_kw["alpha"] = 0.02
+        else:
+            value = getattr(cfg, change)
+            step = 1 if isinstance(value, int) else 0.05
+            other_cfg = replace(cfg, **{change: value + step})
+        known_fraction(a, cfg, **kw)
+        known_fraction(a, cfg, **kw)
+        assert len(core_calls) == 1
+        known_fraction(b, other_cfg, **other_kw)
+        assert len(core_calls) == 2
+
+    def test_equal_key_from_new_objects_hits(self, core_calls):
+        a = self.data()
+        n = a.shape[1]
+        first = known_fraction(a, self.cfg, fraction=0.2)
+        # Another array with the same bits, an equal config and a
+        # fraction that rejects as many points.
+        same_n_out = (np.ceil(0.2 * n) - 0.5) / n
+        hit = known_fraction(a.tolist(), replace(self.cfg), fraction=same_n_out)
+        assert len(core_calls) == 1
+        assert_same_result(hit, first)
+
+    def test_unseeded_calls_never_use_the_slot(self, core_calls):
+        a = self.data()
+        unseeded = replace(self.cfg, seed=None)
+        known_fraction(a, unseeded)
+        assert robust._last_known_fraction is None
+        known_fraction(a, self.cfg)
+        known_fraction(a, unseeded)
+        known_fraction(a, unseeded)
+        known_fraction(a, self.cfg)
+        assert len(core_calls) == 4
+
+    def test_one_slot(self, core_calls):
+        a = self.data()
+        b = planted(22, outlier_count=6, points=15).data
+        for data in (a, b, b, a, a):
+            known_fraction(data, self.cfg)
+        assert len(core_calls) == 3
+
+    def test_errors_are_not_remembered(self, core_calls):
+        a = self.data()
+        known_fraction(a, self.cfg)
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                known_fraction(a, self.cfg, alpha=float("nan"))
+        known_fraction(a, self.cfg)
+        assert len(core_calls) == 3
+
+    def test_model_reassign_then_roc_sweep_segments_once(self, core_calls):
+        from gdm import reassignment_distances, roc_sweep
+
+        mix = planted(21, outlier_count=6, points=15)
+        grid = [0.01, 0.1, 1.0]
+        res = model_reassign(mix.data, self.cfg)
+        curve = roc_sweep(mix.data, self.cfg, mix.outliers, grid)
+        nearest, _, _, _ = reassignment_distances(mix.data, self.cfg)
+        assert len(core_calls) == 1
+        robust._last_known_fraction = None
+        assert roc_sweep(mix.data, self.cfg, mix.outliers, grid) == curve
+        robust._last_known_fraction = None
+        assert_same_result(model_reassign(mix.data, self.cfg), res)
+        assert np.array_equal(res.labels[res.labels >= 0], nearest[res.labels >= 0])
+        assert len(core_calls) == 3
 
 
 class TestFittedSubspace:
