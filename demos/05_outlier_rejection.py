@@ -1,7 +1,8 @@
 """Outlier rejection built on the augmented objective.
 
-A (K+1)-th membership row charges a flat price alpha per unit of mass
-instead of a dimension, so points that fit no cluster drift into it.
+A (K+1)-th membership row charges alpha/2 times the square of each
+point's mass in it instead of a dimension, so points that fit no
+cluster drift into it.
 Thresholding that row is unreliable (the right alpha is data
 dependent), but the ranking it induces is stable, giving two practical
 detectors: reject a known fraction, or refit subspaces and reject by

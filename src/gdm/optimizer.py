@@ -87,10 +87,18 @@ class GdmConfig:
 class SegmentationResult:
     """Outcome of a segmentation run.
 
-    labels holds one cluster id per point (-1 marks rejected points),
-    outliers the indices of rejected points, gd_value the hard global
-    dimension of the returned partition, and trace the per-iteration
-    objective values of the winning restart's descent stage.
+    labels holds one cluster id per point (-1 marks a rejected point)
+    and outliers the rejected points' indices, np.flatnonzero(labels < 0).
+    gd_value is the hard global dimension of labels (rejects left out),
+    the p-norm of per_cluster_dims. membership is the K x N soft
+    membership of the winning restart's descent (for known_fraction the
+    survivor run's, zero on rejects; for model_reassign the 0/1
+    indicator of labels); gdm_naive returns the (K+1) x N augmented one,
+    row 0 the outlier row. restarts_run is cfg.restarts. trace holds the
+    winning restart's descent objective values and restart_gd_values
+    every restart's hard global dimension in restart order; for
+    known_fraction and model_reassign both are the survivor run's, and
+    for gdm_naive both are empty.
     """
 
     labels: np.ndarray
@@ -153,18 +161,12 @@ def _decode_pairs(codes, m, tri, first):
     return last - u, (last - back) + tri[u]
 
 
-def _pair_table(n):
-    """(N, N) table of pair numbers: the pairs (i, j), i < j, are numbered
-    row-major, (0, 1), (0, 2), ..., (N-2, N-1), as pair codes are, and
-    entries (i, j) and (j, i) both hold the number of (i, j). The
-    diagonal holds N(N-1)/2, one past the last pair."""
-    table = np.empty((n, n), dtype=np.min_scalar_type(n * (n - 1) // 2))
-    start = 0
-    for i in range(n - 1):
-        table[i, i + 1 :] = table[i + 1 :, i] = np.arange(start, start + n - 1 - i)
-        start += n - 1 - i
-    np.fill_diagonal(table, start)
-    return table
+def _pair_bases(n):
+    """b with b[i] + j the number of the pair (i, j), i < j, among n items,
+    numbered row-major as pair codes are: rows k >= i hold (n-i)(n-i-1)/2
+    of the n(n-1)/2 pairs, and row i's first pair is (i, i + 1)."""
+    i = np.arange(n)
+    return n * (n - 1) // 2 - (n - i) * (n - i - 1) // 2 - i - 1
 
 
 def _point_grams(a):
@@ -241,8 +243,7 @@ def _merge_bytes(n, d, candidates):
 def _merge_cache_size(n, restarts):
     """Length of _merge_init's cache for a wave of that many restarts:
     the shared point-pair block plus one block per restart."""
-    n_pairs = n * (n - 1) // 2
-    return n_pairs + restarts * (n_pairs + 1)
+    return (restarts + 1) * (n * (n - 1) // 2)
 
 
 def _merge_init(a, cfg, rngs, cache):
@@ -258,16 +259,16 @@ def _merge_init(a, cfg, rngs, cache):
     i * N + s of the set Grams, and its live slots stay in ascending
     order in live[i * N : i * N + sets], so candidates have sa < sb.
 
-    Merged dimensions are cached by pair of slots, numbered as in
-    _pair_table (P = N(N-1)/2 pairs). cache[:P] holds, NaN where
+    Merged dimensions are cached by pair of slots (i, j), i < j, at
+    _pair_bases(N)[i] + j, the row-major order that _decode_pairs inverts
+    for pair codes (P = N(N-1)/2 pairs). cache[:P] holds, NaN where
     unknown, the merged dimension of point pairs {i}, {j}: a pure
     function of the data, shared by every restart of one call. A pair
     with a slot that holds more than one point lives in its restart's
-    own block of P + 1 entries after that (_merge_cache_size); this call
-    clears those blocks, and the last entry of each absorbs the
-    invalidation of a slot's pair with itself. When slot x absorbs
-    another set, every pair with x in its restart's block is
-    invalidated. A cached value is the one a fresh eigendecomposition
+    own block of P entries after that, restart i's at (i + 1) * P
+    (_merge_cache_size); this call clears those blocks. When slot x
+    absorbs another set, the pairs (x, j), j != x, of its restart's block
+    are invalidated. A cached value is the one a fresh eigendecomposition
     would return (a slot's Gram is a sum of the same point Grams, and a
     batched eigvalsh gives each matrix the same bits whatever else is in
     its batch), so every restart samples, scores and merges exactly as
@@ -280,11 +281,12 @@ def _merge_init(a, cfg, rngs, cache):
     base = rows[:, None] * n
     # Where restart i's own block starts; a slot's offset is 0 while it
     # holds one point, so a pair of singletons indexes the shared block.
-    block = n_pairs + rows * (n_pairs + 1)
+    block = (rows + 1) * n_pairs
     cache[n_pairs : _merge_cache_size(n, r)] = np.nan
     offset = np.zeros(r * n, dtype=np.int64)
-    table = _pair_table(n)
     tri = np.arange(n) * (np.arange(n) - 1) // 2
+    pair_base = _pair_bases(n)
+    others = np.arange(n - 1)
     grams = np.tile(_point_grams(a)[0], (r, 1, 1))
     # A singleton has dimension 1 unless the point is exactly zero.
     dp = np.tile(np.any(a != 0.0, axis=0).astype(float) ** cfg.p, r)
@@ -299,7 +301,7 @@ def _merge_init(a, cfg, rngs, cache):
         ia, ib = _decode_pairs(codes, m_sets, tri, base)
         sa, sb = live[ia], live[ib]
         ga, gb = sa + base, sb + base
-        at = table[sa, sb] + np.maximum(offset[ga], offset[gb])
+        at = pair_base[sa] + sb + np.maximum(offset[ga], offset[gb])
         merged_dims = cache[at]
         miss = np.flatnonzero(np.isnan(merged_dims))
         if miss.size:
@@ -322,7 +324,11 @@ def _merge_init(a, cfg, rngs, cache):
         grams[x] += grams[y]
         offset[x] = block
         merges.append((x, y))
-        cache[table[sa.ravel()[pick]] + block[:, None]] = np.nan
+        # Row i of other lists every slot but restart i's kept slot.
+        kept = sa.ravel()[pick][:, None]
+        other = others + (others >= kept)
+        lo, hi = np.minimum(kept, other), np.maximum(kept, other)
+        cache[pair_base[lo] + hi + block[:, None]] = np.nan
         for i, slot, gone, dim in zip(rows.tolist(), x.tolist(), ib.ravel()[pick].tolist(),
                                       merged_dims.ravel()[pick].tolist()):
             # A scalar power (libm pow), as a lone restart computes it.

@@ -216,13 +216,10 @@ def reassignment_distances(a, cfg, fraction=0.20, alpha=0.01):
     return nearest, min_dist, dists, kf
 
 
-def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1,
-                   adaptive_r=None):
+def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1):
     """Re-assign every point to its nearest fitted cluster subspace and
     reject the ones farther than kappa from all of them.
 
-    With adaptive_r set, the global kappa is replaced by per-cluster
-    thresholds mean + adaptive_r * std of that cluster's fit residuals.
     The known_fraction stage is reused when it repeats the last seeded
     known_fraction call (same data, cfg, fraction and alpha), as after a
     roc_sweep of the same data; no result changes. threads is accepted
@@ -233,18 +230,10 @@ def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1,
         raise InvalidParameterError("kappa must be positive")
     a = _validate_data(a)
     n = a.shape[1]
-    nearest, min_dist, dists, kf = reassignment_distances(
+    nearest, min_dist, _, kf = reassignment_distances(
         a, cfg, fraction=fraction, alpha=alpha
     )
-    if adaptive_r is not None:
-        thresholds = np.full(cfg.n_clusters, np.inf)
-        for k in range(cfg.n_clusters):
-            residuals = dists[k, kf.labels == k]
-            if residuals.size:
-                thresholds[k] = residuals.mean() + adaptive_r * residuals.std()
-        outlier_mask = min_dist > thresholds[nearest]
-    else:
-        outlier_mask = min_dist > kappa
+    outlier_mask = min_dist > kappa
     labels = np.where(outlier_mask, -1, nearest)
     membership = np.zeros((cfg.n_clusters, n))
     inlier_idx = np.flatnonzero(~outlier_mask)

@@ -36,7 +36,7 @@ from gdm.optimizer import (
     _merge_bytes,
     _merge_cache_size,
     _merge_init,
-    _pair_table,
+    _pair_bases,
     _point_grams,
 )
 from gdm.robust import OUTLIER_INIT_MASS, gdm_outlier_core
@@ -140,10 +140,7 @@ class TestGreedyMergeInit:
             codes = np.arange(pairs.shape[1])
             np.testing.assert_array_equal(_decode_pairs(codes, m, tri, 0), pairs)
             np.testing.assert_array_equal(_decode_pairs(codes, m, tri, 5), pairs + 5)
-            table = _pair_table(m)
-            np.testing.assert_array_equal(table[pairs[0], pairs[1]], codes)
-            np.testing.assert_array_equal(table[pairs[1], pairs[0]], codes)
-            assert np.all(np.diag(table) == codes.size)
+            np.testing.assert_array_equal(_pair_bases(m)[pairs[0]] + pairs[1], codes)
 
     def test_identity_when_n_equals_k(self):
         a = np.eye(3)
@@ -557,3 +554,31 @@ def test_golden_labels_two_view(k):
     res = gdm(embed_dataset(scene.correspondences), GdmConfig(n_clusters=k, seed=3))
     labels = np.asarray(res.labels, dtype=np.int64)
     assert hashlib.sha256(labels.tobytes()).hexdigest() == GOLDEN_LABEL_SHA256[k]
+
+
+# Gram matrices that the merges of one default gdm call decompose on a
+# fixed two-view scene per K. A merge cache that drops entries it could
+# keep gives the same labels but raises these counts.
+MERGE_EIGVALSH_MATRICES = {2: 46651, 3: 65781}
+
+
+@pytest.mark.parametrize("k, sizes, seed", [(2, [60, 60], 900), (3, [50, 50, 50], 901)],
+                         ids=["k2_n120", "k3_n150"])
+def test_merge_eigvalsh_counts(k, sizes, seed, monkeypatch):
+    scene = sample_two_view_scene(k, sizes, noise_sigma=0.001, seed=seed)
+    a = embed_dataset(scene.correspondences)
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(batch):
+        matrices.append(batch.shape[0])
+        return eigvalsh(batch)
+
+    def merge(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counting)
+            return _merge_init(*args)
+
+    monkeypatch.setattr(optimizer, "_merge_init", merge)
+    gdm(a, GdmConfig(n_clusters=k, seed=11))
+    assert sum(matrices) == MERGE_EIGVALSH_MATRICES[k]

@@ -346,12 +346,6 @@ class TestModelReassign:
         nearest, _, _, _ = reassignment_distances(mix.data, cfg)
         np.testing.assert_array_equal(res.labels, nearest)
 
-    def test_adaptive_thresholds_run(self):
-        mix = planted(10, outlier_count=10, points=25)
-        res = model_reassign(mix.data, GdmConfig(n_clusters=2, seed=10),
-                             kappa=0.05, adaptive_r=3.0)
-        assert res.labels.size == mix.data.shape[1]
-
     def test_kappa_must_be_positive(self):
         mix = planted(11, outlier_count=5, points=20)
         for kappa in (0.0, float("nan")):
@@ -369,13 +363,18 @@ def test_gdm_naive_flags_and_labels():
 
 def test_segment_with_outliers_dispatch():
     mix = planted(13, outlier_count=8, points=20)
+    n = mix.data.shape[1]
     cfg = GdmConfig(n_clusters=2, seed=13)
-    none = segment_with_outliers(mix.data, cfg, OutlierConfig(mode="none"))
-    assert none.outliers.size == 0
-    kf = segment_with_outliers(mix.data, cfg, OutlierConfig(mode="known_fraction"))
-    assert kf.outliers.size == int(np.ceil(0.2 * mix.data.shape[1]))
-    mr = segment_with_outliers(mix.data, cfg, OutlierConfig(mode="model_reassign"))
-    assert mr.labels.size == mix.data.shape[1]
+    results = {
+        mode: segment_with_outliers(mix.data, cfg, OutlierConfig(mode=mode))
+        for mode in ("none", "naive", "known_fraction", "model_reassign")
+    }
+    for res in results.values():
+        assert res.labels.size == n
+        np.testing.assert_array_equal(res.outliers, np.flatnonzero(res.labels < 0))
+    assert results["none"].outliers.size == 0
+    assert results["naive"].membership.shape == (3, n)
+    assert results["known_fraction"].outliers.size == int(np.ceil(0.2 * n))
 
 
 class TestTprFpr:
