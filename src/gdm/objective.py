@@ -74,9 +74,9 @@ class ObjectiveParams:
         # Written as not (x > 0) so that NaN is rejected too.
         if not self.p > 0.0:
             raise InvalidParameterError("p must be positive, got %r" % (self.p,))
-        if not self.alpha >= 0.0:
+        if not 0.0 <= self.alpha < np.inf:
             raise InvalidParameterError(
-                "alpha must be nonnegative, got %r" % (self.alpha,)
+                "alpha must be nonnegative and finite, got %r" % (self.alpha,)
             )
         object.__setattr__(self, "delta", self.eps / (1.0 - self.eps))
 

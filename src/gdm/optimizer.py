@@ -13,8 +13,11 @@ one array with one eigvalsh batch, and commits each restart's own best
 merge; a wave holds as many restarts as fit in _WAVE_BYTES. Every merge
 starts from the same N singletons, so the merged dimension of two
 points is a function of the data alone, and one call computes each
-such point-pair dimension at most once for all its restarts. The labels
-are those of merging each restart alone and scoring every pair afresh.
+such point-pair dimension at most once for all its restarts. A screen
+skips the D x D eigendecomposition of most unions of at most four
+points: a rigorous lower bound from the union's small Gram shows that
+they lose their round. The labels are those of merging each restart
+alone and scoring every pair afresh.
 """
 
 import math
@@ -183,6 +186,87 @@ def _point_grams(a):
     return cols[:, :, None] * cols[:, None, :], int(exp)
 
 
+# The merge screen (_merge_init) bounds the merged dimension of a union
+# of m <= min(_SCREEN_POINTS, D) points from below. Let V be the union's
+# rescaled D x m block and mass = sum ||v||^2 over its points. The
+# merge's own value comes from lam = eigvalsh(Ghat), Ghat the sum of the
+# union's rounded point Grams; the bound from mu, the eigenvalues of the
+# m x m Gram Shat = fl(V^T V).
+# - As for _GRAM_ERROR_FACTOR, lam lies within c ((m + D) u mass +
+#   m tiny) of the eigenvalues of V V^T (no SVD term here, the same c).
+# - |Shat - V^T V| <= gamma_D |V|^T |V| entrywise, so ||Shat - V^T V||_2
+#   <= gamma_D mass. eigvalsh adds p(m) u ||Shat||_2; the closed form
+#   used for m = 2 (h -+ hypot((a - c) / 2, b), h = (a + c) / 2) is off
+#   by at most 4 u mass. So mu lies within c ((m + D) u mass + D tiny)
+#   of the eigenvalues of V^T V.
+# - V V^T has the eigenvalues of V^T V and D - m zeros.
+# By Weyl's theorem lam, sorted, lies within
+#     E = 2 c ((m + D) u mass + (m + D) tiny)
+# of mu padded with D - m zeros. Subtraction, sqrt and division are
+# correctly rounded, hence monotone, so each low value sqrt(max(mu - E,
+# 0)) is at most the merge's sqrt(max(lam, 0)), each high value
+# sqrt(max(mu + E, 0)) at least it, and the low values scaled by the top
+# high value neither exceed the merge's scaled values nor survive where
+# the merge zeroes them. What is left is the rounding of the two
+# power-norm ratios: with pow within 4 ulps, at most D + 1 terms summed
+# and a root 1/eps (1/delta) taken, each ratio is within
+#     rho = (D + 4) u (1/eps + 1/delta) + 9 u
+# of its exact value, so a bound times 1 - 4 rho is at most the merge's
+# dimension. Then dim**p and bound**p each round within 4 ulps and the
+# product one ulp, so bound**p * (1 - _POW_MARGIN) is at most dim**p as
+# computed, and rounded subtraction, being monotone, keeps that order
+# once dp[sa] and dp[sb] are taken off.
+_SCREEN_POINTS = 4
+_POW_MARGIN = 8.0 * np.finfo(float).eps  # 16 u
+
+# Point pairs per block of _pair_dim_bounds.
+_PAIR_BLOCK = 1024
+
+
+def _screen_shrink(d, eps):
+    """1 - 4 rho: the factor that makes a merge-screen bound rigorous."""
+    delta = eps / (1.0 - eps)
+    rho = (d + 4) * _UNIT_ROUNDOFF * (1.0 / eps + 1.0 / delta) + 9.0 * _UNIT_ROUNDOFF
+    return max(1.0 - 4.0 * rho, 0.0)
+
+
+def _union_dim_bounds(evals, m, mass, d, eps):
+    """Merge-screen lower bounds on the merged dimension of unions of at
+    most m points in R^D, from the eigenvalues evals (B, m) of their
+    m x m Grams (zero points pad smaller unions) and their squared
+    masses; see the comment above."""
+    err = (2.0 * _GRAM_ERROR_FACTOR * (m + d)) * (_UNIT_ROUNDOFF * mass + _TINY)
+    # Column m stands for the D - m zero eigenvalues: low value 0 and high
+    # value sqrt(err), whose delta-th power counts D - m times (at least
+    # once, which only adds to the denominator). err > 0, so the top
+    # value is positive and the ratio finite. A top value from column m
+    # zeroes more of the numerator, which only lowers the bound.
+    padded = np.zeros((evals.shape[0], m + 1))
+    padded[:, :m] = evals
+    lo = np.sqrt(np.maximum(padded - err[:, None], 0.0))
+    hi = np.sqrt(np.maximum(padded + err[:, None], 0.0))
+    delta = eps / (1.0 - eps)
+    hi[:, m] *= max(d - m, 1) ** (1.0 / delta)
+    num, den = _power_norms(lo, eps, upper=hi)
+    return num / den * _screen_shrink(d, eps)
+
+
+def _pair_dim_bounds(cols, sq_norms, eps, out):
+    """Write the merge-screen bound of every point pair, numbered as pair
+    codes are, into out; the 2 x 2 Grams' eigenvalues in closed form."""
+    n, d = cols.shape
+    tri = np.arange(n) * (np.arange(n) - 1) // 2
+    for first in range(0, out.size, _PAIR_BLOCK):
+        codes = np.arange(first, min(first + _PAIR_BLOCK, out.size))
+        i, j = _decode_pairs(codes, n, tri, 0)
+        aa, cc = sq_norms[i], sq_norms[j]
+        bb = np.einsum("ij,ij->i", cols[i], cols[j])
+        h = (aa + cc) / 2.0
+        r = np.hypot((aa - cc) / 2.0, bb)
+        out[codes] = _union_dim_bounds(np.stack([h - r, h + r], axis=1), 2,
+                                       aa + cc, d, eps)
+
+
 def greedy_merge_init(a, cfg, rng=None):
     """Agglomerative initialization: merge down to n_clusters sets.
 
@@ -190,7 +274,10 @@ def greedy_merge_init(a, cfg, rng=None):
     to cfg.merge_candidates distinct pairs of current sets (all pairs
     when fewer exist), scores the global dimension of each hypothetical
     merge, and commits the best one. Spectra of merged sets come from
-    D x D Gram matrices, which add under merging.
+    D x D Gram matrices, which add under merging. A union of at most
+    four points is first bounded from below through its small Gram;
+    when the bound shows it cannot beat the round's best exact score its
+    D x D Gram is not decomposed, which changes no merge.
 
     Returns a label vector. If N <= n_clusters each point keeps its own
     singleton label and no merging happens. This is _merge_init on a
@@ -212,7 +299,7 @@ def greedy_merge_init(a, cfg, rng=None):
 # 100 candidates, N = 400 merges one restart at a time, N = 240 three
 # and N = 150 five in lockstep. Each restart in a wave adds its bytes to
 # the peak memory of the call, so the budget trades rounds for memory.
-_WAVE_BYTES = 1_750_000
+_WAVE_BYTES = 2_300_000
 
 
 def _check_merge_power(d, p):
@@ -234,16 +321,36 @@ def _check_merge_power(d, p):
 
 
 def _merge_bytes(n, d, candidates):
-    """Bytes _merge_init holds per restart: N set Grams (D x D), a packed
-    upper triangle of merged dimensions, and at most two D x D matrices
-    per candidate for a round's eigvalsh batch."""
-    return 8 * (n * d * d + n * (n - 1) // 2 + 2 * candidates * d * d)
+    """Bytes _merge_init holds per restart: N set Grams (D x D) with each
+    set's point count and up to _SCREEN_POINTS members, two
+    packed upper triangles (merged dimensions and screen bounds), and at
+    most two D x D matrices per candidate for a round's eigvalsh batch."""
+    per_set = d * d + 1 + _SCREEN_POINTS
+    return 8 * (n * per_set + n * (n - 1) + 2 * candidates * d * d)
 
 
 def _merge_cache_size(n, restarts):
     """Length of _merge_init's cache for a wave of that many restarts:
-    the shared point-pair block plus one block per restart."""
-    return (restarts + 1) * (n * (n - 1) // 2)
+    a region of merged dimensions, then one of screen bounds, each the
+    shared point-pair block plus one block per restart."""
+    return 2 * (restarts + 1) * (n * (n - 1) // 2)
+
+
+def _merged_dims(grams, x, y, eps):
+    """Merged dimensions of slots x and y from one batched eigvalsh of
+    their summed Grams; a batched eigvalsh gives each matrix the same
+    bits whatever else is in its batch."""
+    # Even a single pair is a (1, D) stack: a 1-d spectrum would take
+    # scalar roots, whose last bit can differ from a stack's.
+    batch = grams[x]
+    batch += grams[y]
+    spectra = np.sqrt(np.clip(np.linalg.eigvalsh(batch), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num, den = _power_norms(spectra, eps)
+        dims = num / den
+    # eigvalsh sorts ascending: an all-zero spectrum has dimension 0.
+    dims[spectra[:, -1] == 0.0] = 0.0
+    return dims
 
 
 def _merge_init(a, cfg, rngs, cache):
@@ -273,21 +380,52 @@ def _merge_init(a, cfg, rngs, cache):
     batched eigvalsh gives each matrix the same bits whatever else is in
     its batch), so every restart samples, scores and merges exactly as
     it would alone with no cache.
+
+    Most misses are unions of a few points that lose their round, so a
+    screen spares their D x D eigendecompositions. Each slot keeps its
+    set's point count and, while it has at most _SCREEN_POINTS points,
+    its members, whose squared norms sum to its mass. A miss whose union has
+    m <= min(_SCREEN_POINTS, D) points gets a rigorous lower bound on its
+    merged dimension from the union's m x m Gram (_union_dim_bounds; for
+    point pairs the closed form, all P of them once per cache), hence a
+    lower bound bound**p * (1 - _POW_MARGIN) - dp[sa] - dp[sb] on its
+    score as computed. Each restart scores exactly, with its
+    other misses, its candidate of lowest bound, then in a second batch
+    every candidate whose bound does not exceed its best exact score.
+    The rest score +inf: their exact scores would exceed the minimum, so
+    argmin and its tie rule pick the same pair and every cached dimension
+    is still a fresh eigendecomposition's. Bounds sit in the second half
+    of cache at the same positions as the dimensions in the first, with
+    the same blocks and invalidation.
     """
-    n = a.shape[1]
+    d, n = a.shape
     r = len(rngs)
     n_pairs = n * (n - 1) // 2
+    known, bounds = np.split(cache, 2)
     rows = np.arange(r)
     base = rows[:, None] * n
     # Where restart i's own block starts; a slot's offset is 0 while it
     # holds one point, so a pair of singletons indexes the shared block.
     block = (rows + 1) * n_pairs
-    cache[n_pairs : _merge_cache_size(n, r)] = np.nan
+    known[n_pairs : (r + 1) * n_pairs] = np.nan
+    bounds[n_pairs : (r + 1) * n_pairs] = np.nan
     offset = np.zeros(r * n, dtype=np.int64)
     tri = np.arange(n) * (np.arange(n) - 1) // 2
     pair_base = _pair_bases(n)
     others = np.arange(n - 1)
-    grams = np.tile(_point_grams(a)[0], (r, 1, 1))
+    point_grams, exp = _point_grams(a)
+    # Index N is a zero point that pads a union's members.
+    cols = np.zeros((n + 1, d))
+    cols[:n] = np.ldexp(a, -exp).T
+    sq_norms = np.zeros(n + 1)
+    sq_norms[:n] = np.einsum("nii->n", point_grams)
+    limit = min(_SCREEN_POINTS, d)
+    if limit >= 2 and np.isnan(bounds[0]):
+        _pair_dim_bounds(cols[:n], sq_norms[:n], cfg.eps, bounds[:n_pairs])
+    grams = np.tile(point_grams, (r, 1, 1))
+    count = np.ones(r * n, dtype=np.int64)
+    members = np.full((r * n, limit), n)
+    members[:, 0] = np.tile(np.arange(n), r)
     # A singleton has dimension 1 unless the point is exactly zero.
     dp = np.tile(np.any(a != 0.0, axis=0).astype(float) ** cfg.p, r)
     live = np.tile(np.arange(n), r)
@@ -302,33 +440,60 @@ def _merge_init(a, cfg, rngs, cache):
         sa, sb = live[ia], live[ib]
         ga, gb = sa + base, sb + base
         at = pair_base[sa] + sb + np.maximum(offset[ga], offset[gb])
-        merged_dims = cache[at]
-        miss = np.flatnonzero(np.isnan(merged_dims))
-        if miss.size:
-            # Even a single miss is a (1, D) stack: a 1-d spectrum would
-            # take scalar roots, whose last bit can differ from a stack's.
-            batch = grams[ga.ravel()[miss]]
-            batch += grams[gb.ravel()[miss]]
-            evals = np.linalg.eigvalsh(batch)
-            spectra = np.sqrt(np.clip(evals, 0.0, None))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                num, den = _power_norms(spectra, cfg.eps)
-                dims = num / den
-            # eigvalsh sorts ascending: an all-zero spectrum has dimension 0.
-            dims[spectra[:, -1] == 0.0] = 0.0
-            merged_dims.ravel()[miss] = dims
-            cache[at.ravel()[miss]] = dims
-        scores = merged_dims**cfg.p - dp[ga] - dp[gb]
+        merged_dims = known[at]
+        todo = np.isnan(merged_dims)
+        small = todo & (count[ga] + count[gb] <= limit)
+        screened = small.any()
+        da, db = dp[ga], dp[gb]
+        if screened:
+            todo ^= small
+            bnd = bounds[at]
+            fresh = np.flatnonzero(np.isnan(bnd) & small)
+            if fresh.size:
+                # The padding index N sorts last, after the union's points.
+                union = np.sort(np.concatenate([members[ga.ravel()[fresh]],
+                                                members[gb.ravel()[fresh]]], axis=1),
+                                axis=1)[:, :limit]
+                v = cols[union]
+                bnd.ravel()[fresh] = bounds[at.ravel()[fresh]] = _union_dim_bounds(
+                    np.linalg.eigvalsh(v @ v.transpose(0, 2, 1)), limit,
+                    sq_norms[union].sum(axis=1), d, cfg.eps)
+            lower = np.where(small, bnd**cfg.p * (1.0 - _POW_MARGIN) - da - db, np.inf)
+            # Each restart's lowest bound is scored exactly, so every
+            # restart has a best exact score to clear.
+            first = lower.argmin(axis=1)
+            todo[rows, first] |= small[rows, first]
+        pos = np.flatnonzero(todo)
+        if pos.size:
+            merged_dims.ravel()[pos] = known[at.ravel()[pos]] = _merged_dims(
+                grams, ga.ravel()[pos], gb.ravel()[pos], cfg.eps)
+        scores = merged_dims**cfg.p - da - db
+        if screened:
+            # Unscored candidates whose bound does not clear their
+            # restart's best exact score; the rest cannot win.
+            best = np.fmin.reduce(scores, axis=1)
+            pos = np.flatnonzero(np.isnan(scores) & ~(lower > best[:, None]))
+            if pos.size:
+                merged_dims.ravel()[pos] = known[at.ravel()[pos]] = _merged_dims(
+                    grams, ga.ravel()[pos], gb.ravel()[pos], cfg.eps)
+                scores = merged_dims**cfg.p - da - db
+            scores[np.isnan(scores)] = np.inf
         pick = scores.argmin(axis=1) + rows * n_cand
         x, y = ga.ravel()[pick], gb.ravel()[pick]
         grams[x] += grams[y]
+        # Members of a set beyond limit points are never read again.
+        members[x] = np.sort(np.concatenate([members[x], members[y]], axis=1),
+                             axis=1)[:, :limit]
+        count[x] += count[y]
         offset[x] = block
         merges.append((x, y))
         # Row i of other lists every slot but restart i's kept slot.
         kept = sa.ravel()[pick][:, None]
         other = others + (others >= kept)
         lo, hi = np.minimum(kept, other), np.maximum(kept, other)
-        cache[pair_base[lo] + hi + block[:, None]] = np.nan
+        stale = pair_base[lo] + hi + block[:, None]
+        known[stale] = np.nan
+        bounds[stale] = np.nan
         for i, slot, gone, dim in zip(rows.tolist(), x.tolist(), ib.ravel()[pick].tolist(),
                                       merged_dims.ravel()[pick].tolist()):
             # A scalar power (libm pow), as a lone restart computes it.

@@ -70,8 +70,8 @@ class OutlierConfig:
         if self.mode not in ("none", "naive", "known_fraction", "model_reassign"):
             raise InvalidParameterError("unknown outlier mode %r" % (self.mode,))
         # Written as not (x > 0) so that NaN is rejected too.
-        if not self.alpha >= 0.0:
-            raise InvalidParameterError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise InvalidParameterError("alpha must be nonnegative and finite")
         if not 0.0 < self.fraction < 1.0:
             raise InvalidParameterError("fraction must be in (0, 1)")
         if not self.kappa > 0.0:

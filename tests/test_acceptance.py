@@ -21,6 +21,7 @@ from gdm import (
     gd_gradient,
     gd_gradient_outlier,
     gdm,
+    global_dimension_hard,
     global_dimension_outlier,
     global_dimension_soft,
     known_fraction,
@@ -157,30 +158,40 @@ def test_criterion_4_natural_partition_brute_force():
             "%d/20 seeds" % wins)
 
 
+def _above_truth(a, res, truth, k):
+    """1 when gdm's result has a higher global dimension than the true
+    partition, the search gap of one scene; 0 otherwise."""
+    true_gd = global_dimension_hard(a, truth, PARAMS, n_clusters=k, on_degenerate="zero")
+    return int(res.gd_value > true_gd)
+
+
 def test_criterion_5_end_to_end_segmentation():
     t0 = time.perf_counter()
-    noisy, clean_zero = [], 0
+    noisy, clean_zero, gap, gap0 = [], 0, 0, 0
     for seed in range(20):
         spec = SyntheticSpec(dims=(2, 3), ambient=9, points_per_cluster=60,
                              noise_sigma=0.01, seed=400 + seed)
         mix = sample_subspace_mixture(spec)
         res = gdm(mix.data, GdmConfig(n_clusters=2, seed=seed))
         noisy.append(misclassification_rate(res.labels, mix.labels))
+        gap += _above_truth(mix.data, res, mix.labels, 2)
 
         spec0 = SyntheticSpec(dims=(2, 3), ambient=9, points_per_cluster=60,
                               noise_sigma=0.0, seed=500 + seed)
         mix0 = sample_subspace_mixture(spec0)
         res0 = gdm(mix0.data, GdmConfig(n_clusters=2, seed=seed))
         clean_zero += misclassification_rate(res0.labels, mix0.labels) == 0.0
+        gap0 += _above_truth(mix0.data, res0, mix0.labels, 2)
     elapsed = time.perf_counter() - t0
     med = float(np.median(noisy))
     ok = med <= 5.0 and clean_zero >= 18 and elapsed < 300.0
     _report(5, "end-to-end segmentation", ok,
-            "median noisy %.2f%%, clean zero %d/20, %.0fs" % (med, clean_zero, elapsed))
+            "median noisy %.2f%%, clean zero %d/20, search gap noisy %d/20 clean %d/20, "
+            "%.0fs" % (med, clean_zero, gap, gap0, elapsed))
 
 
 def test_criterion_6_two_view_pipeline():
-    mis = []
+    mis, gap = [], 0
     for seed in range(20):
         rng = np.random.default_rng(600 + seed)
         counts = rng.integers(30, 81, size=2)
@@ -188,6 +199,7 @@ def test_criterion_6_two_view_pipeline():
         data = embed_dataset(scene.correspondences, mode="nonlinear")
         res = gdm(data, GdmConfig(n_clusters=2, seed=seed))
         mis.append(misclassification_rate(res.labels, scene.labels))
+        gap += _above_truth(data, res, scene.labels, 2)
     med = float(np.median(mis))
 
     ranks_ok = True
@@ -200,7 +212,8 @@ def test_criterion_6_two_view_pipeline():
         ranks_ok &= s[6] < 1e-8 * s[0]
     ok = med <= 5.0 and ranks_ok
     _report(6, "two-view motion segmentation", ok,
-            "median misclassification %.2f%%, rank checks %s" % (med, ranks_ok))
+            "median misclassification %.2f%%, search gap %d/20, rank checks %s"
+            % (med, gap, ranks_ok))
 
 
 def test_criterion_7_outlier_framework():

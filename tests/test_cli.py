@@ -273,6 +273,17 @@ def test_nan_parameter_is_an_error(flags, scene_file, runner):
     assert "Error" in res.output
 
 
+@pytest.mark.parametrize("command", ["segment", "roc"])
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_non_finite_alpha_is_an_error(command, alpha, scene_file, runner):
+    flags = ["--outlier-mode", "known-fraction"] if command == "segment" else []
+    res = runner.invoke(cli, [command, str(scene_file), "--k", "2", "--seed", "1",
+                              "--alpha", alpha] + flags)
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "Error: alpha must be nonnegative and finite" in res.output
+
+
 def test_infeasible_config_fails_cleanly(scene_file, runner):
     res = runner.invoke(cli, ["segment", str(scene_file), "--k", "60", "--seed", "1"])
     assert res.exit_code == 1

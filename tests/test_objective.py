@@ -35,7 +35,7 @@ def test_objective_params_validation():
         ObjectiveParams(p=0.0)
     with pytest.raises(InvalidParameterError):
         ObjectiveParams(alpha=-1.0)
-    for bad in (dict(p=float("nan")), dict(alpha=float("nan"))):
+    for bad in (dict(p=float("nan")), dict(alpha=float("nan")), dict(alpha=float("inf"))):
         with pytest.raises(InvalidParameterError):
             ObjectiveParams(**bad)
 

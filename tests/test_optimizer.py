@@ -557,9 +557,11 @@ def test_golden_labels_two_view(k):
 
 
 # Gram matrices that the merges of one default gdm call decompose on a
-# fixed two-view scene per K. A merge cache that drops entries it could
-# keep gives the same labels but raises these counts.
-MERGE_EIGVALSH_MATRICES = {2: 46651, 3: 65781}
+# fixed two-view scene per K, by size: 9 x 9 merged Grams and the 4 x 4
+# Grams behind the merge screen's bounds. A merge cache that drops
+# entries it could keep gives the same labels but raises the first count;
+# one that stops caching bounds raises the second.
+MERGE_EIGVALSH_MATRICES = {2: {9: 14712, 4: 25880}, 3: {9: 21020, 4: 35664}}
 
 
 @pytest.mark.parametrize("k, sizes, seed", [(2, [60, 60], 900), (3, [50, 50, 50], 901)],
@@ -567,11 +569,12 @@ MERGE_EIGVALSH_MATRICES = {2: 46651, 3: 65781}
 def test_merge_eigvalsh_counts(k, sizes, seed, monkeypatch):
     scene = sample_two_view_scene(k, sizes, noise_sigma=0.001, seed=seed)
     a = embed_dataset(scene.correspondences)
-    matrices = []
+    matrices = {}
     eigvalsh = np.linalg.eigvalsh
 
     def counting(batch):
-        matrices.append(batch.shape[0])
+        size = batch.shape[-1]
+        matrices[size] = matrices.get(size, 0) + batch.shape[0]
         return eigvalsh(batch)
 
     def merge(*args):
@@ -581,4 +584,83 @@ def test_merge_eigvalsh_counts(k, sizes, seed, monkeypatch):
 
     monkeypatch.setattr(optimizer, "_merge_init", merge)
     gdm(a, GdmConfig(n_clusters=k, seed=11))
-    assert sum(matrices) == MERGE_EIGVALSH_MATRICES[k]
+    assert matrices == MERGE_EIGVALSH_MATRICES[k]
+
+
+def fresh_merged_dims(grams, x, y, eps):
+    """Merged dimension of each Gram pair (x, y) from one fresh batched
+    eigvalsh, which gives each matrix the bits it gets alone."""
+    spectra = np.sqrt(np.clip(np.linalg.eigvalsh(grams[x] + grams[y]), 0.0, None))
+    dims = np.zeros(len(x))
+    live = spectra.max(axis=1) > 0.0
+    if np.any(live):
+        num, den = _power_norms(spectra[live], eps)
+        dims[live] = num / den
+    return dims
+
+
+def check_screen_bounds(a, cfg, monkeypatch):
+    """Merge three restarts of cfg in one wave, checking every bound the
+    merge screen caches against the merged dimension of one fresh
+    eigvalsh of its slots' summed Grams: the restarts' blocks whenever
+    the merge decomposes Grams (a bound outlives its slots' changes only
+    if invalidation fails), the point-pair block at the end. Returns the
+    merged labels and how many restart-block bounds were checked."""
+    n = a.shape[1]
+    n_pairs = n * (n - 1) // 2
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(3)]
+    cache = np.full(_merge_cache_size(n, 3), np.nan)
+    bounds = cache[cache.size // 2 :]
+    i, j = np.triu_indices(n, 1)
+    checked = []
+
+    def check(grams, block, x, y):
+        known = ~np.isnan(block)
+        got = block[known]
+        want = fresh_merged_dims(grams, x[known], y[known], cfg.eps)
+        bad = np.flatnonzero(got > want)
+        assert bad.size == 0, (got[bad], want[bad])
+        checked.append(got.size)
+
+    merged_dims = optimizer._merged_dims
+
+    def spy(grams, x, y, eps):
+        for r in range(3):
+            block = bounds[(r + 1) * n_pairs : (r + 2) * n_pairs]
+            check(grams, block, i + r * n, j + r * n)
+        return merged_dims(grams, x, y, eps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_merged_dims", spy)
+        labels = _merge_init(a, cfg, rngs, cache)
+    check(_point_grams(a)[0], bounds[:n_pairs], i, j)
+    assert checked[-1] == n_pairs
+    return labels, sum(checked) - n_pairs
+
+
+@pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_merge_screen_bounds_are_below_fresh_dimensions(kind, k, scale, monkeypatch):
+    _, checked = check_screen_bounds(oracle_case(kind, k, 40 + k) * scale,
+                                     GdmConfig(n_clusters=k, seed=40 + k), monkeypatch)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_merge_screen_in_fewer_than_four_dimensions(d, monkeypatch):
+    # With D < 4 the screen takes unions of at most D points: point pairs
+    # alone in R^2, up to three points in R^3. The merges stay the
+    # reference's.
+    rng = np.random.default_rng(d)
+    a = np.concatenate([np.outer(rng.normal(size=d), rng.normal(size=15)),
+                        rng.normal(size=(d, 15))], axis=1)
+    a[:, 3] = 0.0
+    a[:, 7] = a[:, 2]
+    cfg = GdmConfig(n_clusters=3, merge_candidates=40, seed=d)
+    merged, checked = check_screen_bounds(a, cfg, monkeypatch)
+    assert (checked > 0) == (d == 3)
+    children = np.random.SeedSequence(cfg.seed).spawn(3)
+    for child, labels in zip(children, merged):
+        np.testing.assert_array_equal(
+            labels, reference_merge_init(a, cfg, np.random.default_rng(child)))

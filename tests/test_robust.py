@@ -46,7 +46,7 @@ def test_outlier_config_validation():
         OutlierConfig(fraction=1.5)
     with pytest.raises(InvalidParameterError):
         OutlierConfig(kappa=0.0)
-    for bad in (dict(alpha=float("nan")), dict(kappa=float("nan"))):
+    for bad in (dict(alpha=float("nan")), dict(alpha=float("inf")), dict(kappa=float("nan"))):
         with pytest.raises(InvalidParameterError):
             OutlierConfig(**bad)
 
@@ -87,6 +87,14 @@ class TestOutlierCore:
 
 
 class TestKnownFraction:
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_non_finite_alpha_is_rejected(self, alpha):
+        # Rejected before any merge or descent runs: an infinite alpha
+        # used to reach the SVDs as NaN memberships.
+        mix = planted(4, outlier_count=3, points=12)
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            known_fraction(mix.data, GdmConfig(n_clusters=2, seed=4), alpha=alpha)
+
     def test_tiny_fraction_marks_exactly_one_point(self):
         mix = planted(4, outlier_count=0, points=12)
         kf = known_fraction(mix.data, GdmConfig(n_clusters=2, seed=4), fraction=0.01)
