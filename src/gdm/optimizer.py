@@ -7,13 +7,16 @@ descent on the soft membership matrix, thresholding back to a hard
 partition, and a greedy point-reassignment cleanup. Several restarts
 are run and the partition with the lowest hard global dimension wins.
 
-The restarts of one call merge in lockstep waves: each round draws
+All restarts of one call merge in one lockstep wave: each round draws
 every restart's candidate pairs from its own generator, scores them as
 one array with one eigvalsh batch, and commits each restart's own best
-merge; a wave holds as many restarts as fit in _WAVE_BYTES. Every merge
-starts from the same N singletons, so the merged dimension of two
-points is a function of the data alone, and one call computes each
-such point-pair dimension at most once for all its restarts. A screen
+merge. Every merge starts from the same N singletons, so the merged
+dimension of two points is a function of the data alone, and one call
+computes each such point-pair dimension at most once for all its
+restarts. Other merged dimensions are cached per restart only in the
+last rounds, from merge_candidates + 1 live sets down, and a set's
+Gram takes memory only once it holds two points, so each restart adds
+O(N D^2 / 2 + merge_candidates^2) to the call's memory. A screen
 skips the D x D eigendecomposition of most unions of at most four
 points: a rigorous lower bound from the union's small Gram shows that
 they lose their round. The labels are those of merging each restart
@@ -66,7 +69,9 @@ class GdmConfig:
                 raise InvalidParameterError("%s must be an integer" % name)
         if self.n_clusters < 1:
             raise InvalidParameterError("n_clusters must be >= 1")
-        if min(self.restarts, self.grad_iters, self.genetic_passes) < 0:
+        if self.restarts < 1:
+            raise InvalidParameterError("restarts must be >= 1")
+        if min(self.grad_iters, self.genetic_passes) < 0:
             raise InvalidParameterError("iteration counts must be >= 0")
         # The tests below are written so that NaN fails them too.
         if not 0.0 < self.step_target < np.inf:
@@ -280,10 +285,10 @@ def greedy_merge_init(a, cfg, rng=None):
     D x D Gram is not decomposed, which changes no merge.
 
     Returns a label vector. If N <= n_clusters each point keeps its own
-    singleton label and no merging happens. This is _merge_init on a
-    wave of one restart with a fresh cache; gdm and gdm_outlier_core
-    merge their restarts in waves through the same function, which gives
-    every restart these labels.
+    singleton label and no merging happens. This is _merge_init with a
+    single restart; gdm and gdm_outlier_core merge all their restarts in
+    one lockstep wave through the same function, which gives every
+    restart these labels.
     """
     a = _validate_data(a)
     _check_merge_power(a.shape[0], cfg.p)
@@ -292,14 +297,7 @@ def greedy_merge_init(a, cfg, rng=None):
         rng = np.random.default_rng(cfg.seed)
     if n <= cfg.n_clusters:
         return np.arange(n)
-    return _merge_init(a, cfg, [rng], np.full(_merge_cache_size(n, 1), np.nan))[0]
-
-
-# Bytes one merge wave may hold: _merge_bytes per restart. With D = 9 and
-# 100 candidates, N = 400 merges one restart at a time, N = 240 three
-# and N = 150 five in lockstep. Each restart in a wave adds its bytes to
-# the peak memory of the call, so the budget trades rounds for memory.
-_WAVE_BYTES = 2_300_000
+    return _merge_init(a, cfg, [rng])[0]
 
 
 def _check_merge_power(d, p):
@@ -320,26 +318,10 @@ def _check_merge_power(d, p):
         )
 
 
-def _merge_bytes(n, d, candidates):
-    """Bytes _merge_init holds per restart: N set Grams (D x D) with each
-    set's point count and up to _SCREEN_POINTS members, two
-    packed upper triangles (merged dimensions and screen bounds), and at
-    most two D x D matrices per candidate for a round's eigvalsh batch."""
-    per_set = d * d + 1 + _SCREEN_POINTS
-    return 8 * (n * per_set + n * (n - 1) + 2 * candidates * d * d)
-
-
-def _merge_cache_size(n, restarts):
-    """Length of _merge_init's cache for a wave of that many restarts:
-    a region of merged dimensions, then one of screen bounds, each the
-    shared point-pair block plus one block per restart."""
-    return 2 * (restarts + 1) * (n * (n - 1) // 2)
-
-
 def _merged_dims(grams, x, y, eps):
-    """Merged dimensions of slots x and y from one batched eigvalsh of
-    their summed Grams; a batched eigvalsh gives each matrix the same
-    bits whatever else is in its batch."""
+    """Merged dimensions of Gram rows x and y from one batched eigvalsh
+    of their sums; a batched eigvalsh gives each matrix the same bits
+    whatever else is in its batch."""
     # Even a single pair is a (1, D) stack: a 1-d spectrum would take
     # scalar roots, whose last bit can differ from a stack's.
     batch = grams[x]
@@ -353,33 +335,47 @@ def _merged_dims(grams, x, y, eps):
     return dims
 
 
-def _merge_init(a, cfg, rngs, cache):
-    """Merge a wave of restarts in lockstep on validated data with
-    N > n_clusters; returns one label vector per generator in rngs.
+def _merge_init(a, cfg, rngs):
+    """Merge one restart per generator in rngs, all in one lockstep
+    wave, on validated data with N > n_clusters; returns one label
+    vector per generator.
 
-    Every restart of the wave goes from N sets to n_clusters, one merge
-    per round, so each round draws every restart's candidates from its
-    own generator (the same rng.choice call as a lone restart), scores
-    them as one (R, C) array with one eigvalsh over every restart's cache
+    Every restart goes from N sets to n_clusters, one merge per round,
+    so each round draws every restart's candidates from its own
+    generator (the same rng.choice call as a lone restart), scores them
+    as one (R, C) array with one eigvalsh over every restart's cache
     misses, and commits each restart's own argmin. A restart keeps each
     set in the slot of its first point. Restart i's slot s is entry
-    i * N + s of the set Grams, and its live slots stay in ascending
-    order in live[i * N : i * N + sets], so candidates have sa < sb.
+    i * N + s of the per-slot arrays, and its live slots stay in
+    ascending order in live[i * N : i * N + sets], so candidates have
+    sa < sb.
 
-    Merged dimensions are cached by pair of slots (i, j), i < j, at
-    _pair_bases(N)[i] + j, the row-major order that _decode_pairs inverts
-    for pair codes (P = N(N-1)/2 pairs). cache[:P] holds, NaN where
-    unknown, the merged dimension of point pairs {i}, {j}: a pure
-    function of the data, shared by every restart of one call. A pair
-    with a slot that holds more than one point lives in its restart's
-    own block of P entries after that, restart i's at (i + 1) * P
-    (_merge_cache_size); this call clears those blocks. When slot x
-    absorbs another set, the pairs (x, j), j != x, of its restart's block
-    are invalidated. A cached value is the one a fresh eigendecomposition
+    Set Grams are pooled. A singleton slot reads its point's Gram, row s
+    of grams. The union of two singletons takes the next of its
+    restart's N // 2 pool rows (there are at most N // 2 such merges),
+    and every later merge adds into a pool row that the pair already
+    holds. Addition commutes, so each set's Gram has the bits of a
+    running sum kept per slot.
+
+    Merged dimensions are cached by pair of sets, NaN where unknown. The
+    merged dimension of point pairs {i}, {j}, i < j, is a pure function
+    of the data, shared by every restart, at _pair_bases(N)[i] + j: the
+    row-major order that _decode_pairs inverts for pair codes, P =
+    N(N-1)/2 entries. Other pairs are not cached while more than
+    C + 1 sets remain (C = cfg.merge_candidates), since few of them are
+    sampled twice there. At the round with L = min(N, C + 1) live sets,
+    each restart numbers its live slots 0..L-1 in ascending order; these
+    compact indices are fixed from then on. From that round each restart
+    caches its other pairs in its own packed triangle of L(L-1)/2
+    entries, numbered as pair codes are, restart i's at P + i L(L-1)/2.
+    When slot x absorbs another set, the pairs of x in its restart's
+    triangle are invalidated. For N <= C + 1 the triangles cache from
+    the first round. A cached value is the one a fresh eigendecomposition
     would return (a slot's Gram is a sum of the same point Grams, and a
     batched eigvalsh gives each matrix the same bits whatever else is in
     its batch), so every restart samples, scores and merges exactly as
-    it would alone with no cache.
+    it would alone with no cache. Each restart adds at most N/2 pool
+    Grams and one triangle to the call's memory: O(N D^2 / 2 + C^2).
 
     Most misses are unions of a few points that lose their round, so a
     screen spares their D x D eigendecompositions. Each slot keeps its
@@ -387,42 +383,51 @@ def _merge_init(a, cfg, rngs, cache):
     its members, whose squared norms sum to its mass. A miss whose union has
     m <= min(_SCREEN_POINTS, D) points gets a rigorous lower bound on its
     merged dimension from the union's m x m Gram (_union_dim_bounds; for
-    point pairs the closed form, all P of them once per cache), hence a
+    point pairs the closed form, all P of them once per call), hence a
     lower bound bound**p * (1 - _POW_MARGIN) - dp[sa] - dp[sb] on its
     score as computed. Each restart scores exactly, with its
     other misses, its candidate of lowest bound, then in a second batch
     every candidate whose bound does not exceed its best exact score.
     The rest score +inf: their exact scores would exceed the minimum, so
     argmin and its tie rule pick the same pair and every cached dimension
-    is still a fresh eigendecomposition's. Bounds sit in the second half
-    of cache at the same positions as the dimensions in the first, with
-    the same blocks and invalidation.
+    is still a fresh eigendecomposition's. Bounds are cached at the same
+    positions as the dimensions, with the same invalidation.
     """
     d, n = a.shape
     r = len(rngs)
     n_pairs = n * (n - 1) // 2
-    known, bounds = np.split(cache, 2)
+    # Live sets at the round where the restarts' triangles start; none
+    # are needed if the merge stops before it.
+    late = min(n, cfg.merge_candidates + 1)
+    n_late = late * (late - 1) // 2 if late > cfg.n_clusters else 0
+    # The point pairs, restart i's triangle at n_pairs + i * n_late, and
+    # one last entry that every uncached pair reads, reset to NaN every
+    # round.
+    known = np.full(n_pairs + r * n_late + 1, np.nan)
+    bounds = np.full(known.size, np.nan)
+    uncached = known.size - 1
     rows = np.arange(r)
     base = rows[:, None] * n
-    # Where restart i's own block starts; a slot's offset is 0 while it
-    # holds one point, so a pair of singletons indexes the shared block.
-    block = (rows + 1) * n_pairs
-    known[n_pairs : (r + 1) * n_pairs] = np.nan
-    bounds[n_pairs : (r + 1) * n_pairs] = np.nan
-    offset = np.zeros(r * n, dtype=np.int64)
+    late_block = n_pairs + rows * n_late
+    compact = np.zeros(r * n, dtype=np.int64)
+    caching = False
     tri = np.arange(n) * (np.arange(n) - 1) // 2
     pair_base = _pair_bases(n)
-    others = np.arange(n - 1)
-    point_grams, exp = _point_grams(a)
+    late_base = _pair_bases(late)
+    others = np.arange(late - 1)
+    grams = np.empty((n + r * (n // 2), d, d))
+    grams[:n], exp = _point_grams(a)
     # Index N is a zero point that pads a union's members.
     cols = np.zeros((n + 1, d))
     cols[:n] = np.ldexp(a, -exp).T
     sq_norms = np.zeros(n + 1)
-    sq_norms[:n] = np.einsum("nii->n", point_grams)
+    sq_norms[:n] = np.einsum("nii->n", grams[:n])
     limit = min(_SCREEN_POINTS, d)
-    if limit >= 2 and np.isnan(bounds[0]):
+    if limit >= 2:
         _pair_dim_bounds(cols[:n], sq_norms[:n], cfg.eps, bounds[:n_pairs])
-    grams = np.tile(point_grams, (r, 1, 1))
+    gram_row = np.tile(np.arange(n), r)
+    # Restart i's next free pool row.
+    pool = n + rows * (n // 2)
     count = np.ones(r * n, dtype=np.int64)
     members = np.full((r * n, limit), n)
     members[:, 0] = np.tile(np.arange(n), r)
@@ -431,6 +436,10 @@ def _merge_init(a, cfg, rngs, cache):
     live = np.tile(np.arange(n), r)
     merges = []
     for m_sets in range(n, cfg.n_clusters, -1):
+        if m_sets == late:
+            late_slots = live.reshape(r, n)[:, :late] + base
+            compact[late_slots] = np.arange(late)
+            caching = True
         total_pairs = m_sets * (m_sets - 1) // 2
         n_cand = min(cfg.merge_candidates, total_pairs)
         codes = np.array([rng.choice(total_pairs, size=n_cand, replace=False)
@@ -439,12 +448,17 @@ def _merge_init(a, cfg, rngs, cache):
         ia, ib = _decode_pairs(codes, m_sets, tri, base)
         sa, sb = live[ia], live[ib]
         ga, gb = sa + base, sb + base
-        at = pair_base[sa] + sb + np.maximum(offset[ga], offset[gb])
+        size = count[ga] + count[gb]
+        own = uncached
+        if caching:
+            own = late_block[:, None] + late_base[compact[ga]] + compact[gb]
+        at = np.where(size == 2, pair_base[sa] + sb, own)
         merged_dims = known[at]
         todo = np.isnan(merged_dims)
-        small = todo & (count[ga] + count[gb] <= limit)
+        small = todo & (size <= limit)
         screened = small.any()
         da, db = dp[ga], dp[gb]
+        ra, rb = gram_row[ga].ravel(), gram_row[gb].ravel()
         if screened:
             todo ^= small
             bnd = bounds[at]
@@ -466,7 +480,7 @@ def _merge_init(a, cfg, rngs, cache):
         pos = np.flatnonzero(todo)
         if pos.size:
             merged_dims.ravel()[pos] = known[at.ravel()[pos]] = _merged_dims(
-                grams, ga.ravel()[pos], gb.ravel()[pos], cfg.eps)
+                grams, ra[pos], rb[pos], cfg.eps)
         scores = merged_dims**cfg.p - da - db
         if screened:
             # Unscored candidates whose bound does not clear their
@@ -475,25 +489,34 @@ def _merge_init(a, cfg, rngs, cache):
             pos = np.flatnonzero(np.isnan(scores) & ~(lower > best[:, None]))
             if pos.size:
                 merged_dims.ravel()[pos] = known[at.ravel()[pos]] = _merged_dims(
-                    grams, ga.ravel()[pos], gb.ravel()[pos], cfg.eps)
+                    grams, ra[pos], rb[pos], cfg.eps)
                 scores = merged_dims**cfg.p - da - db
             scores[np.isnan(scores)] = np.inf
+        known[uncached] = bounds[uncached] = np.nan
         pick = scores.argmin(axis=1) + rows * n_cand
         x, y = ga.ravel()[pick], gb.ravel()[pick]
-        grams[x] += grams[y]
+        rx, ry = ra[pick], rb[pick]
+        cx, cy = count[x], count[y]
+        # The union's Gram goes to the pool row that x or y holds, or for
+        # two singletons to their restart's next free one.
+        to = np.where(cx > 1, rx, np.where(cy > 1, ry, pool))
+        grams[to] = grams[rx] + grams[ry]
+        gram_row[x] = to
+        pool += cx + cy == 2
         # Members of a set beyond limit points are never read again.
         members[x] = np.sort(np.concatenate([members[x], members[y]], axis=1),
                              axis=1)[:, :limit]
-        count[x] += count[y]
-        offset[x] = block
+        count[x] = cx + cy
         merges.append((x, y))
-        # Row i of other lists every slot but restart i's kept slot.
-        kept = sa.ravel()[pick][:, None]
-        other = others + (others >= kept)
-        lo, hi = np.minimum(kept, other), np.maximum(kept, other)
-        stale = pair_base[lo] + hi + block[:, None]
-        known[stale] = np.nan
-        bounds[stale] = np.nan
+        if caching:
+            # Row i of other lists every compact index but that of
+            # restart i's kept slot.
+            kept = compact[x][:, None]
+            other = others + (others >= kept)
+            lo, hi = np.minimum(kept, other), np.maximum(kept, other)
+            stale = late_block[:, None] + late_base[lo] + hi
+            known[stale] = np.nan
+            bounds[stale] = np.nan
         for i, slot, gone, dim in zip(rows.tolist(), x.tolist(), ib.ravel()[pick].tolist(),
                                       merged_dims.ravel()[pick].tolist()):
             # A scalar power (libm pow), as a lone restart computes it.
@@ -724,31 +747,21 @@ def _run_restarts(a, cfg, run):
     Restart i merges the points down to cfg.n_clusters sets, drawing
     from default_rng(seed_i), where seed_i is the i-th child of
     SeedSequence(cfg.seed).spawn(cfg.restarts), then calls run(labels0)
-    on the merged labels, which returns (value, outcome). Consecutive
-    restarts merge together in lockstep waves (_merge_init), as many per
-    wave as fit in _WAVE_BYTES; run is then called for each restart of
-    the wave in restart order before the next wave merges. All waves
-    share one point-pair cache, since every merge starts from the same N
-    singletons. Neither changes any merged label. Returns the outcome
-    with the lowest (value, restart index) and every value in restart
-    order.
+    on the merged labels, which returns (value, outcome). All restarts
+    merge together in one lockstep wave (_merge_init), which changes no
+    merged label; run is then called for each restart in restart order.
+    Returns the outcome with the lowest (value, restart index) and every
+    value in restart order.
     """
     d, n = a.shape
     _check_merge_power(d, cfg.p)
-    if cfg.restarts < 1:
-        raise InvalidParameterError("needs at least one restart")
     if n <= cfg.n_clusters:
         raise InvalidParameterError(
             "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
         )
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    wave = _WAVE_BYTES // _merge_bytes(n, d, cfg.merge_candidates)
-    wave = min(cfg.restarts, max(1, wave))
-    cache = np.full(_merge_cache_size(n, wave), np.nan)
-    runs = []
-    for first in range(0, cfg.restarts, wave):
-        rngs = [np.random.default_rng(c) for c in children[first : first + wave]]
-        runs += [run(labels0) for labels0 in _merge_init(a, cfg, rngs, cache)]
+    merged = _merge_init(a, cfg, [np.random.default_rng(c) for c in children])
+    runs = [run(labels0) for labels0 in merged]
     best = min(range(cfg.restarts), key=lambda i: (runs[i][0], i))
     return runs[best][1], np.array([value for value, _ in runs])
 
@@ -770,9 +783,9 @@ def gdm(a, cfg, threads=1):
     Runs cfg.restarts independent restarts (merge initialization,
     gradient descent, thresholding, reassignment cleanup) and returns
     the result whose hard partition has the lowest global dimension,
-    ties going to the earliest restart. The merges of consecutive
-    restarts run in lockstep waves and the later stages one restart
-    after the other; each restart's result is the one it gets alone.
+    ties going to the earliest restart. The merges of all restarts run
+    in one lockstep wave and the later stages one restart after the
+    other; each restart's result is the one it gets alone.
     Fully deterministic given cfg.seed. threads is accepted for
     compatibility and has no effect: everything runs in one thread.
     """

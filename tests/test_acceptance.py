@@ -24,6 +24,7 @@ from gdm import (
     global_dimension_hard,
     global_dimension_outlier,
     global_dimension_soft,
+    greedy_merge_init,
     known_fraction,
     misclassification_rate,
     p_lower_bound,
@@ -165,41 +166,57 @@ def _above_truth(a, res, truth, k):
     return int(res.gd_value > true_gd)
 
 
+def _merge_sets(a, cfg, res):
+    """Set sizes, largest first, of the winning restart's merge: the
+    lowest (restart_gd_values, index), merged again from its child seed."""
+    winner = int(np.argmin(res.restart_gd_values))
+    child = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[winner]
+    labels = greedy_merge_init(a, cfg, np.random.default_rng(child))
+    return "/".join(str(c) for c in sorted(np.bincount(labels), reverse=True))
+
+
 def test_criterion_5_end_to_end_segmentation():
     t0 = time.perf_counter()
     noisy, clean_zero, gap, gap0 = [], 0, 0, 0
+    sets, sets0 = [], []
     for seed in range(20):
         spec = SyntheticSpec(dims=(2, 3), ambient=9, points_per_cluster=60,
                              noise_sigma=0.01, seed=400 + seed)
         mix = sample_subspace_mixture(spec)
-        res = gdm(mix.data, GdmConfig(n_clusters=2, seed=seed))
+        cfg = GdmConfig(n_clusters=2, seed=seed)
+        res = gdm(mix.data, cfg)
         noisy.append(misclassification_rate(res.labels, mix.labels))
         gap += _above_truth(mix.data, res, mix.labels, 2)
+        sets.append(_merge_sets(mix.data, cfg, res))
 
         spec0 = SyntheticSpec(dims=(2, 3), ambient=9, points_per_cluster=60,
                               noise_sigma=0.0, seed=500 + seed)
         mix0 = sample_subspace_mixture(spec0)
-        res0 = gdm(mix0.data, GdmConfig(n_clusters=2, seed=seed))
+        res0 = gdm(mix0.data, cfg)
         clean_zero += misclassification_rate(res0.labels, mix0.labels) == 0.0
         gap0 += _above_truth(mix0.data, res0, mix0.labels, 2)
+        sets0.append(_merge_sets(mix0.data, cfg, res0))
     elapsed = time.perf_counter() - t0
     med = float(np.median(noisy))
     ok = med <= 5.0 and clean_zero >= 18 and elapsed < 300.0
     _report(5, "end-to-end segmentation", ok,
             "median noisy %.2f%%, clean zero %d/20, search gap noisy %d/20 clean %d/20, "
-            "%.0fs" % (med, clean_zero, gap, gap0, elapsed))
+            "%.0fs; winning merge's sets noisy %s, clean %s"
+            % (med, clean_zero, gap, gap0, elapsed, " ".join(sets), " ".join(sets0)))
 
 
 def test_criterion_6_two_view_pipeline():
-    mis, gap = [], 0
+    mis, gap, sets = [], 0, []
     for seed in range(20):
         rng = np.random.default_rng(600 + seed)
         counts = rng.integers(30, 81, size=2)
         scene = sample_two_view_scene(2, counts, noise_sigma=0.001, seed=seed)
         data = embed_dataset(scene.correspondences, mode="nonlinear")
-        res = gdm(data, GdmConfig(n_clusters=2, seed=seed))
+        cfg = GdmConfig(n_clusters=2, seed=seed)
+        res = gdm(data, cfg)
         mis.append(misclassification_rate(res.labels, scene.labels))
         gap += _above_truth(data, res, scene.labels, 2)
+        sets.append(_merge_sets(data, cfg, res))
     med = float(np.median(mis))
 
     ranks_ok = True
@@ -212,8 +229,8 @@ def test_criterion_6_two_view_pipeline():
         ranks_ok &= s[6] < 1e-8 * s[0]
     ok = med <= 5.0 and ranks_ok
     _report(6, "two-view motion segmentation", ok,
-            "median misclassification %.2f%%, search gap %d/20, rank checks %s"
-            % (med, gap, ranks_ok))
+            "median misclassification %.2f%%, search gap %d/20, rank checks %s; "
+            "winning merge's sets %s" % (med, gap, ranks_ok, " ".join(sets)))
 
 
 def test_criterion_7_outlier_framework():

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,8 +35,6 @@ from gdm import optimizer
 from gdm.optimizer import (
     _decode_pairs,
     _descend_loop,
-    _merge_bytes,
-    _merge_cache_size,
     _merge_init,
     _pair_bases,
     _point_grams,
@@ -57,8 +57,9 @@ def two_separated_lines(n_per=5, seed=0):
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         GdmConfig(n_clusters=0)
-    with pytest.raises(InvalidParameterError):
-        GdmConfig(n_clusters=2, restarts=-1)
+    for restarts in (0, -1):
+        with pytest.raises(InvalidParameterError, match="restarts must be >= 1"):
+            GdmConfig(n_clusters=2, restarts=restarts)
     with pytest.raises(InvalidParameterError):
         GdmConfig(n_clusters=2, step_target=0.0)
     with pytest.raises(InvalidParameterError):
@@ -411,26 +412,23 @@ def replay_merges(a, cfg):
     return [reference_merge_init(a, cfg, np.random.default_rng(c)) for c in children]
 
 
-# How 4 restarts split into merge waves: one at a time, a ragged 3 + 1,
-# and all in one wave.
-WAVE_LAYOUTS = [[1, 1, 1, 1], [3, 1], [4]]
+# 100 candidates cache every pair of the oracle cases' 32-48 points from
+# the first round; 7 leave the restarts uncached until 8 sets remain.
+REPLAY_CANDIDATES = [100, 7]
 
 
-def in_waves(monkeypatch, a, cfg, layout, call):
-    """call() with the wave budget set so that the restarts of cfg merge
-    in the given layout; checks that they did."""
+def in_one_wave(monkeypatch, cfg, call):
+    """call(), checking that it merges all restarts of cfg in one wave."""
     seen = []
 
-    def spy(a, cfg, rngs, cache):
+    def spy(a, cfg, rngs):
         seen.append(len(rngs))
-        return _merge_init(a, cfg, rngs, cache)
+        return _merge_init(a, cfg, rngs)
 
     with monkeypatch.context() as patch:
-        per_restart = _merge_bytes(a.shape[1], a.shape[0], cfg.merge_candidates)
-        patch.setattr(optimizer, "_WAVE_BYTES", layout[0] * per_restart)
         patch.setattr(optimizer, "_merge_init", spy)
         out = call()
-    assert seen == layout
+    assert seen == [cfg.restarts]
     return out
 
 
@@ -438,22 +436,22 @@ def in_waves(monkeypatch, a, cfg, layout, call):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
 def test_restarts_match_reference_replay(kind, k, scale, monkeypatch):
-    # The restarts of one gdm call merge in lockstep waves and share
+    # The restarts of one gdm call merge in one lockstep wave and share
     # point-pair merge dimensions; replaying each restart alone from the
     # unshared reference stages must give the same values and the same
-    # winner, bit for bit, whatever the waves.
+    # winner, bit for bit, with and without uncached early rounds.
     seed = 40 + k
     a = oracle_case(kind, k, seed)
-    cfg = GdmConfig(n_clusters=k, restarts=4, seed=seed)
-    values, outcomes = [], []
-    for merged in replay_merges(a, cfg):
-        m = descend(a * scale, indicator_membership(merged, k), cfg)
-        labels = reference_refine(a * scale, threshold(m), cfg)
-        dims = hard_cluster_dims(a * scale, labels, k, cfg.eps, on_degenerate="zero")
-        values.append(pnorm(dims, cfg.p))
-        outcomes.append(labels)
-    for layout in WAVE_LAYOUTS:
-        res = in_waves(monkeypatch, a, cfg, layout, lambda: gdm(a * scale, cfg))
+    for candidates in REPLAY_CANDIDATES:
+        cfg = GdmConfig(n_clusters=k, restarts=4, merge_candidates=candidates, seed=seed)
+        values, outcomes = [], []
+        for merged in replay_merges(a, cfg):
+            m = descend(a * scale, indicator_membership(merged, k), cfg)
+            labels = reference_refine(a * scale, threshold(m), cfg)
+            dims = hard_cluster_dims(a * scale, labels, k, cfg.eps, on_degenerate="zero")
+            values.append(pnorm(dims, cfg.p))
+            outcomes.append(labels)
+        res = in_one_wave(monkeypatch, cfg, lambda: gdm(a * scale, cfg))
         np.testing.assert_array_equal(res.restart_gd_values, values)
         np.testing.assert_array_equal(res.labels, outcomes[int(np.argmin(values))])
 
@@ -465,53 +463,104 @@ def test_outlier_core_matches_reference_replay(kind, k, scale, monkeypatch):
     seed = 40 + k
     a = oracle_case(kind, k, seed)
     n = a.shape[1]
-    cfg = GdmConfig(n_clusters=k, restarts=4, seed=seed)
-    params = cfg.objective_params(alpha=0.01)
-    values, outcomes = [], []
-    for merged in replay_merges(a, cfg):
-        m0 = np.zeros((k + 1, n))
-        m0[0] = OUTLIER_INIT_MASS
-        m0[merged + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
-        m, trace = _descend_loop(a * scale, m0, cfg, params, outlier=True)
-        values.append(trace[-1])
-        outcomes.append(m)
-    for layout in WAVE_LAYOUTS:
-        membership = in_waves(monkeypatch, a, cfg, layout,
-                              lambda: gdm_outlier_core(a * scale, cfg, alpha=0.01))
+    for candidates in REPLAY_CANDIDATES:
+        cfg = GdmConfig(n_clusters=k, restarts=4, merge_candidates=candidates, seed=seed)
+        params = cfg.objective_params(alpha=0.01)
+        values, outcomes = [], []
+        for merged in replay_merges(a, cfg):
+            m0 = np.zeros((k + 1, n))
+            m0[0] = OUTLIER_INIT_MASS
+            m0[merged + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
+            m, trace = _descend_loop(a * scale, m0, cfg, params, outlier=True)
+            values.append(trace[-1])
+            outcomes.append(m)
+        membership = in_one_wave(monkeypatch, cfg,
+                                 lambda: gdm_outlier_core(a * scale, cfg, alpha=0.01))
         np.testing.assert_array_equal(membership, outcomes[int(np.argmin(values))])
 
 
-@pytest.mark.parametrize("kind", ["two_view", "zero_and_duplicate"])
-def test_shared_pair_dims_are_fresh_merged_dimensions(kind):
-    # Five restarts merge in waves of 3 and 2 on one cache: each must give
-    # its lone merge's labels, and every entry of the shared point-pair
-    # block (packed upper triangle) the dimension of one fresh
-    # eigendecomposition.
-    a = oracle_case(kind, 3, 43)
+def fresh_merged_dims(grams, x, y, eps):
+    """Merged dimension of each Gram pair (x, y) from one fresh batched
+    eigvalsh, which gives each matrix the bits it gets alone."""
+    spectra = np.sqrt(np.clip(np.linalg.eigvalsh(grams[x] + grams[y]), 0.0, None))
+    dims = np.zeros(len(x))
+    live = spectra.max(axis=1) > 0.0
+    if np.any(live):
+        num, den = _power_norms(spectra[live], eps)
+        dims[live] = num / den
+    return dims
+
+
+def check_cached(grams, dims, bounds, x, y, eps):
+    """Check cached merged dimensions (NaN where unknown) bit for bit and
+    cached screen bounds from below against one fresh eigvalsh of Gram
+    rows x and y; returns how many of each were checked."""
+    some = np.flatnonzero(~(np.isnan(dims) & np.isnan(bounds)))
+    dims, bounds = dims[some], bounds[some]
+    want = fresh_merged_dims(grams, x[some], y[some], eps)
+    known = ~np.isnan(dims)
+    assert dims[known].tobytes() == want[known].tobytes()
+    bounded = ~np.isnan(bounds)
+    bad = np.flatnonzero(bounds[bounded] > want[bounded])
+    assert bad.size == 0, (bounds[bounded][bad], want[bounded][bad])
+    return np.count_nonzero(known), np.count_nonzero(bounded)
+
+
+def check_merge_caches(a, cfg, restarts, monkeypatch):
+    """Merge the first restarts of cfg in one wave and check its caches
+    against fresh eigendecompositions: whenever the merge decomposes
+    Grams, every cached entry of each restart's triangle whose two slots
+    are live (a value outlives its slots' changes only if invalidation
+    fails; a dead slot's entries are never read), and at the end every
+    point-pair entry. _merge_init keeps its caches in locals, read here
+    from its frame. Returns the merged labels, how many triangle
+    dimensions and bounds were checked, and how many point-pair
+    dimensions."""
     n = a.shape[1]
-    cfg = GdmConfig(n_clusters=3, merge_candidates=40, seed=43)
-    cache = np.full(_merge_cache_size(n, 3), np.nan)
-    children = np.random.SeedSequence(cfg.seed).spawn(5)
-    for wave in (children[:3], children[3:]):
-        merged = _merge_init(a, cfg, [np.random.default_rng(c) for c in wave], cache)
-        for child, labels in zip(wave, merged):
-            fresh = greedy_merge_init(a, cfg, np.random.default_rng(child))
-            np.testing.assert_array_equal(labels, fresh)
+    children = np.random.SeedSequence(cfg.seed).spawn(restarts)
+    seen, checked = {}, np.zeros(2, dtype=int)
+    merged_dims = optimizer._merged_dims
+
+    def spy(grams, x, y, eps):
+        f = sys._getframe(1).f_locals
+        seen.update(known=f["known"], bounds=f["bounds"], n_pairs=f["n_pairs"])
+        if f["caching"]:
+            ci, cj = np.triu_indices(f["late"], 1)
+            alive = np.zeros(restarts * n, dtype=bool)
+            for r in range(restarts):
+                alive[f["live"][r * n : r * n + f["m_sets"]] + r * n] = True
+                block = slice(f["late_block"][r], f["late_block"][r] + ci.size)
+                sx, sy = f["late_slots"][r, ci], f["late_slots"][r, cj]
+                both = alive[sx] & alive[sy]
+                checked[:] += check_cached(
+                    grams, f["known"][block][both], f["bounds"][block][both],
+                    f["gram_row"][sx[both]], f["gram_row"][sy[both]], eps)
+        return merged_dims(grams, x, y, eps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_merged_dims", spy)
+        labels = _merge_init(a, cfg, [np.random.default_rng(c) for c in children])
     i, j = np.triu_indices(n, 1)
-    pair_dims = cache[: i.size]
-    known = ~np.isnan(pair_dims)
-    i, j = i[known], j[known]
-    assert i.size > 2 * n
-    grams, _ = _point_grams(a)
-    for x, y, got in zip(i, j, pair_dims[known]):
-        evals = np.linalg.eigvalsh((grams[x] + grams[y])[None])
-        spectrum = np.sqrt(np.clip(evals, 0.0, None))
-        if spectrum.max() == 0.0:
-            want = 0.0
-        else:
-            num, den = _power_norms(spectrum, cfg.eps)
-            want = (num / den)[0]
-        assert got.tobytes() == np.float64(want).tobytes(), (x, y)
+    p = seen["n_pairs"]
+    pair_dims, pair_bounds = check_cached(_point_grams(a)[0], seen["known"][:p],
+                                          seen["bounds"][:p], i, j, cfg.eps)
+    assert pair_bounds == (p if min(a.shape[0], 4) >= 2 else 0)
+    return labels, checked, pair_dims
+
+
+@pytest.mark.parametrize("kind", ["two_view", "zero_and_duplicate"])
+def test_shared_pair_dims_are_fresh_merged_dimensions(kind, monkeypatch):
+    # Five restarts of 48 points merge in one wave with 40 candidates, so
+    # each restart caches its own pairs from 41 live sets down: each must
+    # give its lone merge's labels, and every cached dimension must be
+    # that of one fresh eigendecomposition.
+    a = oracle_case(kind, 3, 43)
+    cfg = GdmConfig(n_clusters=3, merge_candidates=40, seed=43)
+    merged, checked, pair_dims = check_merge_caches(a, cfg, 5, monkeypatch)
+    assert checked.min() > 0 and pair_dims > 2 * a.shape[1]
+    for child, labels in zip(np.random.SeedSequence(cfg.seed).spawn(5), merged):
+        np.testing.assert_array_equal(
+            labels, greedy_merge_init(a, cfg, np.random.default_rng(child)))
 
 
 def test_refine_matches_reference_below_the_degenerate_floor():
@@ -556,17 +605,26 @@ def test_golden_labels_two_view(k):
     assert hashlib.sha256(labels.tobytes()).hexdigest() == GOLDEN_LABEL_SHA256[k]
 
 
-# Gram matrices that the merges of one default gdm call decompose on a
-# fixed two-view scene per K, by size: 9 x 9 merged Grams and the 4 x 4
-# Grams behind the merge screen's bounds. A merge cache that drops
-# entries it could keep gives the same labels but raises the first count;
-# one that stops caching bounds raises the second.
-MERGE_EIGVALSH_MATRICES = {2: {9: 14712, 4: 25880}, 3: {9: 21020, 4: 35664}}
+# Gram matrices that the merges of one default call decompose on a
+# fixed two-view scene, by size: 9 x 9 merged Grams and the 4 x 4 Grams
+# behind the merge screen's bounds. At N = 120 and 150 the call is gdm;
+# at N = 240 it is the merge alone, with the restarts' own caches
+# starting at 101 live sets. A merge cache that drops entries it could
+# keep gives the same labels but raises the first count; one that stops
+# caching bounds raises the second; one that caches before its switch
+# lowers them.
+MERGE_EIGVALSH_MATRICES = {
+    120: {9: 14712, 4: 27177},
+    150: {9: 21029, 4: 42150},
+    240: {9: 45133, 4: 87400},
+}
 
 
-@pytest.mark.parametrize("k, sizes, seed", [(2, [60, 60], 900), (3, [50, 50, 50], 901)],
-                         ids=["k2_n120", "k3_n150"])
-def test_merge_eigvalsh_counts(k, sizes, seed, monkeypatch):
+@pytest.mark.parametrize("k, sizes, seed, merge_only",
+                         [(2, [60, 60], 900, False), (3, [50, 50, 50], 901, False),
+                          (3, [80, 80, 80], 11, True)],
+                         ids=["k2_n120", "k3_n150", "k3_n240_merge"])
+def test_merge_eigvalsh_counts(k, sizes, seed, merge_only, monkeypatch):
     scene = sample_two_view_scene(k, sizes, noise_sigma=0.001, seed=seed)
     a = embed_dataset(scene.correspondences)
     matrices = {}
@@ -583,68 +641,48 @@ def test_merge_eigvalsh_counts(k, sizes, seed, monkeypatch):
             return _merge_init(*args)
 
     monkeypatch.setattr(optimizer, "_merge_init", merge)
-    gdm(a, GdmConfig(n_clusters=k, seed=11))
-    assert matrices == MERGE_EIGVALSH_MATRICES[k]
+    cfg = GdmConfig(n_clusters=k, seed=11)
+    if merge_only:
+        optimizer._run_restarts(a, cfg, lambda labels0: (0.0, None))
+    else:
+        gdm(a, cfg)
+    assert matrices == MERGE_EIGVALSH_MATRICES[a.shape[1]]
 
 
-def fresh_merged_dims(grams, x, y, eps):
-    """Merged dimension of each Gram pair (x, y) from one fresh batched
-    eigvalsh, which gives each matrix the bits it gets alone."""
-    spectra = np.sqrt(np.clip(np.linalg.eigvalsh(grams[x] + grams[y]), 0.0, None))
-    dims = np.zeros(len(x))
-    live = spectra.max(axis=1) > 0.0
-    if np.any(live):
-        num, den = _power_norms(spectra[live], eps)
-        dims[live] = num / den
-    return dims
-
-
-def check_screen_bounds(a, cfg, monkeypatch):
-    """Merge three restarts of cfg in one wave, checking every bound the
-    merge screen caches against the merged dimension of one fresh
-    eigvalsh of its slots' summed Grams: the restarts' blocks whenever
-    the merge decomposes Grams (a bound outlives its slots' changes only
-    if invalidation fails), the point-pair block at the end. Returns the
-    merged labels and how many restart-block bounds were checked."""
-    n = a.shape[1]
-    n_pairs = n * (n - 1) // 2
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(3)]
-    cache = np.full(_merge_cache_size(n, 3), np.nan)
-    bounds = cache[cache.size // 2 :]
-    i, j = np.triu_indices(n, 1)
-    checked = []
-
-    def check(grams, block, x, y):
-        known = ~np.isnan(block)
-        got = block[known]
-        want = fresh_merged_dims(grams, x[known], y[known], cfg.eps)
-        bad = np.flatnonzero(got > want)
-        assert bad.size == 0, (got[bad], want[bad])
-        checked.append(got.size)
-
-    merged_dims = optimizer._merged_dims
-
-    def spy(grams, x, y, eps):
-        for r in range(3):
-            block = bounds[(r + 1) * n_pairs : (r + 2) * n_pairs]
-            check(grams, block, i + r * n, j + r * n)
-        return merged_dims(grams, x, y, eps)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(optimizer, "_merged_dims", spy)
-        labels = _merge_init(a, cfg, rngs, cache)
-    check(_point_grams(a)[0], bounds[:n_pairs], i, j)
-    assert checked[-1] == n_pairs
-    return labels, sum(checked) - n_pairs
+def test_merge_peak_memory_is_bounded_by_its_layout():
+    # The tracemalloc peak of the merges of one call, 10 restarts of
+    # N = 240 points in R^9 with C = 100 candidates, against what the
+    # layout needs, in float64s: the point-pair dimensions and bounds,
+    # 2 P, with P = N(N-1)/2; each restart's triangle of dimensions and
+    # bounds from C + 1 live sets down, 2 (C + 1) C / 2; the N point Grams
+    # and N / 2 pool Grams per restart, (N + R N / 2) D^2; and a round's
+    # temporaries, at most the R C candidates' D x D eigvalsh batch and as
+    # much again for the 4 x 4 screen Grams and index arrays, 2 R C D^2.
+    # That is 3.50 MB; 0.5 MB more covers smaller arrays (3.48 MB
+    # measured). A copy of every point Gram per restart instead of the
+    # pool adds 0.78 MB, and a per-restart block of all P pairs 4.6 MB.
+    scene = sample_two_view_scene(3, [80, 80, 80], noise_sigma=0.001, seed=11)
+    a = embed_dataset(scene.correspondences)
+    (d, n), r, c = a.shape, 10, 100
+    cfg = GdmConfig(n_clusters=3, restarts=r, merge_candidates=c, seed=11)
+    layout = 8 * (2 * n * (n - 1) // 2 + r * (c + 1) * c
+                  + (n + r * (n // 2)) * d * d + 2 * r * c * d * d)
+    tracemalloc.start()
+    try:
+        optimizer._run_restarts(a, cfg, lambda labels0: (0.0, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= layout + 500_000, (peak, layout)
 
 
 @pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
 def test_merge_screen_bounds_are_below_fresh_dimensions(kind, k, scale, monkeypatch):
-    _, checked = check_screen_bounds(oracle_case(kind, k, 40 + k) * scale,
-                                     GdmConfig(n_clusters=k, seed=40 + k), monkeypatch)
-    assert checked > 0
+    _, checked, _ = check_merge_caches(oracle_case(kind, k, 40 + k) * scale,
+                                    GdmConfig(n_clusters=k, seed=40 + k), 3, monkeypatch)
+    assert checked[1] > 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -658,8 +696,8 @@ def test_merge_screen_in_fewer_than_four_dimensions(d, monkeypatch):
     a[:, 3] = 0.0
     a[:, 7] = a[:, 2]
     cfg = GdmConfig(n_clusters=3, merge_candidates=40, seed=d)
-    merged, checked = check_screen_bounds(a, cfg, monkeypatch)
-    assert (checked > 0) == (d == 3)
+    merged, checked, _ = check_merge_caches(a, cfg, 3, monkeypatch)
+    assert (checked[1] > 0) == (d == 3)
     children = np.random.SeedSequence(cfg.seed).spawn(3)
     for child, labels in zip(children, merged):
         np.testing.assert_array_equal(
