@@ -62,6 +62,26 @@ def _check_eps(eps):
         raise InvalidParameterError("eps must be in (0, 1], got %r" % (eps,))
 
 
+def _power_sums(s, eps, upper=None):
+    """(sum sn**eps, sum un**delta) along the last axis, delta = eps / (1 - eps):
+    the two norms of _power_norms before their roots.
+
+    sn and un are s and upper (s when upper is None) divided by the
+    largest entry of upper, with entries of sn below RELATIVE_ZERO_TOL
+    zeroed. eps = 1 gives (sum sn, None).
+    """
+    # Scale invariance lets us normalize by the largest value, which
+    # keeps the p-th powers bounded for any eps.
+    top = (s if upper is None else upper).max(axis=-1, keepdims=True)
+    sn = s / top
+    sn[sn < RELATIVE_ZERO_TOL] = 0.0
+    if eps == 1.0:
+        return sn.sum(axis=-1), None
+    un = sn if upper is None else upper / top
+    delta = eps / (1.0 - eps)
+    return (sn**eps).sum(axis=-1), (un**delta).sum(axis=-1)
+
+
 def _power_norms(s, eps, upper=None):
     """(||s||_eps, ||upper||_delta) along the last axis, delta = eps / (1 - eps).
 
@@ -71,20 +91,12 @@ def _power_norms(s, eps, upper=None):
     spectrum gives Python floats: its roots are scalar powers, whose
     last bit can differ from the array powers a stack of spectra gets.
     """
-    # Scale invariance lets us normalize by the largest value, which
-    # keeps the p-th powers bounded for any eps.
-    top = (s if upper is None else upper).max(axis=-1, keepdims=True)
-    sn = s / top
-    sn[sn < RELATIVE_ZERO_TOL] = 0.0
+    num, den = _power_sums(s, eps, upper)
     if eps == 1.0:
-        num = sn.sum(axis=-1)
-        return (float(num) if sn.ndim == 1 else num), 1.0
-    un = sn if upper is None else upper / top
-    delta = eps / (1.0 - eps)
-    num = (sn**eps).sum(axis=-1)
-    den = (un**delta).sum(axis=-1)
-    if sn.ndim == 1:
+        return (float(num) if s.ndim == 1 else num), 1.0
+    if s.ndim == 1:
         num, den = float(num), float(den)
+    delta = eps / (1.0 - eps)
     return num ** (1.0 / eps), den ** (1.0 / delta)
 
 

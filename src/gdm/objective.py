@@ -34,13 +34,18 @@ GD is only almost-everywhere differentiable: the powers in D_k blow up
 as a singular value approaches zero, so each singular value is floored
 at 1e-8 times its cluster's largest when forming D_k (objective values
 are never floored).
+
+One kernel, value_and_gradient, evaluates a stack of memberships at
+once: the scaled matrices of all their clusters go through one batched
+SVD, and each membership's value and gradient have the bits of
+evaluating it alone. The public functions pass a stack of one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms
+from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms, _power_sums
 from .exceptions import (
     DegenerateClusterError,
     InvalidInputError,
@@ -211,64 +216,77 @@ def global_dimension_hard(a, labels, params=None, n_clusters=None, on_degenerate
     return pnorm(dims, params.p)
 
 
-def _cluster_svd_terms(a, row, params, on_degenerate, want_uv):
-    """Spectrum-derived quantities for one scaled cluster.
+def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
+    """Soft objective values and, if want_grad, gradients of a stack of R
+    memberships m, shape (R, rows, N), with respect to each membership.
 
-    Returns (dim, grad_row or None). The gradient row is the unweighted
-    part V[n, :] @ D @ U.T @ A[:, n]; the caller applies the p-norm
-    chain factor.
+    With outlier set, row 0 of each membership is the outlier row: it
+    adds alpha / 2 * sum(M[0]^2) to the value, whose gradient row is
+    alpha * M[0]; the p-norm runs over rows 1..K only. Returns (values,
+    shape (R,); gradients, shape (R, rows, N), or None). Inputs are not
+    validated: the public functions below check one membership and pass
+    it as a stack of one, and the optimizer calls this kernel directly.
+
+    All R K scaled clusters go through one batched SVD, and every entry
+    has the bits of evaluating its membership alone, cluster by cluster:
+    a batched SVD gives each matrix the same bits whatever else is in
+    its batch, the per-cluster norm roots, C1 and C2 are Python-float
+    powers as for a single spectrum, each p-norm is taken alone, products are only
+    reordered where they commute, and sums over the D axis run in the
+    same order as a single cluster's.
     """
-    scaled = a * row[None, :]
-    if not want_uv:
-        return _dim_of_columns(scaled, params.eps, on_degenerate), None
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    if _is_degenerate(s, on_degenerate):
-        return 0.0, np.zeros(a.shape[1])
+    clusters = m[:, 1:] if outlier else m
+    r, k, n = clusters.shape
+    scaled = a * clusters.reshape(r * k, 1, n)
+    if want_grad:
+        u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    else:
+        s = np.linalg.svd(scaled, compute_uv=False)
+    # The scaled stack is as large as vt; free it before the products.
+    del scaled
+    smax = s[:, 0] if s.shape[1] else np.zeros(r * k)
+    degenerate = ~(smax > DEGENERATE_SMAX)
+    if on_degenerate != "zero" and degenerate.any():
+        raise DegenerateClusterError("cluster is empty or identically zero")
     eps, delta = params.eps, params.delta
-    norm_e, norm_d = _power_norms(s, eps)
+    dims, c1, c2 = np.zeros(r * k), np.zeros(r * k), np.zeros(r * k)
+    ok = np.flatnonzero(~degenerate)
+    if ok.size:
+        sums_e, sums_d = _power_sums(s[ok], eps)
+        for i, sum_e, sum_d in zip(ok.tolist(), sums_e.tolist(), sums_d.tolist()):
+            norm_e, norm_d = sum_e ** (1.0 / eps), sum_d ** (1.0 / delta)
+            dims[i] = norm_e / norm_d
+            c1[i] = norm_e ** (1.0 - eps) / norm_d
+            c2[i] = norm_e * norm_d ** (-1.0 - delta)
+    dims = dims.reshape(r, k)
+    gd = np.array([pnorm(row, params.p) for row in dims])
+    values = gd + params.alpha / 2.0 * (m[:, 0] ** 2).sum(axis=-1) if outlier else gd
+    if not want_grad:
+        return values, None
     # D (diagonal of the chain rule through the singular values),
     # expressed in the normalized spectrum: the 1/smax factor restores
-    # the original scale. The floor also covers the values the norms zeroed.
-    smax = s[0]
+    # the original scale. The floor also covers the values the norms
+    # zeroed. A degenerate cluster divides by 1 and gets a zero row.
+    smax = np.where(degenerate, 1.0, smax)[:, None]
     sf = np.maximum(s / smax, GRADIENT_SIGMA_FLOOR)
-    c1 = norm_e ** (1.0 - eps) / norm_d
-    c2 = norm_e * norm_d ** (-1.0 - delta)
-    dvec = (c1 * sf ** (eps - 1.0) - c2 * sf ** (delta - 1.0)) / smax
-    w = dvec[:, None] * (u.T @ a)
-    return norm_e / norm_d, np.sum(vt * w, axis=0)
-
-
-def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
-    """Soft objective value and, if want_grad, its gradient with respect to m.
-
-    With outlier set, row 0 of m is the outlier row: it adds
-    alpha / 2 * sum(M[0]^2) to the value, whose gradient row is
-    alpha * M[0]; the p-norm runs over rows 1..K only. Returns (value,
-    gradient or None). Inputs are not validated: the public functions
-    below check them once and call this kernel, and the optimizer calls
-    it directly.
-    """
-    rows = m[1:] if outlier else m
-    dims = np.zeros(rows.shape[0])
-    grows = np.zeros(rows.shape) if want_grad else None
-    for k in range(rows.shape[0]):
-        dims[k], grow = _cluster_svd_terms(a, rows[k], params, on_degenerate, want_grad)
-        if want_grad:
-            grows[k] = grow
-    gd = pnorm(dims, params.p)
-    value = gd + params.alpha / 2.0 * float((m[0] ** 2).sum()) if outlier else gd
-    if not want_grad:
-        return value, None
-    if gd == 0.0:
-        chain = np.zeros_like(grows)
-    else:
-        chain = ((dims / gd) ** (params.p - 1.0))[:, None] * grows
-    if not outlier:
-        return value, chain
-    grad = np.empty_like(m)
-    grad[0] = params.alpha * m[0]
-    grad[1:] = chain
-    return value, grad
+    dvec = (c1[:, None] * sf ** (eps - 1.0) - c2[:, None] * sf ** (delta - 1.0)) / smax
+    # V[n, :] @ D @ U.T @ A[:, n] for every cluster and point, multiplied
+    # in place.
+    w = u.transpose(0, 2, 1) @ a
+    w *= dvec[:, :, None]
+    w *= vt
+    del u, vt
+    grows = w.sum(axis=1)
+    grows[degenerate] = 0.0
+    grad = np.zeros(m.shape)
+    if outlier:
+        grad[:, 0] = params.alpha * m[:, 0]
+    # The p-norm's chain factor; a membership with GD 0 has only
+    # degenerate clusters and keeps zero rows.
+    live = gd > 0.0
+    grad[live, -k:] = ((dims[live] / gd[live, None]) ** (params.p - 1.0))[:, :, None] \
+        * grows.reshape(r, k, n)[live]
+    return values, grad
 
 
 def _validate_soft(a, m, outlier):
@@ -285,7 +303,7 @@ def global_dimension_soft(a, m, params=None, on_degenerate="raise"):
     """Global dimension of a soft partition (membership matrix)."""
     a, m = _validate_soft(a, m, outlier=False)
     params = params or ObjectiveParams()
-    return value_and_gradient(a, m, params, False, on_degenerate, False)[0]
+    return float(value_and_gradient(a, m[None], params, False, on_degenerate, False)[0][0])
 
 
 def gd_gradient(a, m, params=None, on_degenerate="raise"):
@@ -297,7 +315,7 @@ def gd_gradient(a, m, params=None, on_degenerate="raise"):
     """
     a, m = _validate_soft(a, m, outlier=False)
     params = params or ObjectiveParams()
-    return value_and_gradient(a, m, params, False, on_degenerate, True)[1]
+    return value_and_gradient(a, m[None], params, False, on_degenerate, True)[1][0]
 
 
 def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
@@ -309,7 +327,7 @@ def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
     """
     a, m = _validate_soft(a, m, outlier=True)
     params = params or ObjectiveParams()
-    return value_and_gradient(a, m, params, True, on_degenerate, False)[0]
+    return float(value_and_gradient(a, m[None], params, True, on_degenerate, False)[0][0])
 
 
 def gd_gradient_outlier(a, m, params=None, on_degenerate="raise"):
@@ -321,4 +339,4 @@ def gd_gradient_outlier(a, m, params=None, on_degenerate="raise"):
     """
     a, m = _validate_soft(a, m, outlier=True)
     params = params or ObjectiveParams()
-    return value_and_gradient(a, m, params, True, on_degenerate, True)[1]
+    return value_and_gradient(a, m[None], params, True, on_degenerate, True)[1][0]

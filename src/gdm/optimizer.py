@@ -7,7 +7,9 @@ descent on the soft membership matrix, thresholding back to a hard
 partition, and a greedy point-reassignment cleanup. Several restarts
 are run and the partition with the lowest hard global dimension wins.
 
-All restarts of one call merge in one lockstep wave: each round draws
+All restarts of one call merge in one lockstep wave, then descend in
+another, and then each is thresholded, refined and scored in restart
+order. In the merge wave each round draws
 every restart's candidate pairs from its own generator, scores them as
 one array with one eigvalsh batch, and commits each restart's own best
 merge. Every merge starts from the same N singletons, so the merged
@@ -20,7 +22,13 @@ O(N D^2 / 2 + merge_candidates^2) to the call's memory. A screen
 skips the D x D eigendecomposition of most unions of at most four
 points: a rigorous lower bound from the union's small Gram shows that
 they lose their round. The labels are those of merging each restart
-alone and scoring every pair afresh.
+alone and scoring every pair afresh. Merged Grams are decomposed in
+batches of at most N.
+
+The descent wave evaluates every restart's objective and gradient with
+one stacked kernel call (one batched SVD) per iteration; a restart whose
+step scale reaches 0 drops out. Each restart's descent has the bits it
+gets alone.
 """
 
 import math
@@ -34,6 +42,7 @@ from .objective import (
     ObjectiveParams,
     _dim_of_columns,
     _validate_data,
+    _validate_soft,
     hard_cluster_dims,
     pnorm,
     value_and_gradient,
@@ -133,17 +142,19 @@ def project_simplex(v):
 
 
 def project_columns(m):
-    """Project every column of a K x N matrix onto the simplex."""
+    """Project every column of a K x N matrix, or of each matrix in a
+    stack of them (..., K, N), onto the simplex."""
     m = np.asarray(m, dtype=float)
-    k, n = m.shape
-    u = -np.sort(-m, axis=0)
-    css = np.cumsum(u, axis=0)
+    k = m.shape[-2]
+    u = -np.sort(-m, axis=-2)
+    css = np.cumsum(u, axis=-2)
     counts = np.arange(1, k + 1)[:, None]
     cond = u + (1.0 - css) / counts > 0.0
-    # cond[0] is always true, so each column has a last true row.
-    rho = k - 1 - np.argmax(cond[::-1], axis=0)
-    lam = (1.0 - css[rho, np.arange(n)]) / (rho + 1.0)
-    return np.maximum(m + lam[None, :], 0.0)
+    # cond[..., 0, :] is always true, so each column has a last true row.
+    rho = k - 1 - np.argmax(cond[..., ::-1, :], axis=-2)
+    top = np.take_along_axis(css, rho[..., None, :], axis=-2)[..., 0, :]
+    lam = (1.0 - top) / (rho + 1.0)
+    return np.maximum(m + lam[..., None, :], 0.0)
 
 
 def indicator_membership(labels, n_clusters):
@@ -318,20 +329,23 @@ def _check_merge_power(d, p):
         )
 
 
-def _merged_dims(grams, x, y, eps):
-    """Merged dimensions of Gram rows x and y from one batched eigvalsh
-    of their sums; a batched eigvalsh gives each matrix the same bits
-    whatever else is in its batch."""
-    # Even a single pair is a (1, D) stack: a 1-d spectrum would take
-    # scalar roots, whose last bit can differ from a stack's.
-    batch = grams[x]
-    batch += grams[y]
-    spectra = np.sqrt(np.clip(np.linalg.eigvalsh(batch), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _power_norms(spectra, eps)
-        dims = num / den
-    # eigvalsh sorts ascending: an all-zero spectrum has dimension 0.
-    dims[spectra[:, -1] == 0.0] = 0.0
+def _merged_dims(grams, x, y, eps, piece):
+    """Merged dimensions of Gram rows x and y, from batched eigvalsh calls
+    on at most piece of their sums each; a batched eigvalsh gives each
+    matrix the same bits whatever else is in its batch."""
+    dims = np.empty(x.size)
+    for first in range(0, x.size, piece):
+        # Even a single pair is a (1, D) stack: a 1-d spectrum would take
+        # scalar roots, whose last bit can differ from a stack's.
+        batch = grams[x[first : first + piece]]
+        batch += grams[y[first : first + piece]]
+        spectra = np.sqrt(np.clip(np.linalg.eigvalsh(batch), 0.0, None))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num, den = _power_norms(spectra, eps)
+            part = num / den
+        # eigvalsh sorts ascending: an all-zero spectrum has dimension 0.
+        part[spectra[:, -1] == 0.0] = 0.0
+        dims[first : first + piece] = part
     return dims
 
 
@@ -480,7 +494,7 @@ def _merge_init(a, cfg, rngs):
         pos = np.flatnonzero(todo)
         if pos.size:
             merged_dims.ravel()[pos] = known[at.ravel()[pos]] = _merged_dims(
-                grams, ra[pos], rb[pos], cfg.eps)
+                grams, ra[pos], rb[pos], cfg.eps, n)
         scores = merged_dims**cfg.p - da - db
         if screened:
             # Unscored candidates whose bound does not clear their
@@ -489,7 +503,7 @@ def _merge_init(a, cfg, rngs):
             pos = np.flatnonzero(np.isnan(scores) & ~(lower > best[:, None]))
             if pos.size:
                 merged_dims.ravel()[pos] = known[at.ravel()[pos]] = _merged_dims(
-                    grams, ra[pos], rb[pos], cfg.eps)
+                    grams, ra[pos], rb[pos], cfg.eps, n)
                 scores = merged_dims**cfg.p - da - db
             scores[np.isnan(scores)] = np.inf
         known[uncached] = bounds[uncached] = np.nan
@@ -532,22 +546,43 @@ def _merge_init(a, cfg, rngs):
 
 
 def _descend_loop(a, m0, cfg, params, outlier):
-    """Projected gradient descent; returns (membership, objective trace)."""
+    """Projected gradient descent of a stack of start memberships m0,
+    shape (R, rows, N), all in one lockstep wave; returns (memberships,
+    one objective trace per membership). A single membership, shape
+    (rows, N), is a wave of one and gives (membership, trace).
+
+    Each iteration evaluates every moving membership with one kernel
+    call. A membership whose step scale rho is 0 stops there, and one
+    last kernel call gives every membership's final value, so a wave of
+    any size makes at most cfg.grad_iters + 1 SVD calls. Every step is
+    elementwise or per membership, so each membership and trace has the
+    bits of descending it alone.
+    """
     m = np.array(m0, dtype=float)
-    n = m.shape[1]
+    if m.ndim == 2:
+        m, traces = _descend_loop(a, m[None], cfg, params, outlier)
+        return m[0], traces[0]
+    r, _, n = m.shape
     n_top = -(-n // 10)
-    trace = []
+    traces = [[] for _ in range(r)]
+    moving = np.arange(r)
     for _ in range(cfg.grad_iters):
-        value, grad = value_and_gradient(a, m, params, outlier, "zero", True)
+        step = m if moving.size == r else m[moving]
+        values, grad = value_and_gradient(a, step, params, outlier, "zero", True)
+        for i, value in zip(moving.tolist(), values.tolist()):
+            traces[i].append(value)
+        col_norms = np.linalg.norm(grad, axis=1)
+        rho = np.partition(col_norms, n - n_top, axis=1)[:, n - n_top :].mean(axis=1)
+        go = rho != 0.0
+        if not go.all():
+            moving, step, grad, rho = moving[go], step[go], grad[go], rho[go]
+            if not moving.size:
+                break
+        m[moving] = project_columns(step - (cfg.step_target / rho)[:, None, None] * grad)
+    values, _ = value_and_gradient(a, m, params, outlier, "zero", False)
+    for trace, value in zip(traces, values.tolist()):
         trace.append(value)
-        col_norms = np.linalg.norm(grad, axis=0)
-        rho = float(np.partition(col_norms, n - n_top)[n - n_top :].mean())
-        if rho == 0.0:
-            break
-        m = project_columns(m - (cfg.step_target / rho) * grad)
-    value, _ = value_and_gradient(a, m, params, outlier, "zero", False)
-    trace.append(value)
-    return m, np.array(trace)
+    return m, [np.array(trace) for trace in traces]
 
 
 def descend(a, m0, cfg):
@@ -558,11 +593,12 @@ def descend(a, m0, cfg):
     mean norm of the ceil(N/10) largest gradient columns moves a
     membership vector a distance of cfg.step_target, then projects
     every column back onto the simplex. A zero gradient stops early.
+    This is one membership's part of the wave in which gdm descends all
+    its restarts together, with the same bits. m0 must be a finite
+    matrix with one column per data column.
     """
-    a = _validate_data(a)
-    m0 = np.asarray(m0, dtype=float)
-    m, _ = _descend_loop(a, m0, cfg, cfg.objective_params(), outlier=False)
-    return m
+    a, m0 = _validate_soft(a, m0, outlier=False)
+    return _descend_loop(a, m0, cfg, cfg.objective_params(), outlier=False)[0]
 
 
 def threshold(m):
@@ -676,6 +712,10 @@ def genetic_refine(a, labels, cfg):
     labels = np.array(labels, dtype=int)
     k_total = cfg.n_clusters
     n = labels.size
+    if labels.shape != (a.shape[1],):
+        raise InvalidInputError("labels must have one entry per data column")
+    if n and not 0 <= labels.min() <= labels.max() < k_total:
+        raise InvalidInputError("labels must lie in [0, %d)" % k_total)
     sizes = np.bincount(labels, minlength=k_total)
     dims = hard_cluster_dims(a, labels, k_total, cfg.eps, on_degenerate="zero")
     point_grams, exp = _point_grams(a)
@@ -746,10 +786,10 @@ def _run_restarts(a, cfg, run):
 
     Restart i merges the points down to cfg.n_clusters sets, drawing
     from default_rng(seed_i), where seed_i is the i-th child of
-    SeedSequence(cfg.seed).spawn(cfg.restarts), then calls run(labels0)
-    on the merged labels, which returns (value, outcome). All restarts
-    merge together in one lockstep wave (_merge_init), which changes no
-    merged label; run is then called for each restart in restart order.
+    SeedSequence(cfg.seed).spawn(cfg.restarts). All restarts merge
+    together in one lockstep wave (_merge_init), which changes no merged
+    label. run(merged) then gets every restart's merged labels in
+    restart order and returns one (value, outcome) per restart.
     Returns the outcome with the lowest (value, restart index) and every
     value in restart order.
     """
@@ -760,38 +800,38 @@ def _run_restarts(a, cfg, run):
             "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
         )
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    merged = _merge_init(a, cfg, [np.random.default_rng(c) for c in children])
-    runs = [run(labels0) for labels0 in merged]
+    runs = run(_merge_init(a, cfg, [np.random.default_rng(c) for c in children]))
     best = min(range(cfg.restarts), key=lambda i: (runs[i][0], i))
     return runs[best][1], np.array([value for value, _ in runs])
-
-
-def _run_restart(a, cfg, params, labels0):
-    m0 = indicator_membership(labels0, cfg.n_clusters)
-    m, trace = _descend_loop(a, m0, cfg, params, outlier=False)
-    labels = genetic_refine(a, threshold(m), cfg)
-    result = _hard_result(
-        a, labels, cfg, outliers=np.empty(0, dtype=int), membership=m,
-        restarts_run=cfg.restarts, trace=trace,
-    )
-    return result.gd_value, result
 
 
 def gdm(a, cfg, threads=1):
     """Segment the columns of a into cfg.n_clusters clusters.
 
-    Runs cfg.restarts independent restarts (merge initialization,
-    gradient descent, thresholding, reassignment cleanup) and returns
-    the result whose hard partition has the lowest global dimension,
-    ties going to the earliest restart. The merges of all restarts run
-    in one lockstep wave and the later stages one restart after the
-    other; each restart's result is the one it gets alone.
+    Runs cfg.restarts restarts (merge initialization, gradient descent,
+    thresholding, reassignment cleanup) and returns the result whose
+    hard partition has the lowest global dimension, ties going to the
+    earliest restart. All restarts merge in one lockstep wave and
+    descend in another, starting from the indicator memberships of their
+    merged labels; then each restart is thresholded, refined and scored
+    in restart order. Each restart's result is the one it gets alone.
     Fully deterministic given cfg.seed. threads is accepted for
     compatibility and has no effect: everything runs in one thread.
     """
     a = _validate_data(a)
     params = cfg.objective_params()
-    best, values = _run_restarts(
-        a, cfg, lambda labels0: _run_restart(a, cfg, params, labels0)
-    )
+
+    def run(merged):
+        m0 = np.array([indicator_membership(labels0, cfg.n_clusters) for labels0 in merged])
+        runs = []
+        for m, trace in zip(*_descend_loop(a, m0, cfg, params, outlier=False)):
+            result = _hard_result(
+                a, genetic_refine(a, threshold(m), cfg), cfg,
+                outliers=np.empty(0, dtype=int), membership=m,
+                restarts_run=cfg.restarts, trace=trace,
+            )
+            runs.append((result.gd_value, result))
+        return runs
+
+    best, values = _run_restarts(a, cfg, run)
     return replace(best, restart_gd_values=values)

@@ -93,17 +93,20 @@ def gdm_outlier_core(a, cfg, alpha=0.01):
     Initialization runs the usual greedy merge to K sets, then each
     column receives mass 1 - beta on its own set and beta = 0.05 on the
     outlier row, letting gradient flow decide who pays the outlier price.
+    All restarts merge in one lockstep wave and descend in another, and
+    each restart's membership is the one it gets alone.
     """
     a = _validate_data(a)
     n = a.shape[1]
     params = cfg.objective_params(alpha=alpha)
 
-    def run(labels0):
-        m0 = np.zeros((cfg.n_clusters + 1, n))
-        m0[0] = OUTLIER_INIT_MASS
-        m0[labels0 + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
-        m, trace = _descend_loop(a, m0, cfg, params, outlier=True)
-        return trace[-1], m
+    def run(merged):
+        m0 = np.zeros((len(merged), cfg.n_clusters + 1, n))
+        m0[:, 0] = OUTLIER_INIT_MASS
+        for m, labels0 in zip(m0, merged):
+            m[labels0 + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
+        ms, traces = _descend_loop(a, m0, cfg, params, outlier=True)
+        return [(trace[-1], m) for m, trace in zip(ms, traces)]
 
     return _run_restarts(a, cfg, run)[0]
 

@@ -30,6 +30,7 @@ from gdm.exceptions import (
     InvalidParameterError,
 )
 from gdm.objective import _dim_of_columns, _validate_data, hard_cluster_dims, pnorm
+from gdm.optimizer import project_columns
 
 
 def finite_difference_gradient(fn, m, h=1e-6):
@@ -340,6 +341,47 @@ def reference_cluster_svd_terms(a, row, params, on_degenerate, want_uv):
     w = dvec[:, None] * (u.T @ a)
     grad_row = np.sum(vt * w, axis=0)
     return dim, grad_row
+
+
+def reference_value_and_gradient(a, m, params, outlier, want_grad):
+    """Soft objective value and, if want_grad, gradient of one membership,
+    cluster by cluster from reference_cluster_svd_terms (degenerate
+    clusters count 0). With outlier set, row 0 is the outlier row."""
+    rows = m[1:] if outlier else m
+    terms = [reference_cluster_svd_terms(a, row, params, "zero", want_grad)
+             for row in rows]
+    dims = np.array([dim for dim, _ in terms])
+    gd = reference_pnorm(dims, params.p)
+    value = gd + params.alpha / 2.0 * float(np.sum(m[0] ** 2)) if outlier else gd
+    if not want_grad:
+        return value, None
+    grad = np.zeros(m.shape)
+    if outlier:
+        grad[0] = params.alpha * m[0]
+    if gd > 0.0:
+        grows = np.array([row for _, row in terms])
+        grad[m.shape[0] - rows.shape[0]:] = ((dims / gd) ** (params.p - 1.0))[:, None] * grows
+    return value, grad
+
+
+def reference_descend(a, m0, cfg, params, outlier):
+    """Projected gradient descent of one membership, iteration by
+    iteration from reference_value_and_gradient; returns (membership,
+    objective trace). A step scale rho of 0 stops the descent."""
+    m = np.array(m0, dtype=float)
+    n = m.shape[1]
+    n_top = -(-n // 10)
+    trace = []
+    for _ in range(cfg.grad_iters):
+        value, grad = reference_value_and_gradient(a, m, params, outlier, True)
+        trace.append(value)
+        col_norms = np.linalg.norm(grad, axis=0)
+        rho = float(np.partition(col_norms, n - n_top)[n - n_top :].mean())
+        if rho == 0.0:
+            break
+        m = project_columns(m - (cfg.step_target / rho) * grad)
+    trace.append(reference_value_and_gradient(a, m, params, outlier, False)[0])
+    return m, np.array(trace)
 
 
 def reference_dim_lower_bounds(evals, err, exp, eps):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gdm import (
     GdmConfig,
+    InvalidInputError,
     InvalidParameterError,
     ObjectiveParams,
     SyntheticSpec,
@@ -41,7 +42,12 @@ from gdm.optimizer import (
 )
 from gdm.robust import OUTLIER_INIT_MASS, gdm_outlier_core
 
-from oracles import project_simplex_qp, reference_merge_init, reference_refine
+from oracles import (
+    project_simplex_qp,
+    reference_descend,
+    reference_merge_init,
+    reference_refine,
+)
 
 PARAMS = ObjectiveParams()
 
@@ -208,6 +214,76 @@ class TestDescend:
             total += diffs.size
         assert good / total >= 0.8
 
+    @pytest.mark.parametrize("m0", [np.full((2, 9), 0.5), np.full((2, 10), np.nan),
+                                    np.full(10, 0.5)], ids=["short", "nan", "1d"])
+    def test_malformed_start_membership_is_rejected(self, m0):
+        cfg = GdmConfig(n_clusters=2, seed=0)
+        with pytest.raises(InvalidInputError):
+            descend(two_separated_lines(), m0, cfg)
+
+
+def descent_wave_starts(a, rows, seed):
+    """Start memberships with rows rows for one descent wave: interior
+    ones, one with an all-zero last row, and an all-zero one, whose zero
+    gradient stops it at the first iteration (rho == 0)."""
+    rng = np.random.default_rng(seed)
+    n = a.shape[1]
+    starts = [project_columns(rng.uniform(size=(rows, n))) for _ in range(2)]
+    starts.append(indicator_membership(rng.integers(0, rows - 1, size=n), rows))
+    starts.insert(1, np.zeros((rows, n)))
+    return np.array(starts)
+
+
+@pytest.mark.parametrize("grad_iters", [0, 1, 30])
+@pytest.mark.parametrize("outlier", [False, True], ids=["plain", "outlier_row"])
+def test_descent_wave_matches_lone_descents(outlier, grad_iters):
+    # Every membership of one lockstep wave, also those that stop at
+    # rho == 0 while the others go on, gets the membership and trace of
+    # the reference descent run alone, bit for bit.
+    mix = sample_subspace_mixture(
+        SyntheticSpec(dims=(2, 3), points_per_cluster=15, noise_sigma=0.01, seed=5)
+    )
+    a = mix.data
+    cfg = GdmConfig(n_clusters=2, grad_iters=grad_iters, seed=5)
+    params = cfg.objective_params(alpha=0.01)
+    starts = descent_wave_starts(a, 2 + outlier, 5)
+    ms, traces = _descend_loop(a, starts, cfg, params, outlier)
+    assert len(traces) == starts.shape[0]
+    assert traces[1].size == min(grad_iters, 1) + 1
+    assert max(trace.size for trace in traces) == grad_iters + 1
+    for m0, m, trace in zip(starts, ms, traces):
+        want_m, want_trace = reference_descend(a, m0, cfg, params, outlier)
+        assert m.tobytes() == want_m.tobytes()
+        assert trace.tobytes() == want_trace.tobytes()
+        if not outlier:
+            assert descend(a, m0, cfg).tobytes() == want_m.tobytes()
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 10])
+def test_descent_makes_one_svd_call_per_iteration(restarts, monkeypatch):
+    # One gdm call descends all its restarts in one wave: one batched SVD
+    # per iteration and one for the final values, whatever restarts is.
+    mix = sample_subspace_mixture(
+        SyntheticSpec(dims=(2, 3), points_per_cluster=20, noise_sigma=0.01, seed=6)
+    )
+    calls = []
+    svd = np.linalg.svd
+    descend_loop = optimizer._descend_loop
+
+    def counting(batch, *args, **kwargs):
+        calls.append(batch.shape[0])
+        return svd(batch, *args, **kwargs)
+
+    def wave(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counting)
+            return descend_loop(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_descend_loop", wave)
+    cfg = GdmConfig(n_clusters=2, restarts=restarts, grad_iters=7, seed=6)
+    gdm(mix.data, cfg)
+    assert calls == [restarts * cfg.n_clusters] * (cfg.grad_iters + 1)
+
 
 def test_threshold_rules():
     m = np.array([
@@ -230,6 +306,14 @@ class TestGeneticRefine:
         bad = np.array([0] * 5 + [1] * 4 + [0])
         cfg = GdmConfig(n_clusters=2, genetic_passes=0, seed=0)
         np.testing.assert_array_equal(genetic_refine(a, bad, cfg), bad)
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_labels_out_of_range_are_rejected(self, bad):
+        labels = np.array([0] * 5 + [1] * 5)
+        labels[3] = bad
+        cfg = GdmConfig(n_clusters=2, seed=0)
+        with pytest.raises(InvalidInputError, match="labels"):
+            genetic_refine(two_separated_lines(), labels, cfg)
 
     def test_corrects_single_mislabeled_point(self):
         a = two_separated_lines()
@@ -521,7 +605,7 @@ def check_merge_caches(a, cfg, restarts, monkeypatch):
     seen, checked = {}, np.zeros(2, dtype=int)
     merged_dims = optimizer._merged_dims
 
-    def spy(grams, x, y, eps):
+    def spy(grams, x, y, eps, piece):
         f = sys._getframe(1).f_locals
         seen.update(known=f["known"], bounds=f["bounds"], n_pairs=f["n_pairs"])
         if f["caching"]:
@@ -535,7 +619,7 @@ def check_merge_caches(a, cfg, restarts, monkeypatch):
                 checked[:] += check_cached(
                     grams, f["known"][block][both], f["bounds"][block][both],
                     f["gram_row"][sx[both]], f["gram_row"][sy[both]], eps)
-        return merged_dims(grams, x, y, eps)
+        return merged_dims(grams, x, y, eps, piece)
 
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_merged_dims", spy)
@@ -643,7 +727,7 @@ def test_merge_eigvalsh_counts(k, sizes, seed, merge_only, monkeypatch):
     monkeypatch.setattr(optimizer, "_merge_init", merge)
     cfg = GdmConfig(n_clusters=k, seed=11)
     if merge_only:
-        optimizer._run_restarts(a, cfg, lambda labels0: (0.0, None))
+        optimizer._run_restarts(a, cfg, lambda merged: [(0.0, None)] * len(merged))
     else:
         gdm(a, cfg)
     assert matrices == MERGE_EIGVALSH_MATRICES[a.shape[1]]
@@ -669,7 +753,30 @@ def test_merge_peak_memory_is_bounded_by_its_layout():
                   + (n + r * (n // 2)) * d * d + 2 * r * c * d * d)
     tracemalloc.start()
     try:
-        optimizer._run_restarts(a, cfg, lambda labels0: (0.0, None))
+        optimizer._run_restarts(a, cfg, lambda merged: [(0.0, None)] * len(merged))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= layout + 500_000, (peak, layout)
+    # With C >= N every restart caches all its pairs from the first
+    # round, a triangle of N(N-1)/2 dimensions and bounds, and merged
+    # Grams are decomposed in pieces of at most N. So a round's
+    # temporaries are one piece, N D x D sums and as many gathered
+    # addends, 2 N D^2, and per candidate at most 40 + 4 D float64s of
+    # index, score and screen arrays (the 4 x D union blocks and their
+    # 4 x 4 Grams; at D = 9 that is the "as much again" above). Ten
+    # restarts of N = 120 points in R^20 with C = 120 give 5.48 MB
+    # (5.00 MB measured); decomposing all of a round's misses at once
+    # peaks at 6.75 MB.
+    a = sample_subspace_mixture(SyntheticSpec(
+        dims=(2, 3, 4), ambient=20, points_per_cluster=40, noise_sigma=0.01, seed=11)).data
+    (d, n), c = a.shape, 120
+    cfg = GdmConfig(n_clusters=3, restarts=r, merge_candidates=c, seed=11)
+    layout = 8 * (2 * n * (n - 1) // 2 + r * n * (n - 1)
+                  + (n + r * (n // 2)) * d * d + 2 * n * d * d + r * c * (40 + 4 * d))
+    tracemalloc.start()
+    try:
+        optimizer._run_restarts(a, cfg, lambda merged: [(0.0, None)] * len(merged))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,6 +7,8 @@ bit, not merely close, because the optimizer's labels depend on exact
 ties and on comparisons between these values.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from gdm import (
     empirical_dimension,
     pnorm,
 )
-from gdm.objective import _cluster_svd_terms
+from gdm.objective import value_and_gradient
 from gdm.optimizer import _dim_lower_bounds
 
 from oracles import (
@@ -27,6 +29,7 @@ from oracles import (
     reference_dim_lower_bounds,
     reference_empirical_dimension,
     reference_pnorm,
+    reference_value_and_gradient,
 )
 
 EPS_VALUES = [0.1, 0.35, 0.9]
@@ -80,6 +83,9 @@ def test_empirical_dimension_matches_reference(seed, eps):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("eps", EPS_VALUES)
 def test_cluster_terms_match_reference(seed, eps):
+    # One stacked kernel call covers every 3-row membership made of these
+    # rows, with and without the outlier row; each membership's value and
+    # gradient must be those of its reference cluster terms.
     rng = np.random.default_rng(seed)
     params = ObjectiveParams(eps=eps)
     full = rng.normal(size=(9, 30))
@@ -91,20 +97,26 @@ def test_cluster_terms_match_reference(seed, eps):
         np.zeros(30),
         np.full(30, 1e-17),
     ]
+    stack = np.array(list(itertools.product(rows, repeat=3)))
     for a in (full, deficient):
-        for row in rows:
-            for want_uv in (False, True):
-                got = _cluster_svd_terms(a, row, params, "zero", want_uv)
-                want = reference_cluster_svd_terms(a, row, params, "zero", want_uv)
-                assert_bitwise(got[0], want[0])
-                if want_uv:
-                    assert_bitwise(got[1], want[1])
-                else:
-                    assert got[1] is None and want[1] is None
-    for fn in (_cluster_svd_terms, reference_cluster_svd_terms):
-        for want_uv in (False, True):
-            with pytest.raises(DegenerateClusterError):
-                fn(full, np.zeros(30), params, "raise", want_uv)
+        for outlier in (False, True):
+            for want_grad in (False, True):
+                values, grads = value_and_gradient(a, stack, params, outlier, "zero",
+                                                   want_grad)
+                assert values.shape == (stack.shape[0],)
+                for i, m in enumerate(stack):
+                    value, grad = reference_value_and_gradient(a, m, params, outlier,
+                                                               want_grad)
+                    assert_bitwise(values[i].item(), value)
+                    if want_grad:
+                        assert_bitwise(grads[i], grad)
+                if not want_grad:
+                    assert grads is None
+    for want_grad in (False, True):
+        with pytest.raises(DegenerateClusterError):
+            value_and_gradient(full, stack, params, False, "raise", want_grad)
+        with pytest.raises(DegenerateClusterError):
+            reference_cluster_svd_terms(full, np.zeros(30), params, "raise", want_grad)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
