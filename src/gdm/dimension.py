@@ -12,9 +12,11 @@ dimension of the span, and converges to it for spherically symmetric
 samples. eps = 1 degenerates to the effective rank ||sigma||_1 / max(sigma).
 
 This module is the one place where spectra become dimensions: the public
-estimators, the objective's per-cluster dimensions and gradient, and the
-refine screen's lower bounds all take their two norms from
-_power_norms, so the normalisation and the zero tolerance live here.
+estimators, the objective's per-cluster dimensions and gradient, the
+merge's dimensions, and optimizer._dim_lower_bounds, the one
+lower-bound kernel of both Gram screens (merge init and refine), all
+take their two norms from _power_norms, so the normalisation and the
+zero tolerance live here.
 """
 
 import math

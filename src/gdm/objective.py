@@ -282,10 +282,14 @@ def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
     if outlier:
         grad[:, 0] = params.alpha * m[:, 0]
     # The p-norm's chain factor; a membership with GD 0 has only
-    # degenerate clusters and keeps zero rows.
+    # degenerate clusters and keeps zero rows. A degenerate cluster
+    # (dimension 0, zero row) gets factor 0: for p < 1, 0**(p - 1) is inf,
+    # and inf times its zero row NaN.
     live = gd > 0.0
-    grad[live, -k:] = ((dims[live] / gd[live, None]) ** (params.p - 1.0))[:, :, None] \
-        * grows.reshape(r, k, n)[live]
+    ratio = dims[live] / gd[live, None]
+    factor = np.zeros_like(ratio)
+    np.power(ratio, params.p - 1.0, out=factor, where=ratio > 0.0)
+    grad[live, -k:] = factor[:, :, None] * grows.reshape(r, k, n)[live]
     return values, grad
 
 

@@ -25,6 +25,11 @@ they lose their round. The labels are those of merging each restart
 alone and scoring every pair afresh. Merged Grams are decomposed in
 batches of at most N.
 
+Refinement screens its candidate moves with the same kind of bound,
+from the clusters' D x D Grams, before their SVDs. Both screens bound
+dimensions with one kernel (_dim_lower_bounds), one Gram error term
+(_GRAM_ERROR_FACTOR) and one rounding slack (_SCREEN_SLACK).
+
 The descent wave evaluates every restart's objective and gradient with
 one stacked kernel call (one batched SVD) per iteration; a restart whose
 step scale reaches 0 drops out. Each restart's descent has the bits it
@@ -202,72 +207,85 @@ def _point_grams(a):
     return cols[:, :, None] * cols[:, None, :], int(exp)
 
 
-# The merge screen (_merge_init) bounds the merged dimension of a union
-# of m <= min(_SCREEN_POINTS, D) points from below. Let V be the union's
-# rescaled D x m block and mass = sum ||v||^2 over its points. The
-# merge's own value comes from lam = eigvalsh(Ghat), Ghat the sum of the
-# union's rounded point Grams; the bound from mu, the eigenvalues of the
-# m x m Gram Shat = fl(V^T V).
-# - As for _GRAM_ERROR_FACTOR, lam lies within c ((m + D) u mass +
-#   m tiny) of the eigenvalues of V V^T (no SVD term here, the same c).
-# - |Shat - V^T V| <= gamma_D |V|^T |V| entrywise, so ||Shat - V^T V||_2
-#   <= gamma_D mass. eigvalsh adds p(m) u ||Shat||_2; the closed form
-#   used for m = 2 (h -+ hypot((a - c) / 2, b), h = (a + c) / 2) is off
-#   by at most 4 u mass. So mu lies within c ((m + D) u mass + D tiny)
-#   of the eigenvalues of V^T V.
-# - V V^T has the eigenvalues of V^T V and D - m zeros.
-# By Weyl's theorem lam, sorted, lies within
-#     E = 2 c ((m + D) u mass + (m + D) tiny)
-# of mu padded with D - m zeros. Subtraction, sqrt and division are
-# correctly rounded, hence monotone, so each low value sqrt(max(mu - E,
-# 0)) is at most the merge's sqrt(max(lam, 0)), each high value
-# sqrt(max(mu + E, 0)) at least it, and the low values scaled by the top
-# high value neither exceed the merge's scaled values nor survive where
-# the merge zeroes them. What is left is the rounding of the two
-# power-norm ratios: with pow within 4 ulps, at most D + 1 terms summed
-# and a root 1/eps (1/delta) taken, each ratio is within
+# Error bound of a Gram eigenvalue against the SVD path's squared
+# singular value. Let A be a candidate cluster's rescaled D x n block
+# and Ghat its computed Gram: a running sum of m rounded point outer
+# products +-fl(v v^T) (every term added or subtracted since the last
+# rebuild), with mass = sum ||v||^2 over those terms, so ||A||_2^2 <= mass.
+# - Recursive summation: |Ghat - A A^T| <= gamma_m sum |v||v|^T
+#   entrywise, gamma_m = m u / (1 - m u), so ||Ghat - A A^T||_2 <=
+#   gamma_m * mass.
+# - eigvalsh is backward stable: its eigenvalues are exact for Ghat + F,
+#   ||F||_2 <= p(D) u ||Ghat||_2.
+# - The SVD path's singular values s are exact for A + dA, ||dA||_2 <=
+#   p(D, n) u ||A||_2, so |s_i^2 - sigma_i^2| <= (2 p(D, n) u + O(u^2)) mass.
+# By Weyl's theorem each perturbation moves every eigenvalue by at most
+# its 2-norm, so each computed eigenvalue lam lies within
+#     E = c * ((m + D) * u * mass + m * tiny)
+# of the matching s^2. (m + D) covers gamma_m and LAPACK's modestly
+# growing p(D) and p(D, n), taken as at most n + D with n <= m; c = 8
+# absorbs their constant factors and the O(u^2) terms; m * tiny covers
+# products and rescaled entries that underflow. Hence
+# sqrt(max(lam - E, 0)) <= s <= sqrt(lam + E).
+_GRAM_ERROR_FACTOR = 8.0
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_TINY = np.finfo(float).tiny
+
+
+def _dim_lower_bounds(evals, err, exp, eps):
+    """Lower bounds on the empirical dimension of matrices whose squared
+    singular values lie within err of the Gram eigenvalues evals (shape
+    (..., D)); the data were scaled by 2^-exp. The refine screen bounds
+    SVD-path dimensions with it, the merge screen merged ones.
+
+    The numerator norm takes the low singular values and the denominator
+    every high one, both divided by the largest high one. The spectrum
+    kernel zeroes low values below its relative tolerance, so the
+    numerator keeps only values the bounded path keeps too.
+    A matrix whose top singular value may be at most DEGENERATE_SMAX, or
+    whose bound is not finite, gets 0.
+    """
+    lo = np.sqrt(np.maximum(evals - err[..., None], 0.0))
+    hi = np.sqrt(np.maximum(evals + err[..., None], 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num, den = _power_norms(lo, eps, upper=hi)
+        dims = num / den
+    degenerate = np.ldexp(lo.max(axis=-1), exp) <= DEGENERATE_SMAX
+    dims[degenerate | ~np.isfinite(dims)] = 0.0
+    return dims
+
+
+# Both screens compare a value built from _dim_lower_bounds with one built
+# from computed dimensions, and allow for their rounding with one relative
+# slack. A computed dimension or bound is within
 #     rho = (D + 4) u (1/eps + 1/delta) + 9 u
-# of its exact value, so a bound times 1 - 4 rho is at most the merge's
-# dimension. Then dim**p and bound**p each round within 4 ulps and the
-# product one ulp, so bound**p * (1 - _POW_MARGIN) is at most dim**p as
-# computed, and rounded subtraction, being monotone, keeps that order
-# once dp[sa] and dp[sb] are taken off.
+# of the exact ratio of its power norms (pow within 4 ulps, at most D + 1
+# terms summed, roots 1/eps and 1/delta taken). Refine compares p-norms of
+# such values, so gd_lo >= gd * (1 + _SCREEN_SLACK) needs a slack above
+# about 2 rho + (K + 4) u. The merge compares p-th powers: the ratio of a
+# bound to its dimension, at most 1 + 2 rho, is raised to p and each pow
+# rounds within 4 ulps, so bound**p * (1 - _SCREEN_SLACK) <= dim**p needs
+# a slack above about 2 p rho + 9 u; taken outside the power, the slack
+# covers pow's own rounding however small p is. At D = 9, 1e-9 covers
+# every p up to 322.7, the largest _check_merge_power accepts, for
+# eps >= 0.002, and p = 15 for eps >= 1e-4.
+_SCREEN_SLACK = 1e-9
+
+# The merge screen (_merge_init) bounds the merged dimension of a union of
+# m <= min(_SCREEN_POINTS, D) points from below with _dim_lower_bounds.
+# With V the union's rescaled D x m block and mass = sum ||v||^2 over its
+# points, the eigenvalues of its m x m Gram fl(V^T V), padded with D - m
+# zeros, stand for those of V V^T. Both they and the merge's own lam
+# carry the error above (the small Gram's entries sum D products, and the
+# closed form for m = 2, h -+ hypot((a - c) / 2, b), is off by at most
+# 4 u mass), so the margin is doubled: 2 c (m + D) (u mass + tiny).
 _SCREEN_POINTS = 4
-_POW_MARGIN = 8.0 * np.finfo(float).eps  # 16 u
 
 # Point pairs per block of _pair_dim_bounds.
 _PAIR_BLOCK = 1024
 
 
-def _screen_shrink(d, eps):
-    """1 - 4 rho: the factor that makes a merge-screen bound rigorous."""
-    delta = eps / (1.0 - eps)
-    rho = (d + 4) * _UNIT_ROUNDOFF * (1.0 / eps + 1.0 / delta) + 9.0 * _UNIT_ROUNDOFF
-    return max(1.0 - 4.0 * rho, 0.0)
-
-
-def _union_dim_bounds(evals, m, mass, d, eps):
-    """Merge-screen lower bounds on the merged dimension of unions of at
-    most m points in R^D, from the eigenvalues evals (B, m) of their
-    m x m Grams (zero points pad smaller unions) and their squared
-    masses; see the comment above."""
-    err = (2.0 * _GRAM_ERROR_FACTOR * (m + d)) * (_UNIT_ROUNDOFF * mass + _TINY)
-    # Column m stands for the D - m zero eigenvalues: low value 0 and high
-    # value sqrt(err), whose delta-th power counts D - m times (at least
-    # once, which only adds to the denominator). err > 0, so the top
-    # value is positive and the ratio finite. A top value from column m
-    # zeroes more of the numerator, which only lowers the bound.
-    padded = np.zeros((evals.shape[0], m + 1))
-    padded[:, :m] = evals
-    lo = np.sqrt(np.maximum(padded - err[:, None], 0.0))
-    hi = np.sqrt(np.maximum(padded + err[:, None], 0.0))
-    delta = eps / (1.0 - eps)
-    hi[:, m] *= max(d - m, 1) ** (1.0 / delta)
-    num, den = _power_norms(lo, eps, upper=hi)
-    return num / den * _screen_shrink(d, eps)
-
-
-def _pair_dim_bounds(cols, sq_norms, eps, out):
+def _pair_dim_bounds(cols, sq_norms, exp, eps, out):
     """Write the merge-screen bound of every point pair, numbered as pair
     codes are, into out; the 2 x 2 Grams' eigenvalues in closed form."""
     n, d = cols.shape
@@ -279,8 +297,10 @@ def _pair_dim_bounds(cols, sq_norms, eps, out):
         bb = np.einsum("ij,ij->i", cols[i], cols[j])
         h = (aa + cc) / 2.0
         r = np.hypot((aa - cc) / 2.0, bb)
-        out[codes] = _union_dim_bounds(np.stack([h - r, h + r], axis=1), 2,
-                                       aa + cc, d, eps)
+        evals = np.zeros((codes.size, d))
+        evals[:, 0], evals[:, 1] = h - r, h + r
+        err = (2.0 * _GRAM_ERROR_FACTOR * (2 + d)) * (_UNIT_ROUNDOFF * (aa + cc) + _TINY)
+        out[codes] = _dim_lower_bounds(evals, err, exp, eps)
 
 
 def greedy_merge_init(a, cfg, rng=None):
@@ -394,14 +414,15 @@ def _merge_init(a, cfg, rngs):
     Most misses are unions of a few points that lose their round, so a
     screen spares their D x D eigendecompositions. Each slot keeps its
     set's point count and, while it has at most _SCREEN_POINTS points,
-    its members, whose squared norms sum to its mass. A miss whose union has
-    m <= min(_SCREEN_POINTS, D) points gets a rigorous lower bound on its
-    merged dimension from the union's m x m Gram (_union_dim_bounds; for
-    point pairs the closed form, all P of them once per call), hence a
-    lower bound bound**p * (1 - _POW_MARGIN) - dp[sa] - dp[sb] on its
-    score as computed. Each restart scores exactly, with its
-    other misses, its candidate of lowest bound, then in a second batch
-    every candidate whose bound does not exceed its best exact score.
+    its members, whose squared norms sum to its mass. A miss whose union
+    has m <= min(_SCREEN_POINTS, D) points gets a rigorous lower bound on
+    its merged dimension: the refine screen's _dim_lower_bounds on the
+    eigenvalues of the union's m x m Gram padded with zeros to D (for
+    point pairs in closed form, all P of them once per call); hence a
+    lower bound bound**p * (1 - _SCREEN_SLACK) - dp[sa] - dp[sb] on its
+    score as computed. Each restart scores exactly, with its other
+    misses, its candidate of lowest bound, then in a second batch every
+    candidate whose bound does not exceed its best exact score.
     The rest score +inf: their exact scores would exceed the minimum, so
     argmin and its tie rule pick the same pair and every cached dimension
     is still a fresh eigendecomposition's. Bounds are cached at the same
@@ -438,7 +459,7 @@ def _merge_init(a, cfg, rngs):
     sq_norms[:n] = np.einsum("nii->n", grams[:n])
     limit = min(_SCREEN_POINTS, d)
     if limit >= 2:
-        _pair_dim_bounds(cols[:n], sq_norms[:n], cfg.eps, bounds[:n_pairs])
+        _pair_dim_bounds(cols[:n], sq_norms[:n], exp, cfg.eps, bounds[:n_pairs])
     gram_row = np.tile(np.arange(n), r)
     # Restart i's next free pool row.
     pool = n + rows * (n // 2)
@@ -483,10 +504,13 @@ def _merge_init(a, cfg, rngs):
                                                 members[gb.ravel()[fresh]]], axis=1),
                                 axis=1)[:, :limit]
                 v = cols[union]
-                bnd.ravel()[fresh] = bounds[at.ravel()[fresh]] = _union_dim_bounds(
-                    np.linalg.eigvalsh(v @ v.transpose(0, 2, 1)), limit,
-                    sq_norms[union].sum(axis=1), d, cfg.eps)
-            lower = np.where(small, bnd**cfg.p * (1.0 - _POW_MARGIN) - da - db, np.inf)
+                evals = np.zeros((fresh.size, d))
+                evals[:, :limit] = np.linalg.eigvalsh(v @ v.transpose(0, 2, 1))
+                err = (2.0 * _GRAM_ERROR_FACTOR * (limit + d)) * (
+                    _UNIT_ROUNDOFF * sq_norms[union].sum(axis=1) + _TINY)
+                bnd.ravel()[fresh] = bounds[at.ravel()[fresh]] = _dim_lower_bounds(
+                    evals, err, exp, cfg.eps)
+            lower = np.where(small, bnd**cfg.p * (1.0 - _SCREEN_SLACK) - da - db, np.inf)
             # Each restart's lowest bound is scored exactly, so every
             # restart has a best exact score to clear.
             first = lower.argmin(axis=1)
@@ -612,53 +636,6 @@ def threshold(m):
 # genetic_refine.
 _SCREEN_BLOCK = 32
 
-# Error bound of a Gram eigenvalue against the SVD path's squared
-# singular value. Let A be a candidate cluster's rescaled D x n block
-# and Ghat its computed Gram: a running sum of m rounded point outer
-# products +-fl(v v^T) (every term added or subtracted since the last
-# rebuild), with mass = sum ||v||^2 over those terms, so ||A||_2^2 <= mass.
-# - Recursive summation: |Ghat - A A^T| <= gamma_m sum |v||v|^T
-#   entrywise, gamma_m = m u / (1 - m u), so ||Ghat - A A^T||_2 <=
-#   gamma_m * mass.
-# - eigvalsh is backward stable: its eigenvalues are exact for Ghat + F,
-#   ||F||_2 <= p(D) u ||Ghat||_2.
-# - The SVD path's singular values s are exact for A + dA, ||dA||_2 <=
-#   p(D, n) u ||A||_2, so |s_i^2 - sigma_i^2| <= (2 p(D, n) u + O(u^2)) mass.
-# By Weyl's theorem each perturbation moves every eigenvalue by at most
-# its 2-norm, so each computed eigenvalue lam lies within
-#     E = c * ((m + D) * u * mass + m * tiny)
-# of the matching s^2. (m + D) covers gamma_m and LAPACK's modestly
-# growing p(D) and p(D, n), taken as at most n + D with n <= m; c = 8
-# absorbs their constant factors and the O(u^2) terms; m * tiny covers
-# products and rescaled entries that underflow. Hence
-# sqrt(max(lam - E, 0)) <= s <= sqrt(lam + E).
-_GRAM_ERROR_FACTOR = 8.0
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-_TINY = np.finfo(float).tiny
-
-
-def _dim_lower_bounds(evals, err, exp, eps):
-    """Lower bounds on the SVD-path empirical dimension of matrices whose
-    squared singular values lie within err of the Gram eigenvalues evals
-    (shape (..., D)); the data were scaled by 2^-exp.
-
-    The numerator norm takes the low singular values and the denominator
-    every high one, both divided by the largest high one. The spectrum
-    kernel zeroes low values below its relative tolerance, so the
-    numerator keeps only values the SVD path keeps too.
-    A matrix whose top singular value may be at most DEGENERATE_SMAX, or
-    whose bound is not finite, gets 0.
-    """
-    lo = np.sqrt(np.maximum(evals - err[..., None], 0.0))
-    hi = np.sqrt(np.maximum(evals + err[..., None], 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _power_norms(lo, eps, upper=hi)
-        dims = num / den
-    degenerate = np.ldexp(lo.max(axis=-1), exp) <= DEGENERATE_SMAX
-    dims[degenerate | ~np.isfinite(dims)] = 0.0
-    return dims
-
-
 def _screen_moves(idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
                   exp, cfg):
     """For each point of idx, True when no single move of it can lower
@@ -666,9 +643,10 @@ def _screen_moves(idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
 
     One batched eigvalsh covers, per point, its cluster's Gram minus
     v v^T and every other cluster's Gram plus v v^T. Each candidate
-    partition's GD is bounded from below with _dim_lower_bounds; a point
-    is cleared only when every bound reaches gd * (1 + 1e-9), which
-    leaves room for the rounding of both p-norms.
+    partition's GD is bounded from below with _dim_lower_bounds, the
+    merge screen's bound kernel; a point is cleared only when every bound
+    reaches gd * (1 + _SCREEN_SLACK), which leaves room for the rounding
+    of both p-norms.
     """
     b, k_total, d = idx.size, grams.shape[0], grams.shape[1]
     rows = np.arange(b)
@@ -686,7 +664,7 @@ def _screen_moves(idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
     cand[:, diag, diag] = dim_lo
     gd_lo = pnorm(cand, cfg.p)
     gd_lo[rows, src] = np.inf
-    return np.all(gd_lo >= pnorm(dims, cfg.p) * (1.0 + 1e-9), axis=1)
+    return np.all(gd_lo >= pnorm(dims, cfg.p) * (1.0 + _SCREEN_SLACK), axis=1)
 
 
 def genetic_refine(a, labels, cfg):

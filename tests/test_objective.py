@@ -199,6 +199,20 @@ class TestGradient:
         grad = gd_gradient(a, m, PARAMS, on_degenerate="zero")
         assert np.all(grad[1] == 0.0)
 
+    @pytest.mark.parametrize("p", [0.05, 0.5])
+    def test_empty_cluster_below_p_one(self, p):
+        # For p < 1 the chain factor (dim / gd)**(p - 1) of an empty
+        # cluster would be 0**(p - 1) = inf, and inf times its zero row
+        # NaN. An empty cluster adds nothing to the p-norm, so the other
+        # rows must be those of the membership without it.
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(9, 10))
+        m = np.vstack([rng.uniform(size=10), rng.uniform(size=10), np.zeros(10)])
+        params = ObjectiveParams(eps=0.35, p=p)
+        grad = gd_gradient(a, m, params, on_degenerate="zero")
+        assert np.all(grad[2] == 0.0)
+        np.testing.assert_array_equal(grad[:2], gd_gradient(a, m[:2], params))
+
 
 class TestOutlierObjective:
     def setup_method(self):

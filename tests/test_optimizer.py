@@ -809,3 +809,35 @@ def test_merge_screen_in_fewer_than_four_dimensions(d, monkeypatch):
     for child, labels in zip(children, merged):
         np.testing.assert_array_equal(
             labels, reference_merge_init(a, cfg, np.random.default_rng(child)))
+
+
+@pytest.mark.parametrize("p", [1e-6, 322.72], ids=["p1e-6", "p322.72"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_merge_screen_slack_holds_at_both_ends_of_p(kind, k, p, monkeypatch):
+    # The screen's rounding slack multiplies bound**p: as p -> 0 it must
+    # cover pow's own rounding, and at 322.72, the largest p that
+    # 9-dimensional data allow, the bounds' rounding raised to p. Three
+    # restarts merge in one wave, with and without the screen; both must
+    # give every restart's reference labels, and the screen must spare
+    # some 9 x 9 eigendecompositions. 40 candidates keep the reference
+    # cheap.
+    a = oracle_case(kind, k, 40 + k)
+    cfg = GdmConfig(n_clusters=k, p=p, merge_candidates=40, seed=40 + k)
+    children = np.random.SeedSequence(cfg.seed).spawn(3)
+    want = [reference_merge_init(a, cfg, np.random.default_rng(c)) for c in children]
+    merged_dims = optimizer._merged_dims
+    decomposed = []
+
+    def counting(grams, x, y, eps, piece):
+        decomposed[-1] += x.size
+        return merged_dims(grams, x, y, eps, piece)
+
+    monkeypatch.setattr(optimizer, "_merged_dims", counting)
+    for points in (optimizer._SCREEN_POINTS, 1):
+        monkeypatch.setattr(optimizer, "_SCREEN_POINTS", points)
+        decomposed.append(0)
+        merged = _merge_init(a, cfg, [np.random.default_rng(c) for c in children])
+        for labels, ref in zip(merged, want):
+            np.testing.assert_array_equal(labels, ref)
+    assert decomposed[0] < decomposed[1]

@@ -132,6 +132,19 @@ def test_dim_lower_bounds_match_reference(seed, eps, exp):
     for err in (np.zeros((2, 3)), 10.0 ** -rng.uniform(3, 14, size=(2, 3))):
         assert_bitwise(_dim_lower_bounds(evals, err, exp, eps),
                        reference_dim_lower_bounds(evals, err, exp, eps))
+    # The merge screen's inputs: the eigenvalues of the m x m Grams of
+    # unions of m = 2 and m = 4 points in R^9, padded with zeros to D = 9,
+    # with its error 2 c (m + D) (u mass + tiny), c = 8. Scaled by 2^-80
+    # every union's top singular value is below DEGENERATE_SMAX.
+    padded, err = np.zeros((4, 9)), np.zeros(4)
+    for row, m in enumerate((2, 2, 4, 4)):
+        v = rng.normal(size=(9, m)) * 10.0 ** rng.uniform(-3, 3)
+        padded[row, :m] = np.linalg.eigvalsh(v.T @ v)
+        err[row] = 16.0 * (m + 9) * (2.0**-53 * np.sum(v**2) + np.finfo(float).tiny)
+    for e in (exp, -80):
+        dims = _dim_lower_bounds(padded, err, e, eps)
+        assert_bitwise(dims, reference_dim_lower_bounds(padded, err, e, eps))
+        assert np.all(dims > 0.0) if e == exp else np.all(dims == 0.0)
 
 
 @pytest.mark.parametrize("p", [2.0, 15.0, 30.0])
