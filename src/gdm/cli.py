@@ -143,7 +143,9 @@ def _resolve_seed(seed):
 
 _PIPELINE_OPTIONS = [
     click.option("--epsilon", default=0.35, show_default=True,
-                 help="Empirical dimension strictness, in (0, 1)."),
+                 help="Empirical dimension strictness, in (0, 1), with "
+                      "D**(1/eps) below the largest float (eps >= 0.0031 "
+                      "for 9-d data)."),
     click.option("--p", default=15.0, show_default=True,
                  help="Exponent of the dimension-combining norm; finite, "
                       "with 2 * D**p below the largest float."),

@@ -58,10 +58,27 @@ def numerical_rank(sigma, rel_tol=RELATIVE_ZERO_TOL):
     return int(np.sum(sigma > rel_tol * sigma.max()))
 
 
-def _check_eps(eps):
-    """Raise InvalidParameterError unless eps lies in (0, 1]."""
+def _check_eps(eps, d):
+    """Raise InvalidParameterError unless eps lies in (0, 1] and the
+    eps-norm of a spectrum of at most d values stays finite.
+
+    The norm's root is taken of a sum of at most d powers of values at
+    most 1, so it needs d**(1/eps) < inf: at d = 9, eps above 0.0031.
+    """
     if not 0.0 < eps <= 1.0:
         raise InvalidParameterError("eps must be in (0, 1], got %r" % (eps,))
+    try:
+        finite = math.isfinite(float(d) ** (1.0 / eps))
+    except OverflowError:
+        finite = False
+    if not finite:
+        # Rounded up to 0.0001, with room for the logarithms' rounding.
+        bound = math.log(d) / math.log(np.finfo(float).max)
+        smallest = math.ceil(bound * 1e4 + 1e-6) / 1e4
+        raise InvalidParameterError(
+            "eps = %g overflows the eps-norm of %d-dimensional spectra; "
+            "the smallest eps allowed is %.4f" % (eps, d, smallest)
+        )
 
 
 def _power_sums(s, eps, upper=None):
@@ -118,10 +135,10 @@ def empirical_dimension(sigma, eps=0.35):
     -------
     float in [1, len(sigma)].
     """
-    _check_eps(eps)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or sigma.size == 0:
         raise InvalidInputError("sigma must be a nonempty 1-d vector")
+    _check_eps(eps, sigma.size)
     if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
         raise InvalidInputError("singular values must be finite and nonnegative")
     if sigma.max() <= 0.0:
@@ -136,10 +153,10 @@ def batch_empirical_dimension(sigmas, eps=0.35):
     Rows that are identically zero get dimension 0 (the continuous
     extension used for empty clusters).
     """
-    _check_eps(eps)
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] == 0:
         raise InvalidInputError("sigmas must be a 2-d stack of nonempty spectra")
+    _check_eps(eps, sigmas.shape[1])
     if not np.all(np.isfinite(sigmas)) or np.any(sigmas < 0):
         raise InvalidInputError("singular values must be finite and nonnegative")
     ok = sigmas.max(axis=1) > 0.0

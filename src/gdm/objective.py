@@ -184,7 +184,7 @@ def hard_cluster_dims(a, labels, n_clusters, eps=0.35, on_degenerate="raise"):
     labels = np.asarray(labels)
     if labels.shape != (a.shape[1],):
         raise InvalidInputError("labels must have one entry per data column")
-    _check_eps(eps)
+    _check_eps(eps, a.shape[0])
     return np.array(
         [
             _dim_of_columns(a[:, labels == k], eps, on_degenerate)
@@ -293,20 +293,21 @@ def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
     return values, grad
 
 
-def _validate_soft(a, m, outlier):
+def _validate_soft(a, m, outlier, eps):
     a = _validate_data(a)
     m = _validate_weights(m)
     if outlier and m.shape[0] < 2:
         raise InvalidInputError("outlier membership needs at least 2 rows")
     if a.shape[1] != m.shape[1]:
         raise InvalidInputError("data and membership disagree on point count")
+    _check_eps(eps, a.shape[0])
     return a, m
 
 
 def global_dimension_soft(a, m, params=None, on_degenerate="raise"):
     """Global dimension of a soft partition (membership matrix)."""
-    a, m = _validate_soft(a, m, outlier=False)
     params = params or ObjectiveParams()
+    a, m = _validate_soft(a, m, False, params.eps)
     return float(value_and_gradient(a, m[None], params, False, on_degenerate, False)[0][0])
 
 
@@ -317,8 +318,8 @@ def gd_gradient(a, m, params=None, on_degenerate="raise"):
     have a nonzero spectrum unless on_degenerate='zero', in which case
     degenerate clusters get zero rows.
     """
-    a, m = _validate_soft(a, m, outlier=False)
     params = params or ObjectiveParams()
+    a, m = _validate_soft(a, m, False, params.eps)
     return value_and_gradient(a, m[None], params, False, on_degenerate, True)[1][0]
 
 
@@ -329,8 +330,8 @@ def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
     alpha / 2 * sum(M[0]^2), and rows 1..K contribute their empirical
     dimensions through the usual p-norm.
     """
-    a, m = _validate_soft(a, m, outlier=True)
     params = params or ObjectiveParams()
+    a, m = _validate_soft(a, m, True, params.eps)
     return float(value_and_gradient(a, m[None], params, True, on_degenerate, False)[0][0])
 
 
@@ -341,6 +342,6 @@ def gd_gradient_outlier(a, m, params=None, on_degenerate="raise"):
     the same structure as the classic gradient with the p-norm taken
     over the K true clusters.
     """
-    a, m = _validate_soft(a, m, outlier=True)
     params = params or ObjectiveParams()
+    a, m = _validate_soft(a, m, True, params.eps)
     return value_and_gradient(a, m[None], params, True, on_degenerate, True)[1][0]

@@ -7,9 +7,9 @@ descent on the soft membership matrix, thresholding back to a hard
 partition, and a greedy point-reassignment cleanup. Several restarts
 are run and the partition with the lowest hard global dimension wins.
 
-All restarts of one call merge in one lockstep wave, then descend in
-another, and then each is thresholded, refined and scored in restart
-order. In the merge wave each round draws
+All restarts of one call merge in one lockstep wave, descend in a
+second and, after thresholding, refine in a third; then each is scored
+in restart order. In the merge wave each round draws
 every restart's candidate pairs from its own generator, scores them as
 one array with one eigvalsh batch, and commits each restart's own best
 merge. Every merge starts from the same N singletons, so the merged
@@ -34,6 +34,16 @@ The descent wave evaluates every restart's objective and gradient with
 one stacked kernel call (one batched SVD) per iteration; a restart whose
 step scale reaches 0 drops out. Each restart's descent has the bits it
 gets alone.
+
+The refine wave runs each restart's passes until it needs screen
+results, then screens the waiting points of every restart with one
+row-stacked call, in eigvalsh pieces of at most N Grams. A point found
+unable to move is settled until the next accepted move of its restart
+and is not screened again; blocks of unsettled points start at 8 after
+each accepted move and at each pass start and double up to 256, so few
+screened points are thrown away by a move. Restarts with equal
+thresholded labels are refined once. Each restart gets the labels it
+gets alone.
 """
 
 import math
@@ -41,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dimension import DEGENERATE_SMAX, _power_norms
+from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
     ObjectiveParams,
@@ -268,7 +278,11 @@ def _dim_lower_bounds(evals, err, exp, eps):
 # a slack above about 2 p rho + 9 u; taken outside the power, the slack
 # covers pow's own rounding however small p is. At D = 9, 1e-9 covers
 # every p up to 322.7, the largest _check_merge_power accepts, for
-# eps >= 0.002, and p = 15 for eps >= 1e-4.
+# eps >= 0.002, and p = 15 for eps >= 1e-4; _check_eps rejects eps below
+# 0.0031 there anyway. The row-stacked refine screen takes the p-norm of
+# each row's current dimensions as an array power, whose last bits can
+# differ from a lone scalar power's: a few more ulps, which the slack
+# covers.
 _SCREEN_SLACK = 1e-9
 
 # The merge screen (_merge_init) bounds the merged dimension of a union of
@@ -323,6 +337,7 @@ def greedy_merge_init(a, cfg, rng=None):
     """
     a = _validate_data(a)
     _check_merge_power(a.shape[0], cfg.p)
+    _check_eps(cfg.eps, a.shape[0])
     n = a.shape[1]
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -621,7 +636,7 @@ def descend(a, m0, cfg):
     its restarts together, with the same bits. m0 must be a finite
     matrix with one column per data column.
     """
-    a, m0 = _validate_soft(a, m0, outlier=False)
+    a, m0 = _validate_soft(a, m0, False, cfg.eps)
     return _descend_loop(a, m0, cfg, cfg.objective_params(), outlier=False)[0]
 
 
@@ -632,39 +647,168 @@ def threshold(m):
     return np.argmax(m, axis=0)
 
 
-# Points whose candidate moves one batched eigvalsh screens in
-# genetic_refine.
-_SCREEN_BLOCK = 32
+# Refinement screens the next unsettled points in blocks that start at
+# _FIRST_BLOCK points, after every accepted move and at every pass start,
+# and double up to _LAST_BLOCK while no move is accepted.
+_FIRST_BLOCK = 8
+_LAST_BLOCK = 256
 
-def _screen_moves(idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
+
+def _screen_moves(req, idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
                   exp, cfg):
-    """For each point of idx, True when no single move of it can lower
-    the hard global dimension below pnorm(dims) by the SVD path.
+    """For row i, point idx[i] of restart req[i], True when no single
+    move of it can lower that restart's hard global dimension below
+    pnorm(dims[req[i]]) by the SVD path.
 
-    One batched eigvalsh covers, per point, its cluster's Gram minus
-    v v^T and every other cluster's Gram plus v v^T. Each candidate
-    partition's GD is bounded from below with _dim_lower_bounds, the
-    merge screen's bound kernel; a point is cleared only when every bound
-    reaches gd * (1 + _SCREEN_SLACK), which leaves room for the rounding
-    of both p-norms.
+    labels, dims, grams, terms and mass hold one row per restart. Each
+    row's point needs its cluster's Gram minus v v^T and every other
+    cluster's Gram plus v v^T. Each candidate partition's GD is bounded
+    from below with _dim_lower_bounds, the merge screen's bound kernel,
+    in pieces of at most N Grams per batched eigvalsh, as _merged_dims
+    decomposes; a point is cleared only when every bound reaches
+    gd * (1 + _SCREEN_SLACK), which leaves room for the rounding of both
+    p-norms.
     """
-    b, k_total, d = idx.size, grams.shape[0], grams.shape[1]
+    b, k_total, d = idx.size, grams.shape[1], grams.shape[2]
     rows = np.arange(b)
-    src = labels[idx]
-    batch = grams[None] + point_grams[idx, None]
-    batch[rows, src] = grams[src] - point_grams[idx]
-    count = terms[None] + 1.0
-    total = mass[None] + sq_norms[idx, None]
+    src = labels[req, idx]
+    count = terms[req] + 1.0
+    total = mass[req] + sq_norms[idx, None]
     err = _GRAM_ERROR_FACTOR * ((count + d) * _UNIT_ROUNDOFF * total + count * _TINY)
-    dim_lo = _dim_lower_bounds(np.linalg.eigvalsh(batch), err, exp, cfg.eps)
-    # cand[i, k] is point i's candidate partition when it moves to k.
-    cand = np.broadcast_to(dims, (b, k_total, k_total)).copy()
+    dim_lo = np.empty((b, k_total))
+    piece = max(1, labels.shape[1] // k_total)
+    for first in range(0, b, piece):
+        at = slice(first, first + piece)
+        batch = grams[req[at]]
+        batch += point_grams[idx[at], None]
+        batch[rows[: batch.shape[0]], src[at]] = grams[req[at], src[at]] - point_grams[idx[at]]
+        dim_lo[at] = _dim_lower_bounds(np.linalg.eigvalsh(batch), err[at], exp, cfg.eps)
+    # cand[i, k] is row i's candidate partition when its point moves to k.
+    cur = dims[req]
+    cand = np.repeat(cur[:, None], k_total, axis=1)
     cand[rows, :, src] = dim_lo[rows, src][:, None]
     diag = np.arange(k_total)
     cand[:, diag, diag] = dim_lo
     gd_lo = pnorm(cand, cfg.p)
     gd_lo[rows, src] = np.inf
-    return np.all(gd_lo >= pnorm(dims, cfg.p) * (1.0 + _SCREEN_SLACK), axis=1)
+    return np.all(gd_lo >= pnorm(cur, cfg.p)[:, None] * (1.0 + _SCREEN_SLACK), axis=1)
+
+
+def _refine_restart(a, labels, dims, grams, terms, mass, point_grams, sq_norms, cfg):
+    """Greedy passes of one restart, in place on its rows of the wave's
+    labels, dims, grams, terms and mass.
+
+    A generator: it yields the points it needs screened, in index order,
+    and is sent one screen result per point. A point is settled while no
+    move has been accepted since it was last found unable to move; then
+    labels, dims and sizes, on which its decision depends, are those of
+    that check, so it is not screened or tried again.
+    """
+    k_total = cfg.n_clusters
+    n = labels.size
+    sizes = np.bincount(labels, minlength=k_total)
+    # Accepted moves so far, and their count at each point's last check.
+    moves = 0
+    settled = np.full(n, -1)
+    for _ in range(cfg.genetic_passes):
+        moves_before = moves
+        grams[:] = np.tensordot(indicator_membership(labels, k_total), point_grams, axes=1)
+        terms[:] = sizes
+        mass[:] = np.bincount(labels, weights=sq_norms, minlength=k_total)
+        j, width = 0, _FIRST_BLOCK
+        while True:
+            # A point alone in its cluster cannot move.
+            block = j + np.flatnonzero((settled[j:] != moves) & (sizes[labels[j:]] > 1))[:width]
+            if not block.size:
+                break
+            skip = yield block
+            # Points past a move below are marked with the count before
+            # it, so they stay unsettled.
+            settled[block[skip]] = moves
+            j, width = block[-1] + 1, min(2 * width, _LAST_BLOCK)
+            for i in block[~skip].tolist():
+                k0 = labels[i]
+                gd_cur = pnorm(dims, cfg.p)
+                mask_src = labels == k0
+                mask_src[i] = False
+                dim_src = _dim_of_columns(a[:, mask_src], cfg.eps, "zero")
+                best_gd, best_k, best_tgt = gd_cur, -1, 0.0
+                for k in range(k_total):
+                    if k == k0:
+                        continue
+                    mask_tgt = labels == k
+                    mask_tgt[i] = True
+                    dim_tgt = _dim_of_columns(a[:, mask_tgt], cfg.eps, "zero")
+                    cand = dims.copy()
+                    cand[k0] = dim_src
+                    cand[k] = dim_tgt
+                    gd_cand = pnorm(cand, cfg.p)
+                    if gd_cand < best_gd:
+                        best_gd, best_k, best_tgt = gd_cand, k, dim_tgt
+                if best_k < 0:
+                    settled[i] = moves
+                    continue
+                # The moved point stays unsettled: its check was before the move.
+                labels[i] = best_k
+                dims[k0] = dim_src
+                dims[best_k] = best_tgt
+                sizes[k0] -= 1
+                sizes[best_k] += 1
+                grams[k0] -= point_grams[i]
+                grams[best_k] += point_grams[i]
+                terms[[k0, best_k]] += 1.0
+                mass[[k0, best_k]] += sq_norms[i]
+                moves += 1
+                j, width = i + 1, _FIRST_BLOCK
+                break
+        if moves == moves_before:
+            break
+
+
+def _refine_wave(a, starts, cfg):
+    """Refine every start labeling of validated data a in one lockstep
+    wave; returns one refined label vector per start, each the one
+    genetic_refine gives it alone.
+
+    Starts with equal labels are refined once. Each restart runs its
+    passes (_refine_restart) until it needs screen results; then one
+    _screen_moves call, stacked by rows (restart, point), serves every
+    waiting restart. A restart's blocks depend only on its accepted
+    moves, so the wave makes as many screen calls as its busiest
+    restart needs alone.
+    """
+    k_total = cfg.n_clusters
+    d = a.shape[0]
+    labels, which = np.unique(np.array(starts, dtype=int), axis=0, return_inverse=True)
+    r = labels.shape[0]
+    dims = np.array([hard_cluster_dims(a, row, k_total, cfg.eps, on_degenerate="zero")
+                     for row in labels])
+    point_grams, exp = _point_grams(a)
+    sq_norms = np.einsum("nii->n", point_grams)
+    grams = np.empty((r, k_total, d, d))
+    terms = np.empty((r, k_total))
+    mass = np.empty((r, k_total))
+    waiting = []
+    for i in range(r):
+        restart = _refine_restart(a, labels[i], dims[i], grams[i], terms[i], mass[i],
+                                  point_grams, sq_norms, cfg)
+        block = next(restart, None)
+        if block is not None:
+            waiting.append((i, restart, block))
+    while waiting:
+        req = np.concatenate([np.full(block.size, i) for i, _, block in waiting])
+        idx = np.concatenate([block for _, _, block in waiting])
+        skip = _screen_moves(req, idx, labels, dims, grams, terms, mass, point_grams,
+                             sq_norms, exp, cfg)
+        step, first = [], 0
+        for i, restart, block in waiting:
+            try:
+                step.append((i, restart, restart.send(skip[first : first + block.size])))
+            except StopIteration:
+                pass
+            first += block.size
+        waiting = step
+    return [labels[u].copy() for u in which.ravel()]
 
 
 def genetic_refine(a, labels, cfg):
@@ -677,77 +821,31 @@ def genetic_refine(a, labels, cfg):
     after the first sweep with no accepted move.
 
     Every decision is the one the per-candidate SVDs give, but most
-    points never need them. Per-cluster D x D Grams are rebuilt from the
-    point Grams at the start of each pass and updated by -+v v^T on each
-    accepted move. The next 32 points are screened with one batched
-    eigvalsh (_screen_moves), and a point is skipped only when a
-    rigorous lower bound on every candidate's global dimension shows
-    that no move can win. Every other point runs the per-candidate SVDs,
-    so accepted moves and stored dimensions are SVD values. After an
-    accepted move the screen restarts at the next point.
+    points never need them. A point found unable to move is settled, and
+    passed over, until the next accepted move: nothing its decision
+    depends on has changed. The other points are screened in blocks
+    (_screen_moves) with rigorous lower bounds from per-cluster D x D
+    Grams, rebuilt at each pass start and updated by -+v v^T on each
+    accepted move; only a point whose bounds do not rule out every move
+    runs the per-candidate SVDs, so accepted moves and stored dimensions
+    are SVD values. Blocks start at 8 points after each accepted move and
+    at each pass start, and double up to 256.
+
+    This is a wave of one; gdm refines all its restarts in one lockstep
+    wave (_refine_wave), which gives every restart these labels.
     """
     a = _validate_data(a)
-    labels = np.array(labels, dtype=int)
-    k_total = cfg.n_clusters
-    n = labels.size
+    _check_eps(cfg.eps, a.shape[0])
+    labels = np.asarray(labels)
     if labels.shape != (a.shape[1],):
         raise InvalidInputError("labels must have one entry per data column")
-    if n and not 0 <= labels.min() <= labels.max() < k_total:
-        raise InvalidInputError("labels must lie in [0, %d)" % k_total)
-    sizes = np.bincount(labels, minlength=k_total)
-    dims = hard_cluster_dims(a, labels, k_total, cfg.eps, on_degenerate="zero")
-    point_grams, exp = _point_grams(a)
-    sq_norms = np.einsum("nii->n", point_grams)
-    for _ in range(cfg.genetic_passes):
-        changed = False
-        grams = np.tensordot(indicator_membership(labels, k_total), point_grams, axes=1)
-        terms = sizes.astype(float)
-        mass = np.bincount(labels, weights=sq_norms, minlength=k_total)
-        skip, first = np.zeros(0, dtype=bool), 0
-        for j in range(n):
-            k0 = labels[j]
-            if sizes[k0] <= 1:
-                continue
-            if j - first >= skip.size:
-                first = j
-                skip = _screen_moves(
-                    np.arange(j, min(j + _SCREEN_BLOCK, n)), labels, dims, grams,
-                    terms, mass, point_grams, sq_norms, exp, cfg,
-                )
-            if skip[j - first]:
-                continue
-            gd_cur = pnorm(dims, cfg.p)
-            mask_src = labels == k0
-            mask_src[j] = False
-            dim_src = _dim_of_columns(a[:, mask_src], cfg.eps, "zero")
-            best_gd, best_k, best_tgt = gd_cur, -1, 0.0
-            for k in range(k_total):
-                if k == k0:
-                    continue
-                mask_tgt = labels == k
-                mask_tgt[j] = True
-                dim_tgt = _dim_of_columns(a[:, mask_tgt], cfg.eps, "zero")
-                cand = dims.copy()
-                cand[k0] = dim_src
-                cand[k] = dim_tgt
-                gd_cand = pnorm(cand, cfg.p)
-                if gd_cand < best_gd:
-                    best_gd, best_k, best_tgt = gd_cand, k, dim_tgt
-            if best_k >= 0:
-                labels[j] = best_k
-                dims[k0] = dim_src
-                dims[best_k] = best_tgt
-                sizes[k0] -= 1
-                sizes[best_k] += 1
-                grams[k0] -= point_grams[j]
-                grams[best_k] += point_grams[j]
-                terms[[k0, best_k]] += 1.0
-                mass[[k0, best_k]] += sq_norms[j]
-                skip = skip[:0]
-                changed = True
-        if not changed:
-            break
-    return labels
+    if labels.dtype.kind not in "iu":
+        values = labels.astype(float)
+        if not np.all(np.isfinite(values) & (values == np.round(values))):
+            raise InvalidInputError("labels must be whole numbers")
+    if labels.size and not 0 <= labels.min() <= labels.max() < cfg.n_clusters:
+        raise InvalidInputError("labels must lie in [0, %d)" % cfg.n_clusters)
+    return _refine_wave(a, [labels.astype(int)], cfg)[0]
 
 
 def _hard_result(a, labels, cfg, **fields):
@@ -773,6 +871,7 @@ def _run_restarts(a, cfg, run):
     """
     d, n = a.shape
     _check_merge_power(d, cfg.p)
+    _check_eps(cfg.eps, d)
     if n <= cfg.n_clusters:
         raise InvalidParameterError(
             "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
@@ -791,8 +890,11 @@ def gdm(a, cfg, threads=1):
     hard partition has the lowest global dimension, ties going to the
     earliest restart. All restarts merge in one lockstep wave and
     descend in another, starting from the indicator memberships of their
-    merged labels; then each restart is thresholded, refined and scored
-    in restart order. Each restart's result is the one it gets alone.
+    merged labels; their thresholded labels are refined in a third
+    (_refine_wave), in which one screen call per step serves every
+    restart and settled points are not screened again; then each
+    restart is scored in restart order. Each restart's result is the
+    one it gets alone.
     Fully deterministic given cfg.seed. threads is accepted for
     compatibility and has no effect: everything runs in one thread.
     """
@@ -801,11 +903,12 @@ def gdm(a, cfg, threads=1):
 
     def run(merged):
         m0 = np.array([indicator_membership(labels0, cfg.n_clusters) for labels0 in merged])
+        ms, traces = _descend_loop(a, m0, cfg, params, outlier=False)
+        refined = _refine_wave(a, [threshold(m) for m in ms], cfg)
         runs = []
-        for m, trace in zip(*_descend_loop(a, m0, cfg, params, outlier=False)):
+        for m, trace, labels in zip(ms, traces, refined):
             result = _hard_result(
-                a, genetic_refine(a, threshold(m), cfg), cfg,
-                outliers=np.empty(0, dtype=int), membership=m,
+                a, labels, cfg, outliers=np.empty(0, dtype=int), membership=m,
                 restarts_run=cfg.restarts, trace=trace,
             )
             runs.append((result.gd_value, result))

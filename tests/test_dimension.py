@@ -139,6 +139,17 @@ class TestEmpiricalDimension:
             batch_empirical_dimension(sigmas, 0.35)
 
 
+def test_eps_whose_norm_overflows_is_rejected():
+    # The eps-norm root of up to 9 values at most 1 needs 9**(1/eps) < inf.
+    for run in (lambda eps: empirical_dimension(np.ones(9), eps),
+                lambda eps: batch_empirical_dimension(np.ones((2, 9)), eps)):
+        with pytest.raises(InvalidParameterError, match="smallest eps allowed is 0.0031"):
+            run(1e-3)
+        assert run(0.0032) == pytest.approx(9.0)
+    # One value has norm 1 whatever eps is.
+    assert empirical_dimension([2.0], 1e-6) == 1.0
+
+
 class TestPLowerBound:
     def test_table_values(self):
         for (k, d), expected in P_BOUND_TABLE.items():

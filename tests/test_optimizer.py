@@ -39,6 +39,7 @@ from gdm.optimizer import (
     _merge_init,
     _pair_bases,
     _point_grams,
+    _refine_wave,
 )
 from gdm.robust import OUTLIER_INIT_MASS, gdm_outlier_core
 
@@ -92,6 +93,22 @@ def test_p_that_overflows_merge_scores_is_rejected():
         with pytest.raises(InvalidParameterError, match="largest p allowed is 322.72"):
             run(a, replace(cfg, p=322.73))
     assert gdm(a, replace(cfg, p=322.72)).labels.size == 12
+
+
+def test_eps_that_overflows_dimensions_is_rejected():
+    # With D = 9 the eps-norm root of a spectrum, at most 9**(1/eps),
+    # is finite for eps above 0.003096.
+    mix = sample_subspace_mixture(
+        SyntheticSpec(dims=(2, 3), points_per_cluster=8, noise_sigma=0.01, seed=2))
+    a, n = mix.data, mix.data.shape[1]
+    cfg = GdmConfig(n_clusters=2, restarts=2, seed=1)
+    runs = (gdm, gdm_outlier_core, greedy_merge_init,
+            lambda a, cfg: genetic_refine(a, np.arange(n) % 2, cfg),
+            lambda a, cfg: descend(a, indicator_membership(np.arange(n) % 2, 2), cfg))
+    for run in runs:
+        with pytest.raises(InvalidParameterError, match="smallest eps allowed is 0.0031"):
+            run(a, replace(cfg, eps=1e-3))
+        run(a, replace(cfg, eps=0.0032))
 
 
 class TestProjectSimplex:
@@ -285,6 +302,103 @@ def test_descent_makes_one_svd_call_per_iteration(restarts, monkeypatch):
     assert calls == [restarts * cfg.n_clusters] * (cfg.grad_iters + 1)
 
 
+def refine_wave_starts(a, k, seed):
+    """Start labelings for one refine wave: scrambled ones, duplicates of
+    two of them, and one with every cluster but 0 a singleton."""
+    rng = np.random.default_rng(seed)
+    n = a.shape[1]
+    starts = [rng.integers(0, k, size=n) for _ in range(3)]
+    for start in starts:
+        start[:k] = np.arange(k)
+    singletons = np.zeros(n, dtype=int)
+    singletons[n - k + 1 :] = np.arange(1, k)
+    return starts + [starts[1].copy(), singletons, starts[0].copy()]
+
+
+@pytest.mark.parametrize("passes", [0, 1, 10])
+@pytest.mark.parametrize("k", [2, 3])
+def test_refine_wave_matches_reference_per_start(k, passes):
+    # Every start of one refine wave, duplicates and singleton clusters
+    # included, gets the labels of the reference refine run alone.
+    a = oracle_case("two_view", k, 40 + k)
+    cfg = GdmConfig(n_clusters=k, genetic_passes=passes, seed=40 + k)
+    starts = refine_wave_starts(a, k, k)
+    kept = [start.copy() for start in starts]
+    refined = _refine_wave(a, starts, cfg)
+    assert len(refined) == len(starts)
+    for start, start_copy, labels in zip(starts, kept, refined):
+        np.testing.assert_array_equal(start, start_copy)
+        np.testing.assert_array_equal(labels, reference_refine(a, start, cfg))
+    # A duplicate start is refined once but gets its own array.
+    assert refined[3] is not refined[1] and refined[5] is not refined[0]
+    refined[3][:] = -1
+    assert refined[1].min() >= 0
+
+
+def screen_steps(monkeypatch, call):
+    """(call(), the number of _screen_moves calls it makes)."""
+    steps = []
+    screen = optimizer._screen_moves
+
+    def counting(*args):
+        steps.append(1)
+        return screen(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_screen_moves", counting)
+        return call(), len(steps)
+
+
+def test_refine_makes_as_many_screen_steps_as_its_busiest_restart(monkeypatch):
+    # One gdm call refines all its restarts in one wave: each screen step
+    # serves every restart still going, so the call makes as many steps
+    # as the restart that needs the most alone.
+    scene = sample_two_view_scene(2, [30, 30], noise_sigma=0.001, seed=8)
+    a = embed_dataset(scene.correspondences)
+    cfg = GdmConfig(n_clusters=2, restarts=6, seed=8)
+    starts = []
+    refine_wave = optimizer._refine_wave
+
+    def spy(a, labels, cfg):
+        starts.extend(start.copy() for start in labels)
+        return refine_wave(a, labels, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_refine_wave", spy)
+        _, in_wave = screen_steps(monkeypatch, lambda: gdm(a, cfg))
+    assert len(starts) == cfg.restarts
+    alone = [screen_steps(monkeypatch, lambda: genetic_refine(a, start, cfg))[1]
+             for start in starts]
+    assert in_wave == max(alone) < sum(alone)
+
+
+def test_refine_eigvalsh_batches_hold_at_most_n_grams(monkeypatch):
+    # A screen step stacks every waiting restart's points, K Grams each,
+    # and decomposes them in pieces of at most N Grams.
+    scene = sample_two_view_scene(3, [20, 20, 20], noise_sigma=0.001, seed=9)
+    a = embed_dataset(scene.correspondences)
+    n = a.shape[1]
+    cfg = GdmConfig(n_clusters=3, seed=9)
+    batches, steps = [], []
+    eigvalsh = np.linalg.eigvalsh
+    screen = optimizer._screen_moves
+
+    def counting(batch):
+        batches.append(int(np.prod(batch.shape[:-2])))
+        return eigvalsh(batch)
+
+    def spy(req, idx, *args):
+        steps.append(idx.size * cfg.n_clusters)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counting)
+            return screen(req, idx, *args)
+
+    monkeypatch.setattr(optimizer, "_screen_moves", spy)
+    gdm(a, cfg)
+    assert max(batches) <= n < max(steps)
+    assert sum(batches) == sum(steps)
+
+
 def test_threshold_rules():
     m = np.array([
         [0.0, 1 / 3, 0.40],
@@ -314,6 +428,17 @@ class TestGeneticRefine:
         cfg = GdmConfig(n_clusters=2, seed=0)
         with pytest.raises(InvalidInputError, match="labels"):
             genetic_refine(two_separated_lines(), labels, cfg)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, np.inf])
+    def test_labels_that_are_not_whole_numbers_are_rejected(self, bad):
+        labels = np.array([0] * 5 + [1] * 5, dtype=float)
+        labels[3] = bad
+        cfg = GdmConfig(n_clusters=2, seed=0)
+        with pytest.raises(InvalidInputError, match="whole numbers"):
+            genetic_refine(two_separated_lines(), labels, cfg)
+        labels[3] = 1.0
+        np.testing.assert_array_equal(genetic_refine(two_separated_lines(), labels, cfg),
+                                      [0] * 5 + [1] * 5)
 
     def test_corrects_single_mislabeled_point(self):
         a = two_separated_lines()
@@ -731,6 +856,36 @@ def test_merge_eigvalsh_counts(k, sizes, seed, merge_only, monkeypatch):
     else:
         gdm(a, cfg)
     assert matrices == MERGE_EIGVALSH_MATRICES[a.shape[1]]
+
+
+# 9 x 9 Grams that the refine screens of the same N = 120 and N = 150
+# gdm calls decompose. Screening settled points again, or blocks that an
+# accepted move throws away, gives the same labels but raises them.
+REFINE_SCREEN_MATRICES = {120: 9846, 150: 27120}
+
+
+@pytest.mark.parametrize("k, sizes, seed", [(2, [60, 60], 900), (3, [50, 50, 50], 901)],
+                         ids=["k2_n120", "k3_n150"])
+def test_refine_screen_counts(k, sizes, seed, monkeypatch):
+    scene = sample_two_view_scene(k, sizes, noise_sigma=0.001, seed=seed)
+    a = embed_dataset(scene.correspondences)
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+    screen = optimizer._screen_moves
+
+    def counting(batch):
+        assert batch.shape[-1] == 9
+        matrices.append(int(np.prod(batch.shape[:-2])))
+        return eigvalsh(batch)
+
+    def spy(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counting)
+            return screen(*args)
+
+    monkeypatch.setattr(optimizer, "_screen_moves", spy)
+    gdm(a, GdmConfig(n_clusters=k, seed=11))
+    assert sum(matrices) == REFINE_SCREEN_MATRICES[a.shape[1]]
 
 
 def test_merge_peak_memory_is_bounded_by_its_layout():
