@@ -135,7 +135,8 @@ def _comma_list(convert):
     return callback
 
 
-def _resolve_seed(seed):
+def _resolve_seed(ctx, param, seed):
+    """Option callback: the given seed, or one drawn at random."""
     if seed is not None:
         return int(seed)
     return int(np.random.SeedSequence().entropy % (2**32))
@@ -160,6 +161,7 @@ _PIPELINE_OPTIONS = [
     click.option("--merge-candidates", default=100, show_default=True,
                  help="Candidate pairs sampled per merge round."),
     click.option("--seed", type=click.IntRange(min=0), default=None,
+                 callback=_resolve_seed,
                  help="RNG seed; drawn at random (and echoed) if omitted."),
     click.option("--threads", default=1, show_default=True,
                  help="Accepted for compatibility; restarts run in one thread."),
@@ -172,19 +174,15 @@ def _pipeline_options(fn):
     return fn
 
 
-def _build_config(k, epsilon, p, restarts, grad_iters, genetic_passes, step,
-                  merge_candidates, seed):
-    return GdmConfig(
-        n_clusters=k,
-        eps=epsilon,
-        p=p,
-        restarts=restarts,
-        grad_iters=grad_iters,
-        genetic_passes=genetic_passes,
-        step_target=step,
-        merge_candidates=merge_candidates,
-        seed=seed,
-    )
+# GdmConfig field of each pipeline flag named otherwise; threads has none.
+_CONFIG_FIELDS = {"epsilon": "eps", "step": "step_target", "threads": None}
+
+
+def _build_config(k, pipeline):
+    """GdmConfig of k clusters from the parsed pipeline flags."""
+    fields = {_CONFIG_FIELDS.get(name, name): value for name, value in pipeline.items()}
+    fields.pop(None)
+    return GdmConfig(n_clusters=k, **fields)
 
 
 @click.group()
@@ -214,15 +212,13 @@ def cli():
 @click.option("--labels-out", type=click.Path(dir_okay=False), default=None,
               help="Also write one label per line to this file.")
 def segment(input_file, k, embedding, normalize, outlier_mode, alpha, fraction,
-            kappa, epsilon, p, restarts, grad_iters, genetic_passes, step,
-            merge_candidates, seed, threads, output, labels_out):
+            kappa, output, labels_out, **pipeline):
     """Segment the correspondences in INPUT_FILE into K motions."""
     t0 = time.perf_counter()
+    ctx = click.get_current_context()
     coords, truth = read_correspondences(input_file)
-    seed = _resolve_seed(seed)
     try:
-        cfg = _build_config(k, epsilon, p, restarts, grad_iters, genetic_passes,
-                            step, merge_candidates, seed)
+        cfg = _build_config(k, pipeline)
         data = embed_dataset(coords, mode=embedding, normalize=normalize)
         mode = outlier_mode.replace("-", "_")
         ocfg = OutlierConfig(mode=mode, alpha=alpha, fraction=fraction, kappa=kappa)
@@ -244,25 +240,9 @@ def segment(input_file, k, embedding, normalize, outlier_mode, alpha, fraction,
         "command": "segment",
         "input": str(input_file),
         "n_points": int(coords.shape[0]),
-        "config": {
-            "k": k,
-            "embedding": embedding,
-            "normalize": normalize,
-            "epsilon": epsilon,
-            "p": p,
-            "restarts": restarts,
-            "grad_iters": grad_iters,
-            "genetic_passes": genetic_passes,
-            "step": step,
-            "merge_candidates": merge_candidates,
-            "outlier_mode": outlier_mode,
-            "alpha": alpha,
-            "fraction": fraction,
-            "kappa": kappa,
-            "seed": seed,
-            "threads": threads,
-        },
-        "seed": seed,
+        "config": {param.name: ctx.params[param.name] for param in ctx.command.params
+                   if param.name not in ("input_file", "output", "labels_out")},
+        "seed": cfg.seed,
         "labels": [int(v) for v in result.labels],
         "outliers": [int(v) for v in result.outliers],
         "gd_value": result.gd_value,
@@ -289,10 +269,9 @@ def segment(input_file, k, embedding, normalize, outlier_mode, alpha, fraction,
               help="Bad matches to inject (label -1).")
 @click.option("--coplanar", is_flag=True, default=False,
               help="Place each body's points on a plane.")
-@click.option("--seed", type=click.IntRange(min=0), default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None, callback=_resolve_seed)
 def generate(output_file, bodies, points, noise, outliers, coplanar, seed):
     """Write a synthetic two-view scene as a correspondence file."""
-    seed = _resolve_seed(seed)
     per_body = points[0] if len(points) == 1 else points
     try:
         scene = sample_two_view_scene(
@@ -365,9 +344,7 @@ def eval_cmd(pred_file, truth_file, output):
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Write the curve as CSV here instead of stdout.")
 def roc(input_file, k, embedding, normalize, kappas, kappa_min, kappa_max,
-        kappa_count, alpha, fraction, truth_file, epsilon, p, restarts,
-        grad_iters, genetic_passes, step, merge_candidates, seed, threads,
-        output):
+        kappa_count, alpha, fraction, truth_file, output, **pipeline):
     """Sweep kappa over a grid and report the outlier-detection ROC."""
     if kappas is None:
         if not all(math.isfinite(b) and b > 0.0 for b in (kappa_min, kappa_max)):
@@ -386,10 +363,8 @@ def roc(input_file, k, embedding, normalize, kappas, kappa_min, kappa_max,
         raise click.ClickException(
             "ground truth required: give a label column or --truth"
         )
-    seed = _resolve_seed(seed)
     try:
-        cfg = _build_config(k, epsilon, p, restarts, grad_iters, genetic_passes,
-                            step, merge_candidates, seed)
+        cfg = _build_config(k, pipeline)
         data = embed_dataset(coords, mode=embedding, normalize=normalize)
         curve = roc_sweep(data, cfg, np.flatnonzero(truth < 0), kappas,
                           fraction=fraction, alpha=alpha)

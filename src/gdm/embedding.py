@@ -41,8 +41,7 @@ def embed_nonlinear(pc):
     coordinate is fixed at exactly 1 (standard homogeneous coordinates,
     no rescaling).
     """
-    x, y, xp, yp = _as_coords(pc)
-    return np.array([x * xp, xp * y, xp, x * yp, y * yp, yp, x, y, 1.0])
+    return embed_dataset(_as_coords(pc))[:, 0]
 
 
 def embed_linear(pc):

@@ -43,6 +43,8 @@ class SyntheticSpec:
         if not dims:
             raise InvalidParameterError("need at least one cluster")
         counts = self.counts()
+        if len(counts) != len(dims):
+            raise InvalidParameterError("points_per_cluster length must match dims")
         for d, c in zip(dims, counts):
             if not 1 <= d < self.ambient:
                 raise InvalidParameterError(
@@ -52,7 +54,9 @@ class SyntheticSpec:
                 raise InvalidParameterError(
                     "each cluster needs at least dim + 1 points"
                 )
-        if self.noise_sigma < 0 or self.outlier_count < 0 or self.outlier_radius <= 0:
+        # Written so that NaN fails the range tests too.
+        if (not 0.0 <= self.noise_sigma < np.inf or self.outlier_count < 0
+                or not 0.0 < self.outlier_radius < np.inf):
             raise InvalidParameterError("invalid noise/outlier settings")
 
     def counts(self):

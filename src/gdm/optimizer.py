@@ -7,9 +7,10 @@ descent on the soft membership matrix, thresholding back to a hard
 partition, and a greedy point-reassignment cleanup. Several restarts
 are run and the partition with the lowest hard global dimension wins.
 
-All restarts of one call merge in one lockstep wave, descend in a
-second and, after thresholding, refine in a third; then each is scored
-in restart order. In the merge wave each round draws
+All restarts of one call merge in one lockstep wave (_merged_restarts),
+descend in a second (_descend_loop) and, after thresholding, refine in
+a third (_refine_wave); gdm then scores each in restart order and keeps
+the first with the lowest score. In the merge wave each round draws
 every restart's candidate pairs from its own generator, scores them as
 one array with one eigvalsh batch, and commits each restart's own best
 merge. Every merge starts from the same N singletons, so the merged
@@ -106,8 +107,9 @@ class GdmConfig:
             raise InvalidParameterError("p must be positive and finite")
         if self.merge_candidates < 1:
             raise InvalidParameterError("merge_candidates must be >= 1")
-        if self.seed is not None and not (
-            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
+        if self.seed is not None and (
+            isinstance(self.seed, bool)
+            or not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0)
         ):
             raise InvalidParameterError("seed must be None or an integer >= 0")
 
@@ -277,7 +279,7 @@ def _dim_lower_bounds(evals, err, exp, eps):
 # rounds within 4 ulps, so bound**p * (1 - _SCREEN_SLACK) <= dim**p needs
 # a slack above about 2 p rho + 9 u; taken outside the power, the slack
 # covers pow's own rounding however small p is. At D = 9, 1e-9 covers
-# every p up to 322.7, the largest _check_merge_power accepts, for
+# every p up to 322.7, the largest _check_merge accepts, for
 # eps >= 0.002, and p = 15 for eps >= 1e-4; _check_eps rejects eps below
 # 0.0031 there anyway. The row-stacked refine screen takes the p-norm of
 # each row's current dimensions as an array power, whose last bits can
@@ -336,8 +338,7 @@ def greedy_merge_init(a, cfg, rng=None):
     restart these labels.
     """
     a = _validate_data(a)
-    _check_merge_power(a.shape[0], cfg.p)
-    _check_eps(cfg.eps, a.shape[0])
+    _check_merge(a.shape[0], cfg)
     n = a.shape[1]
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -346,12 +347,14 @@ def greedy_merge_init(a, cfg, rng=None):
     return _merge_init(a, cfg, [rng])[0]
 
 
-def _check_merge_power(d, p):
-    """Raise unless a merge score, dim**p - dp[sa] - dp[sb] with every
-    dimension at most D, stays finite: it needs 2 * D**p < inf, since
-    inf - inf is NaN and argmin would commit the first NaN pair."""
+def _check_merge(d, cfg):
+    """Raise unless cfg suits a merge of d-dimensional data: its eps must
+    pass _check_eps, and its p must keep a merge score, dim**p - dp[sa]
+    - dp[sb] with every dimension at most D, finite. That needs
+    2 * D**p < inf, since inf - inf is NaN and argmin would commit the
+    first NaN pair."""
     try:
-        finite = math.isfinite(2.0 * float(d) ** p)
+        finite = math.isfinite(2.0 * float(d) ** cfg.p)
     except OverflowError:
         finite = False
     if not finite:
@@ -360,8 +363,9 @@ def _check_merge_power(d, p):
         largest = math.floor(bound * 100.0 - 1e-6) / 100.0
         raise InvalidParameterError(
             "p = %g overflows the merge scores of %d-dimensional data; "
-            "the largest p allowed is %.2f" % (p, d, largest)
+            "the largest p allowed is %.2f" % (cfg.p, d, largest)
         )
+    _check_eps(cfg.eps, d)
 
 
 def _merged_dims(grams, x, y, eps, piece):
@@ -587,8 +591,7 @@ def _merge_init(a, cfg, rngs):
 def _descend_loop(a, m0, cfg, params, outlier):
     """Projected gradient descent of a stack of start memberships m0,
     shape (R, rows, N), all in one lockstep wave; returns (memberships,
-    one objective trace per membership). A single membership, shape
-    (rows, N), is a wave of one and gives (membership, trace).
+    one objective trace per membership).
 
     Each iteration evaluates every moving membership with one kernel
     call. A membership whose step scale rho is 0 stops there, and one
@@ -598,9 +601,6 @@ def _descend_loop(a, m0, cfg, params, outlier):
     bits of descending it alone.
     """
     m = np.array(m0, dtype=float)
-    if m.ndim == 2:
-        m, traces = _descend_loop(a, m[None], cfg, params, outlier)
-        return m[0], traces[0]
     r, _, n = m.shape
     n_top = -(-n // 10)
     traces = [[] for _ in range(r)]
@@ -637,7 +637,7 @@ def descend(a, m0, cfg):
     matrix with one column per data column.
     """
     a, m0 = _validate_soft(a, m0, False, cfg.eps)
-    return _descend_loop(a, m0, cfg, cfg.objective_params(), outlier=False)[0]
+    return _descend_loop(a, m0[None], cfg, cfg.objective_params(), outlier=False)[0][0]
 
 
 def threshold(m):
@@ -857,29 +857,24 @@ def _hard_result(a, labels, cfg, **fields):
     )
 
 
-def _run_restarts(a, cfg, run):
-    """Run every restart and keep the best.
+def _merged_restarts(a, cfg):
+    """Every restart's merged labels of validated data a, in restart
+    order.
 
     Restart i merges the points down to cfg.n_clusters sets, drawing
     from default_rng(seed_i), where seed_i is the i-th child of
     SeedSequence(cfg.seed).spawn(cfg.restarts). All restarts merge
     together in one lockstep wave (_merge_init), which changes no merged
-    label. run(merged) then gets every restart's merged labels in
-    restart order and returns one (value, outcome) per restart.
-    Returns the outcome with the lowest (value, restart index) and every
-    value in restart order.
+    label.
     """
     d, n = a.shape
-    _check_merge_power(d, cfg.p)
-    _check_eps(cfg.eps, d)
+    _check_merge(d, cfg)
     if n <= cfg.n_clusters:
         raise InvalidParameterError(
             "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
         )
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    runs = run(_merge_init(a, cfg, [np.random.default_rng(c) for c in children]))
-    best = min(range(cfg.restarts), key=lambda i: (runs[i][0], i))
-    return runs[best][1], np.array([value for value, _ in runs])
+    return _merge_init(a, cfg, [np.random.default_rng(c) for c in children])
 
 
 def gdm(a, cfg, threads=1):
@@ -888,31 +883,25 @@ def gdm(a, cfg, threads=1):
     Runs cfg.restarts restarts (merge initialization, gradient descent,
     thresholding, reassignment cleanup) and returns the result whose
     hard partition has the lowest global dimension, ties going to the
-    earliest restart. All restarts merge in one lockstep wave and
-    descend in another, starting from the indicator memberships of their
-    merged labels; their thresholded labels are refined in a third
-    (_refine_wave), in which one screen call per step serves every
-    restart and settled points are not screened again; then each
-    restart is scored in restart order. Each restart's result is the
-    one it gets alone.
+    earliest restart. All restarts merge in one lockstep wave
+    (_merged_restarts) and descend in another, starting from the
+    indicator memberships of their merged labels; their thresholded
+    labels are refined in a third (_refine_wave), in which one screen
+    call per step serves every restart and settled points are not
+    screened again; then each restart is scored in restart order. Each
+    restart's result is the one it gets alone.
     Fully deterministic given cfg.seed. threads is accepted for
     compatibility and has no effect: everything runs in one thread.
     """
     a = _validate_data(a)
-    params = cfg.objective_params()
-
-    def run(merged):
-        m0 = np.array([indicator_membership(labels0, cfg.n_clusters) for labels0 in merged])
-        ms, traces = _descend_loop(a, m0, cfg, params, outlier=False)
-        refined = _refine_wave(a, [threshold(m) for m in ms], cfg)
-        runs = []
-        for m, trace, labels in zip(ms, traces, refined):
-            result = _hard_result(
-                a, labels, cfg, outliers=np.empty(0, dtype=int), membership=m,
-                restarts_run=cfg.restarts, trace=trace,
-            )
-            runs.append((result.gd_value, result))
-        return runs
-
-    best, values = _run_restarts(a, cfg, run)
-    return replace(best, restart_gd_values=values)
+    merged = _merged_restarts(a, cfg)
+    m0 = np.array([indicator_membership(labels0, cfg.n_clusters) for labels0 in merged])
+    ms, traces = _descend_loop(a, m0, cfg, cfg.objective_params(), outlier=False)
+    refined = _refine_wave(a, [threshold(m) for m in ms], cfg)
+    results = [
+        _hard_result(a, labels, cfg, outliers=np.empty(0, dtype=int), membership=m,
+                     restarts_run=cfg.restarts, trace=trace)
+        for m, trace, labels in zip(ms, traces, refined)
+    ]
+    values = np.array([result.gd_value for result in results])
+    return replace(results[int(np.argmin(values))], restart_gd_values=values)

@@ -38,7 +38,7 @@ from .exceptions import (
     InvalidParameterError,
 )
 from .objective import _validate_data
-from .optimizer import _descend_loop, _hard_result, _run_restarts, gdm
+from .optimizer import _descend_loop, _hard_result, _merged_restarts, gdm
 
 # Initial membership mass placed on the outlier row after merge
 # initialization; the remaining 1 - beta sits on the point's own set.
@@ -99,16 +99,13 @@ def gdm_outlier_core(a, cfg, alpha=0.01):
     a = _validate_data(a)
     n = a.shape[1]
     params = cfg.objective_params(alpha=alpha)
-
-    def run(merged):
-        m0 = np.zeros((len(merged), cfg.n_clusters + 1, n))
-        m0[:, 0] = OUTLIER_INIT_MASS
-        for m, labels0 in zip(m0, merged):
-            m[labels0 + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
-        ms, traces = _descend_loop(a, m0, cfg, params, outlier=True)
-        return [(trace[-1], m) for m, trace in zip(ms, traces)]
-
-    return _run_restarts(a, cfg, run)[0]
+    merged = _merged_restarts(a, cfg)
+    m0 = np.zeros((len(merged), cfg.n_clusters + 1, n))
+    m0[:, 0] = OUTLIER_INIT_MASS
+    for m, labels0 in zip(m0, merged):
+        m[labels0 + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
+    ms, traces = _descend_loop(a, m0, cfg, params, outlier=True)
+    return ms[int(np.argmin([trace[-1] for trace in traces]))]
 
 
 def _copy_arrays(result):

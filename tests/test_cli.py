@@ -89,6 +89,20 @@ def test_segment_random_seed_is_echoed(scene_file, runner):
     assert report["config"]["seed"] == report["seed"]
 
 
+def test_segment_config_echo_keys(scene_file, runner):
+    # Every flag of the command but the file names.
+    res = runner.invoke(cli, ["segment", str(scene_file), "--k", "2", "--restarts", "2",
+                              "--seed", "7"])
+    assert res.exit_code == 0, res.output
+    report = read_report(res.output)
+    assert set(report["config"]) == {
+        "k", "embedding", "normalize", "epsilon", "p", "restarts", "grad_iters",
+        "genetic_passes", "step", "merge_candidates", "outlier_mode", "alpha",
+        "fraction", "kappa", "seed", "threads",
+    }
+    assert report["config"]["seed"] == report["seed"] == 7
+
+
 def test_config_echo_round_trips(scene_file, runner):
     res = runner.invoke(cli, [
         "segment", str(scene_file), "--k", "2", "--seed", "13",

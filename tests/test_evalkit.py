@@ -32,6 +32,23 @@ class TestSyntheticSpec:
         with pytest.raises(InvalidParameterError):
             SyntheticSpec(dims=(2,), noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("dims, counts", [((2, 3), [50]), ((2,), [5, 40])],
+                             ids=["short", "long"])
+    def test_count_list_must_match_dims(self, dims, counts):
+        with pytest.raises(InvalidParameterError, match="points_per_cluster length"):
+            SyntheticSpec(dims=dims, points_per_cluster=counts)
+
+    @pytest.mark.parametrize("bad", [dict(noise_sigma=float("nan")),
+                                     dict(noise_sigma=np.inf),
+                                     dict(outlier_radius=float("nan")),
+                                     dict(outlier_radius=np.inf),
+                                     dict(outlier_radius=0.0)],
+                             ids=["nan_sigma", "inf_sigma", "nan_radius", "inf_radius",
+                                  "zero_radius"])
+    def test_non_finite_noise_or_radius_is_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            SyntheticSpec(dims=(2,), outlier_count=3, **bad)
+
     def test_per_cluster_counts(self):
         spec = SyntheticSpec(dims=(1, 2), points_per_cluster=(5, 9))
         assert spec.counts() == (5, 9)

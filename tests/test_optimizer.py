@@ -71,7 +71,7 @@ def test_config_validation():
         GdmConfig(n_clusters=2, step_target=0.0)
     with pytest.raises(InvalidParameterError):
         GdmConfig(n_clusters=2, eps=1.0)
-    for seed in (-1, -(2**40), 1.5, "7"):
+    for seed in (-1, -(2**40), 1.5, "7", True, False):
         with pytest.raises(InvalidParameterError):
             GdmConfig(n_clusters=2, seed=seed)
     for seed in (None, 0, 2**70, np.int64(5)):
@@ -224,8 +224,8 @@ class TestDescend:
             rng = np.random.default_rng(seed + 500)
             m0 = project_columns(rng.uniform(size=(2, mix.data.shape[1])))
             cfg = GdmConfig(n_clusters=2, seed=seed)
-            _, trace = _descend_loop(mix.data, m0, cfg, cfg.objective_params(),
-                                     outlier=False)
+            _, (trace,) = _descend_loop(mix.data, m0[None], cfg, cfg.objective_params(),
+                                        outlier=False)
             diffs = np.diff(trace)
             good += int(np.sum(diffs <= 1e-6))
             total += diffs.size
@@ -680,7 +680,7 @@ def test_outlier_core_matches_reference_replay(kind, k, scale, monkeypatch):
             m0 = np.zeros((k + 1, n))
             m0[0] = OUTLIER_INIT_MASS
             m0[merged + 1, np.arange(n)] = 1.0 - OUTLIER_INIT_MASS
-            m, trace = _descend_loop(a * scale, m0, cfg, params, outlier=True)
+            (m,), (trace,) = _descend_loop(a * scale, m0[None], cfg, params, outlier=True)
             values.append(trace[-1])
             outcomes.append(m)
         membership = in_one_wave(monkeypatch, cfg,
@@ -852,7 +852,7 @@ def test_merge_eigvalsh_counts(k, sizes, seed, merge_only, monkeypatch):
     monkeypatch.setattr(optimizer, "_merge_init", merge)
     cfg = GdmConfig(n_clusters=k, seed=11)
     if merge_only:
-        optimizer._run_restarts(a, cfg, lambda merged: [(0.0, None)] * len(merged))
+        optimizer._merged_restarts(a, cfg)
     else:
         gdm(a, cfg)
     assert matrices == MERGE_EIGVALSH_MATRICES[a.shape[1]]
@@ -908,7 +908,7 @@ def test_merge_peak_memory_is_bounded_by_its_layout():
                   + (n + r * (n // 2)) * d * d + 2 * r * c * d * d)
     tracemalloc.start()
     try:
-        optimizer._run_restarts(a, cfg, lambda merged: [(0.0, None)] * len(merged))
+        optimizer._merged_restarts(a, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -931,7 +931,7 @@ def test_merge_peak_memory_is_bounded_by_its_layout():
                   + (n + r * (n // 2)) * d * d + 2 * n * d * d + r * c * (40 + 4 * d))
     tracemalloc.start()
     try:
-        optimizer._run_restarts(a, cfg, lambda merged: [(0.0, None)] * len(merged))
+        optimizer._merged_restarts(a, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
