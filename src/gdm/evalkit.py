@@ -19,6 +19,14 @@ from .robust import reassignment_distances, tpr_fpr
 _MIN_DEPTH = 0.5
 
 
+def _count(value, name):
+    """int(value), or InvalidParameterError unless value is an integer (a
+    Python or numpy one, not a bool), as GdmConfig requires of its counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Layout of a planted union-of-subspaces data set.
@@ -26,7 +34,8 @@ class SyntheticSpec:
     dims lists one subspace dimension per cluster; points_per_cluster
     is an int applied to all clusters or a per-cluster sequence. Each
     cluster needs at least dim + 1 points so it is adequately
-    represented.
+    represented. Dimensions and counts must be integers (Python or
+    numpy ones, not bools).
     """
 
     dims: tuple
@@ -38,8 +47,10 @@ class SyntheticSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_count(d, "dims") for d in self.dims)
         object.__setattr__(self, "dims", dims)
+        _count(self.ambient, "ambient")
+        _count(self.outlier_count, "outlier_count")
         if not dims:
             raise InvalidParameterError("need at least one cluster")
         counts = self.counts()
@@ -61,8 +72,8 @@ class SyntheticSpec:
 
     def counts(self):
         if np.isscalar(self.points_per_cluster):
-            return tuple(int(self.points_per_cluster) for _ in self.dims)
-        return tuple(int(c) for c in self.points_per_cluster)
+            return (_count(self.points_per_cluster, "points_per_cluster"),) * len(self.dims)
+        return tuple(_count(c, "points_per_cluster") for c in self.points_per_cluster)
 
 
 class SubspaceMixture(NamedTuple):
@@ -182,14 +193,19 @@ def sample_two_view_scene(n_bodies, points_per_body, noise_sigma=0.0,
     own random rotation about its centroid plus a random translation.
     Image coordinates get additive Gaussian noise of scale noise_sigma;
     n_outliers bad matches (both views drawn independently over the
-    inlier image extent) are appended with label -1.
+    inlier image extent) are appended with label -1. n_bodies,
+    points_per_body, n_outliers and max_retries must be integers (Python
+    or numpy ones, not bools).
     """
+    n_bodies = _count(n_bodies, "n_bodies")
+    n_outliers = _count(n_outliers, "n_outliers")
+    max_retries = _count(max_retries, "max_retries")
     if n_bodies < 1:
         raise InvalidParameterError("need at least one rigid body")
     if np.isscalar(points_per_body):
-        counts = [int(points_per_body)] * n_bodies
+        counts = [_count(points_per_body, "points_per_body")] * n_bodies
     else:
-        counts = [int(c) for c in points_per_body]
+        counts = [_count(c, "points_per_body") for c in points_per_body]
         if len(counts) != n_bodies:
             raise InvalidParameterError("points_per_body length must match n_bodies")
     if min(counts) < 1 or n_outliers < 0 or not noise_sigma >= 0.0:

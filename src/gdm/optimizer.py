@@ -17,9 +17,12 @@ merge. Every merge starts from the same N singletons, so the merged
 dimension of two points is a function of the data alone, and one call
 computes each such point-pair dimension at most once for all its
 restarts. Other merged dimensions are cached per restart only in the
-last rounds, from merge_candidates + 1 live sets down, and a set's
-Gram takes memory only once it holds two points, so each restart adds
-O(N D^2 / 2 + merge_candidates^2) to the call's memory. A screen
+last rounds, from merge_candidates + 1 live sets down, 9 bytes a pair
+(one float64 that holds a screen bound until the exact dimension
+replaces it, and a bool mask). A set's Gram takes memory only once it
+holds two points, and is kept as its D(D+1)/2 lower-triangle entries,
+the only ones eigvalsh reads, so each restart adds
+O(N D(D+1)/4 + merge_candidates^2) to the call's memory. A screen
 skips the D x D eigendecomposition of most unions of at most four
 points: a rigorous lower bound from the union's small Gram shows that
 they lose their round. The labels are those of merging each restart
@@ -244,23 +247,27 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _TINY = np.finfo(float).tiny
 
 
-def _dim_lower_bounds(evals, err, exp, eps):
+def _dim_lower_bounds(evals, err, exp, eps, pads=0):
     """Lower bounds on the empirical dimension of matrices whose squared
     singular values lie within err of the Gram eigenvalues evals (shape
-    (..., D)); the data were scaled by 2^-exp. The refine screen bounds
-    SVD-path dimensions with it, the merge screen merged ones.
+    (..., m)) and of pads more zero eigenvalues, D = m + pads in all; the
+    data were scaled by 2^-exp. The refine screen bounds SVD-path
+    dimensions with it, the merge screen merged ones.
 
     The numerator norm takes the low singular values and the denominator
     every high one, both divided by the largest high one. The spectrum
     kernel zeroes low values below its relative tolerance, so the
-    numerator keeps only values the bounded path keeps too.
+    numerator keeps only values the bounded path keeps too. A zero
+    eigenvalue's low value is 0 and its high one sqrt(err), so the pads
+    are added in closed form rather than stored.
     A matrix whose top singular value may be at most DEGENERATE_SMAX, or
     whose bound is not finite, gets 0.
     """
     lo = np.sqrt(np.maximum(evals - err[..., None], 0.0))
     hi = np.sqrt(np.maximum(evals + err[..., None], 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _power_norms(lo, eps, upper=hi)
+        num, den = _power_norms(lo, eps, upper=hi, pads=pads,
+                                pad=np.sqrt(err) if pads else None)
         dims = num / den
     degenerate = np.ldexp(lo.max(axis=-1), exp) <= DEGENERATE_SMAX
     dims[degenerate | ~np.isfinite(dims)] = 0.0
@@ -272,8 +279,12 @@ def _dim_lower_bounds(evals, err, exp, eps):
 # slack. A computed dimension or bound is within
 #     rho = (D + 4) u (1/eps + 1/delta) + 9 u
 # of the exact ratio of its power norms (pow within 4 ulps, at most D + 1
-# terms summed, roots 1/eps and 1/delta taken). Refine compares p-norms of
-# such values, so gd_lo >= gd * (1 + _SCREEN_SLACK) needs a slack above
+# terms summed, roots 1/eps and 1/delta taken). A merge bound's D - m
+# zero pads enter its denominator sum as one term, pads * pow(pad / top,
+# delta), rounded by its pow and once by the product: the sum has at most
+# m + 1 <= D + 1 terms, so rho covers it too. Its last bits can differ
+# from a sum over D - m stored zeros. Refine compares p-norms of such
+# values, so gd_lo >= gd * (1 + _SCREEN_SLACK) needs a slack above
 # about 2 rho + (K + 4) u. The merge compares p-th powers: the ratio of a
 # bound to its dimension, at most 1 + 2 rho, is raised to p and each pow
 # rounds within 4 ulps, so bound**p * (1 - _SCREEN_SLACK) <= dim**p needs
@@ -290,8 +301,8 @@ _SCREEN_SLACK = 1e-9
 # The merge screen (_merge_init) bounds the merged dimension of a union of
 # m <= min(_SCREEN_POINTS, D) points from below with _dim_lower_bounds.
 # With V the union's rescaled D x m block and mass = sum ||v||^2 over its
-# points, the eigenvalues of its m x m Gram fl(V^T V), padded with D - m
-# zeros, stand for those of V V^T. Both they and the merge's own lam
+# points, the eigenvalues of its m x m Gram fl(V^T V), with D - m zero
+# pads, stand for those of V V^T. Both they and the merge's own lam
 # carry the error above (the small Gram's entries sum D products, and the
 # closed form for m = 2, h -+ hypot((a - c) / 2, b), is off by at most
 # 4 u mass), so the margin is doubled: 2 c (m + D) (u mass + tiny).
@@ -303,7 +314,8 @@ _PAIR_BLOCK = 1024
 
 def _pair_dim_bounds(cols, sq_norms, exp, eps, out):
     """Write the merge-screen bound of every point pair, numbered as pair
-    codes are, into out; the 2 x 2 Grams' eigenvalues in closed form."""
+    codes are, into out; the 2 x 2 Grams' eigenvalues in closed form,
+    with D - 2 zero pads."""
     n, d = cols.shape
     tri = np.arange(n) * (np.arange(n) - 1) // 2
     for first in range(0, out.size, _PAIR_BLOCK):
@@ -313,10 +325,9 @@ def _pair_dim_bounds(cols, sq_norms, exp, eps, out):
         bb = np.einsum("ij,ij->i", cols[i], cols[j])
         h = (aa + cc) / 2.0
         r = np.hypot((aa - cc) / 2.0, bb)
-        evals = np.zeros((codes.size, d))
-        evals[:, 0], evals[:, 1] = h - r, h + r
         err = (2.0 * _GRAM_ERROR_FACTOR * (2 + d)) * (_UNIT_ROUNDOFF * (aa + cc) + _TINY)
-        out[codes] = _dim_lower_bounds(evals, err, exp, eps)
+        out[codes] = _dim_lower_bounds(np.stack([h - r, h + r], axis=1), err, exp, eps,
+                                       d - 2)
 
 
 def greedy_merge_init(a, cfg, rng=None):
@@ -368,17 +379,26 @@ def _check_merge(d, cfg):
     _check_eps(cfg.eps, d)
 
 
-def _merged_dims(grams, x, y, eps, piece):
-    """Merged dimensions of Gram rows x and y, from batched eigvalsh calls
-    on at most piece of their sums each; a batched eigvalsh gives each
-    matrix the same bits whatever else is in its batch."""
+def _merged_dims(grams, tril, x, y, eps, piece):
+    """Merged dimensions of packed Gram rows x and y, from batched eigvalsh
+    calls on at most piece of their sums each; a batched eigvalsh gives
+    each matrix the same bits whatever else is in its batch.
+
+    A packed row holds the lower triangle of a symmetric D x D Gram at
+    tril = np.tril_indices(D). Each sum is scattered into the lower
+    triangle of a D x D matrix whose upper triangle is zero: eigvalsh
+    reads only the lower one, so it gives the full sum's bits."""
+    d = tril[0][-1] + 1
     dims = np.empty(x.size)
+    batch = np.zeros((min(piece, x.size), d, d))
     for first in range(0, x.size, piece):
+        sums = grams[x[first : first + piece]]
+        sums += grams[y[first : first + piece]]
         # Even a single pair is a (1, D) stack: a 1-d spectrum would take
         # scalar roots, whose last bit can differ from a stack's.
-        batch = grams[x[first : first + piece]]
-        batch += grams[y[first : first + piece]]
-        spectra = np.sqrt(np.clip(np.linalg.eigvalsh(batch), 0.0, None))
+        mats = batch[: sums.shape[0]]
+        mats[:, tril[0], tril[1]] = sums
+        spectra = np.sqrt(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
         with np.errstate(divide="ignore", invalid="ignore"):
             num, den = _power_norms(spectra, eps)
             part = num / den
@@ -403,14 +423,17 @@ def _merge_init(a, cfg, rngs):
     ascending order in live[i * N : i * N + sets], so candidates have
     sa < sb.
 
-    Set Grams are pooled. A singleton slot reads its point's Gram, row s
-    of grams. The union of two singletons takes the next of its
-    restart's N // 2 pool rows (there are at most N // 2 such merges),
-    and every later merge adds into a pool row that the pair already
-    holds. Addition commutes, so each set's Gram has the bits of a
-    running sum kept per slot.
+    Set Grams are pooled, each packed as the D(D+1)/2 entries of its
+    lower triangle (tril = np.tril_indices(D)), the only ones eigvalsh
+    reads. A singleton slot reads its point's Gram, row s of grams. The
+    union of two singletons takes the next of its restart's N // 2 pool
+    rows (there are at most N // 2 such merges), and every later merge
+    adds into a pool row that the pair already holds. Addition commutes,
+    so each set's Gram has the bits of a running sum kept per slot.
 
-    Merged dimensions are cached by pair of sets, NaN where unknown. The
+    Merged dimensions are cached by pair of sets in one array, value,
+    with a mask, exact: an exact entry holds the merged dimension, any
+    other a screen bound on it, or NaN where nothing is known. The
     merged dimension of point pairs {i}, {j}, i < j, is a pure function
     of the data, shared by every restart, at _pair_bases(N)[i] + j: the
     row-major order that _decode_pairs inverts for pair codes, P =
@@ -427,8 +450,9 @@ def _merge_init(a, cfg, rngs):
     would return (a slot's Gram is a sum of the same point Grams, and a
     batched eigvalsh gives each matrix the same bits whatever else is in
     its batch), so every restart samples, scores and merges exactly as
-    it would alone with no cache. Each restart adds at most N/2 pool
-    Grams and one triangle to the call's memory: O(N D^2 / 2 + C^2).
+    it would alone with no cache. A cached pair costs 9 bytes, and each
+    restart adds at most N/2 packed pool Grams and one triangle to the
+    call's memory: O(N D(D+1)/4 + C^2).
 
     Most misses are unions of a few points that lose their round, so a
     screen spares their D x D eigendecompositions. Each slot keeps its
@@ -436,7 +460,7 @@ def _merge_init(a, cfg, rngs):
     its members, whose squared norms sum to its mass. A miss whose union
     has m <= min(_SCREEN_POINTS, D) points gets a rigorous lower bound on
     its merged dimension: the refine screen's _dim_lower_bounds on the
-    eigenvalues of the union's m x m Gram padded with zeros to D (for
+    eigenvalues of the union's m x m Gram with D - m zero pads (for
     point pairs in closed form, all P of them once per call); hence a
     lower bound bound**p * (1 - _SCREEN_SLACK) - dp[sa] - dp[sb] on its
     score as computed. Each restart scores exactly, with its other
@@ -444,8 +468,8 @@ def _merge_init(a, cfg, rngs):
     candidate whose bound does not exceed its best exact score.
     The rest score +inf: their exact scores would exceed the minimum, so
     argmin and its tie rule pick the same pair and every cached dimension
-    is still a fresh eigendecomposition's. Bounds are cached at the same
-    positions as the dimensions, with the same invalidation.
+    is still a fresh eigendecomposition's. A bound stays in value until
+    its union is decomposed; an exact dimension is a bound too.
     """
     d, n = a.shape
     r = len(rngs)
@@ -454,12 +478,6 @@ def _merge_init(a, cfg, rngs):
     # are needed if the merge stops before it.
     late = min(n, cfg.merge_candidates + 1)
     n_late = late * (late - 1) // 2 if late > cfg.n_clusters else 0
-    # The point pairs, restart i's triangle at n_pairs + i * n_late, and
-    # one last entry that every uncached pair reads, reset to NaN every
-    # round.
-    known = np.full(n_pairs + r * n_late + 1, np.nan)
-    bounds = np.full(known.size, np.nan)
-    uncached = known.size - 1
     rows = np.arange(r)
     base = rows[:, None] * n
     late_block = n_pairs + rows * n_late
@@ -469,16 +487,24 @@ def _merge_init(a, cfg, rngs):
     pair_base = _pair_bases(n)
     late_base = _pair_bases(late)
     others = np.arange(late - 1)
-    grams = np.empty((n + r * (n // 2), d, d))
-    grams[:n], exp = _point_grams(a)
+    tril = np.tril_indices(d)
+    grams = np.empty((n + r * (n // 2), tril[0].size))
+    points, exp = _point_grams(a)
+    grams[:n] = points[:, tril[0], tril[1]]
     # Index N is a zero point that pads a union's members.
     cols = np.zeros((n + 1, d))
     cols[:n] = np.ldexp(a, -exp).T
     sq_norms = np.zeros(n + 1)
-    sq_norms[:n] = np.einsum("nii->n", grams[:n])
+    sq_norms[:n] = np.einsum("nii->n", points)
+    del points
+    # The point pairs, restart i's triangle at n_pairs + i * n_late, and
+    # one last entry that every uncached pair reads, reset every round.
+    value = np.full(n_pairs + r * n_late + 1, np.nan)
+    exact = np.zeros(value.size, dtype=bool)
+    uncached = value.size - 1
     limit = min(_SCREEN_POINTS, d)
     if limit >= 2:
-        _pair_dim_bounds(cols[:n], sq_norms[:n], exp, cfg.eps, bounds[:n_pairs])
+        _pair_dim_bounds(cols[:n], sq_norms[:n], exp, cfg.eps, value[:n_pairs])
     gram_row = np.tile(np.arange(n), r)
     # Restart i's next free pool row.
     pool = n + rows * (n // 2)
@@ -507,37 +533,37 @@ def _merge_init(a, cfg, rngs):
         if caching:
             own = late_block[:, None] + late_base[compact[ga]] + compact[gb]
         at = np.where(size == 2, pair_base[sa] + sb, own)
-        merged_dims = known[at]
-        todo = np.isnan(merged_dims)
+        held, known = value[at], exact[at]
+        merged_dims = np.where(known, held, np.nan)
+        todo = ~known
         small = todo & (size <= limit)
         screened = small.any()
         da, db = dp[ga], dp[gb]
         ra, rb = gram_row[ga].ravel(), gram_row[gb].ravel()
         if screened:
             todo ^= small
-            bnd = bounds[at]
-            fresh = np.flatnonzero(np.isnan(bnd) & small)
+            fresh = np.flatnonzero(np.isnan(held) & small)
             if fresh.size:
                 # The padding index N sorts last, after the union's points.
                 union = np.sort(np.concatenate([members[ga.ravel()[fresh]],
                                                 members[gb.ravel()[fresh]]], axis=1),
                                 axis=1)[:, :limit]
                 v = cols[union]
-                evals = np.zeros((fresh.size, d))
-                evals[:, :limit] = np.linalg.eigvalsh(v @ v.transpose(0, 2, 1))
                 err = (2.0 * _GRAM_ERROR_FACTOR * (limit + d)) * (
                     _UNIT_ROUNDOFF * sq_norms[union].sum(axis=1) + _TINY)
-                bnd.ravel()[fresh] = bounds[at.ravel()[fresh]] = _dim_lower_bounds(
-                    evals, err, exp, cfg.eps)
-            lower = np.where(small, bnd**cfg.p * (1.0 - _SCREEN_SLACK) - da - db, np.inf)
+                held.ravel()[fresh] = value[at.ravel()[fresh]] = _dim_lower_bounds(
+                    np.linalg.eigvalsh(v @ v.transpose(0, 2, 1)), err, exp, cfg.eps,
+                    d - limit)
+            lower = np.where(small, held**cfg.p * (1.0 - _SCREEN_SLACK) - da - db, np.inf)
             # Each restart's lowest bound is scored exactly, so every
             # restart has a best exact score to clear.
             first = lower.argmin(axis=1)
             todo[rows, first] |= small[rows, first]
         pos = np.flatnonzero(todo)
         if pos.size:
-            merged_dims.ravel()[pos] = known[at.ravel()[pos]] = _merged_dims(
-                grams, ra[pos], rb[pos], cfg.eps, n)
+            merged_dims.ravel()[pos] = value[at.ravel()[pos]] = _merged_dims(
+                grams, tril, ra[pos], rb[pos], cfg.eps, n)
+            exact[at.ravel()[pos]] = True
         scores = merged_dims**cfg.p - da - db
         if screened:
             # Unscored candidates whose bound does not clear their
@@ -545,11 +571,12 @@ def _merge_init(a, cfg, rngs):
             best = np.fmin.reduce(scores, axis=1)
             pos = np.flatnonzero(np.isnan(scores) & ~(lower > best[:, None]))
             if pos.size:
-                merged_dims.ravel()[pos] = known[at.ravel()[pos]] = _merged_dims(
-                    grams, ra[pos], rb[pos], cfg.eps, n)
+                merged_dims.ravel()[pos] = value[at.ravel()[pos]] = _merged_dims(
+                    grams, tril, ra[pos], rb[pos], cfg.eps, n)
+                exact[at.ravel()[pos]] = True
                 scores = merged_dims**cfg.p - da - db
             scores[np.isnan(scores)] = np.inf
-        known[uncached] = bounds[uncached] = np.nan
+        value[uncached], exact[uncached] = np.nan, False
         pick = scores.argmin(axis=1) + rows * n_cand
         x, y = ga.ravel()[pick], gb.ravel()[pick]
         rx, ry = ra[pick], rb[pick]
@@ -572,8 +599,7 @@ def _merge_init(a, cfg, rngs):
             other = others + (others >= kept)
             lo, hi = np.minimum(kept, other), np.maximum(kept, other)
             stale = late_block[:, None] + late_base[lo] + hi
-            known[stale] = np.nan
-            bounds[stale] = np.nan
+            value[stale], exact[stale] = np.nan, False
         for i, slot, gone, dim in zip(rows.tolist(), x.tolist(), ib.ravel()[pick].tolist(),
                                       merged_dims.ravel()[pick].tolist()):
             # A scalar power (libm pow), as a lone restart computes it.

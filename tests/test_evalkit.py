@@ -53,6 +53,27 @@ class TestSyntheticSpec:
         spec = SyntheticSpec(dims=(1, 2), points_per_cluster=(5, 9))
         assert spec.counts() == (5, 9)
 
+    @pytest.mark.parametrize("bad", [dict(dims=(2.7,)), dict(dims=(True, 2)),
+                                     dict(points_per_cluster=7.9),
+                                     dict(points_per_cluster=(8, 9.5)),
+                                     dict(points_per_cluster=True),
+                                     dict(outlier_count=2.5), dict(outlier_count=True),
+                                     dict(outlier_count=np.float64(3.0)),
+                                     dict(ambient=9.5)],
+                             ids=["float_dim", "bool_dim", "float_count", "float_in_list",
+                                  "bool_count", "float_outliers", "bool_outliers",
+                                  "numpy_float_outliers", "float_ambient"])
+    def test_non_integer_counts_are_rejected(self, bad):
+        spec = dict(dims=(2, 3), points_per_cluster=8, outlier_count=3)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            SyntheticSpec(**{**spec, **bad})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        spec = SyntheticSpec(dims=(np.int64(2), np.int32(3)),
+                             points_per_cluster=np.int64(8), outlier_count=np.uint8(3))
+        assert spec.dims == (2, 3) and spec.counts() == (8, 8)
+        assert sample_subspace_mixture(spec).data.shape == (9, 19)
+
 
 class TestSubspaceMixture:
     def test_noiseless_cluster_ranks(self):
@@ -133,6 +154,23 @@ class TestTwoViewScene:
                 sample_two_view_scene(**{"n_bodies": 2, "points_per_body": 10, **kwargs})
         with pytest.raises(SceneGenerationError):
             sample_two_view_scene(1, 10, seed=0, max_retries=0)
+
+    @pytest.mark.parametrize("bad", [dict(points_per_body=7.9),
+                                     dict(points_per_body=(10, 7.9)),
+                                     dict(points_per_body=True), dict(n_bodies=2.5),
+                                     dict(n_bodies=True), dict(n_outliers=2.5),
+                                     dict(n_outliers=False), dict(max_retries=2.5)],
+                             ids=["float_count", "float_in_list", "bool_count",
+                                  "float_bodies", "bool_bodies", "float_outliers",
+                                  "bool_outliers", "float_retries"])
+    def test_non_integer_counts_are_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            sample_two_view_scene(**{"n_bodies": 2, "points_per_body": 10, **bad})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        scene = sample_two_view_scene(np.int64(2), [np.int64(10), np.int32(12)],
+                                      n_outliers=np.int64(3), seed=5)
+        assert scene.correspondences.shape == (25, 4)
 
 
 def test_rotation_matrix_is_orthogonal():

@@ -700,40 +700,51 @@ def fresh_merged_dims(grams, x, y, eps):
     return dims
 
 
-def check_cached(grams, dims, bounds, x, y, eps):
-    """Check cached merged dimensions (NaN where unknown) bit for bit and
-    cached screen bounds from below against one fresh eigvalsh of Gram
-    rows x and y; returns how many of each were checked."""
-    some = np.flatnonzero(~(np.isnan(dims) & np.isnan(bounds)))
-    dims, bounds = dims[some], bounds[some]
+def unpacked(grams, d):
+    """Symmetric D x D Grams from rows packed as their lower triangles at
+    np.tril_indices(D), as the merge keeps them."""
+    i, j = np.tril_indices(d)
+    full = np.zeros((grams.shape[0], d, d))
+    full[:, i, j] = grams
+    full[:, j, i] = grams
+    return full
+
+
+def check_cached(grams, value, exact, x, y, eps):
+    """Check a merge cache (value and exact) against one fresh eigvalsh of
+    the full Gram rows x and y: exact entries bit for bit, the others
+    (screen bounds, NaN where unknown) from below; returns how many of
+    each were checked."""
+    some = np.flatnonzero(exact | ~np.isnan(value))
+    value, exact = value[some], exact[some]
     want = fresh_merged_dims(grams, x[some], y[some], eps)
-    known = ~np.isnan(dims)
-    assert dims[known].tobytes() == want[known].tobytes()
-    bounded = ~np.isnan(bounds)
-    bad = np.flatnonzero(bounds[bounded] > want[bounded])
-    assert bad.size == 0, (bounds[bounded][bad], want[bounded][bad])
-    return np.count_nonzero(known), np.count_nonzero(bounded)
+    assert value[exact].tobytes() == want[exact].tobytes()
+    bounds, below = value[~exact], want[~exact]
+    bad = np.flatnonzero(bounds > below)
+    assert bad.size == 0, (bounds[bad], below[bad])
+    return np.count_nonzero(exact), bounds.size
 
 
 def check_merge_caches(a, cfg, restarts, monkeypatch):
     """Merge the first restarts of cfg in one wave and check its caches
-    against fresh eigendecompositions: whenever the merge decomposes
-    Grams, every cached entry of each restart's triangle whose two slots
-    are live (a value outlives its slots' changes only if invalidation
-    fails; a dead slot's entries are never read), and at the end every
-    point-pair entry. _merge_init keeps its caches in locals, read here
-    from its frame. Returns the merged labels, how many triangle
-    dimensions and bounds were checked, and how many point-pair
+    against fresh eigendecompositions of the unpacked Grams: whenever the
+    merge decomposes Grams, every cached entry of each restart's triangle
+    whose two slots are live (a value outlives its slots' changes only if
+    invalidation fails; a dead slot's entries are never read), and at the
+    end every point-pair entry. _merge_init keeps its caches in locals,
+    read here from its frame. Returns the merged labels, how many
+    triangle dimensions and bounds were checked, and how many point-pair
     dimensions."""
-    n = a.shape[1]
+    d, n = a.shape
     children = np.random.SeedSequence(cfg.seed).spawn(restarts)
     seen, checked = {}, np.zeros(2, dtype=int)
     merged_dims = optimizer._merged_dims
 
-    def spy(grams, x, y, eps, piece):
+    def spy(grams, tril, x, y, eps, piece):
         f = sys._getframe(1).f_locals
-        seen.update(known=f["known"], bounds=f["bounds"], n_pairs=f["n_pairs"])
+        seen.update(value=f["value"], exact=f["exact"], n_pairs=f["n_pairs"])
         if f["caching"]:
+            full = unpacked(grams, d)
             ci, cj = np.triu_indices(f["late"], 1)
             alive = np.zeros(restarts * n, dtype=bool)
             for r in range(restarts):
@@ -742,19 +753,59 @@ def check_merge_caches(a, cfg, restarts, monkeypatch):
                 sx, sy = f["late_slots"][r, ci], f["late_slots"][r, cj]
                 both = alive[sx] & alive[sy]
                 checked[:] += check_cached(
-                    grams, f["known"][block][both], f["bounds"][block][both],
+                    full, f["value"][block][both], f["exact"][block][both],
                     f["gram_row"][sx[both]], f["gram_row"][sy[both]], eps)
-        return merged_dims(grams, x, y, eps, piece)
+        return merged_dims(grams, tril, x, y, eps, piece)
 
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_merged_dims", spy)
         labels = _merge_init(a, cfg, [np.random.default_rng(c) for c in children])
     i, j = np.triu_indices(n, 1)
     p = seen["n_pairs"]
-    pair_dims, pair_bounds = check_cached(_point_grams(a)[0], seen["known"][:p],
-                                          seen["bounds"][:p], i, j, cfg.eps)
-    assert pair_bounds == (p if min(a.shape[0], 4) >= 2 else 0)
+    pair_dims, pair_bounds = check_cached(_point_grams(a)[0], seen["value"][:p],
+                                          seen["exact"][:p], i, j, cfg.eps)
+    # From setup on, every point pair holds its screen bound until it is
+    # decomposed; without the screen it holds nothing until then.
+    if min(d, 4) >= 2:
+        assert pair_dims + pair_bounds == p
+    else:
+        assert pair_bounds == 0
     return labels, checked, pair_dims
+
+
+@pytest.mark.parametrize("scale", ORACLE_SCALES, ids=["unscaled", "2^-498", "2^498"])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_packed_grams_keep_full_gram_spectra(kind, scale):
+    # The merge keeps each Gram as its lower triangle, which is all that
+    # eigvalsh reads. Unions of 2 to 12 points, each a running sum of its
+    # point Grams as the merge's pool rows are, must give the full
+    # sums' eigenvalues bit for bit when summed packed and scattered into
+    # a zero upper triangle, and _merged_dims on pairs of them the merged
+    # dimensions of the full sums.
+    a = oracle_case(kind, 3, 43) * scale
+    d, n = a.shape
+    full, _ = _point_grams(a)
+    tril = np.tril_indices(d)
+    packed = full[:, tril[0], tril[1]]
+    rng = np.random.default_rng(7)
+    sets = [rng.choice(n, size=m, replace=False) for m in rng.integers(2, 13, size=40)]
+    sums = []
+    for grams in (full, packed):
+        rows = []
+        for members in sets:
+            row = grams[members[0]].copy()
+            for i in members[1:]:
+                row += grams[i]
+            rows.append(row)
+        sums.append(np.array(rows))
+    mats = np.zeros((len(sets), d, d))
+    mats[:, tril[0], tril[1]] = sums[1]
+    assert np.linalg.eigvalsh(mats).tobytes() == np.linalg.eigvalsh(sums[0]).tobytes()
+    x, y = rng.integers(0, n + len(sets), size=(2, 60))
+    cfg = GdmConfig(n_clusters=3)
+    got = optimizer._merged_dims(np.concatenate([packed, sums[1]]), tril, x, y, cfg.eps, 16)
+    want = fresh_merged_dims(np.concatenate([full, sums[0]]), x, y, cfg.eps)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["two_view", "zero_and_duplicate"])
@@ -888,24 +939,34 @@ def test_refine_screen_counts(k, sizes, seed, monkeypatch):
     assert sum(matrices) == REFINE_SCREEN_MATRICES[a.shape[1]]
 
 
+def merge_layout_bytes(d, n, r, c, cached):
+    """Bytes that the merges of one call need by their layout, with
+    cached pairs beyond the point pairs' P = N(N-1)/2. A cached pair is a
+    float64 value and a bool mask entry, 9 bytes. A Gram is packed as its
+    T = D(D+1)/2 lower-triangle entries: the N point Grams and N / 2
+    pool Grams per restart, (N + R N / 2) T float64s. A round's
+    temporaries are one eigvalsh piece of at most N Grams, the D x D
+    batch and two gathered packed addends, N (D^2 + 2 T); and per
+    candidate at most 40 + 4 D float64s of index, score and screen arrays
+    (the 4 x D union blocks and their 4 x 4 Grams)."""
+    t = d * (d + 1) // 2
+    return (9 * (n * (n - 1) // 2 + cached)
+            + 8 * ((n + r * (n // 2)) * t + n * (d * d + 2 * t) + r * c * (40 + 4 * d)))
+
+
 def test_merge_peak_memory_is_bounded_by_its_layout():
     # The tracemalloc peak of the merges of one call, 10 restarts of
     # N = 240 points in R^9 with C = 100 candidates, against what the
-    # layout needs, in float64s: the point-pair dimensions and bounds,
-    # 2 P, with P = N(N-1)/2; each restart's triangle of dimensions and
-    # bounds from C + 1 live sets down, 2 (C + 1) C / 2; the N point Grams
-    # and N / 2 pool Grams per restart, (N + R N / 2) D^2; and a round's
-    # temporaries, at most the R C candidates' D x D eigvalsh batch and as
-    # much again for the 4 x 4 screen Grams and index arrays, 2 R C D^2.
-    # That is 3.50 MB; 0.5 MB more covers smaller arrays (3.48 MB
-    # measured). A copy of every point Gram per restart instead of the
-    # pool adds 0.78 MB, and a per-restart block of all P pairs 4.6 MB.
+    # layout needs (merge_layout_bytes), with each restart's triangle
+    # from C + 1 live sets down, (C + 1) C / 2 pairs. That is 2.17 MB;
+    # 0.5 MB more covers smaller arrays (2.31 MB measured). Full 9 x 9
+    # pool Grams and a float64 bound array beside the values peak at
+    # 3.42 MB.
     scene = sample_two_view_scene(3, [80, 80, 80], noise_sigma=0.001, seed=11)
     a = embed_dataset(scene.correspondences)
     (d, n), r, c = a.shape, 10, 100
     cfg = GdmConfig(n_clusters=3, restarts=r, merge_candidates=c, seed=11)
-    layout = 8 * (2 * n * (n - 1) // 2 + r * (c + 1) * c
-                  + (n + r * (n // 2)) * d * d + 2 * r * c * d * d)
+    layout = merge_layout_bytes(d, n, r, c, r * (c + 1) * c // 2)
     tracemalloc.start()
     try:
         optimizer._merged_restarts(a, cfg)
@@ -914,21 +975,16 @@ def test_merge_peak_memory_is_bounded_by_its_layout():
         tracemalloc.stop()
     assert peak <= layout + 500_000, (peak, layout)
     # With C >= N every restart caches all its pairs from the first
-    # round, a triangle of N(N-1)/2 dimensions and bounds, and merged
-    # Grams are decomposed in pieces of at most N. So a round's
-    # temporaries are one piece, N D x D sums and as many gathered
-    # addends, 2 N D^2, and per candidate at most 40 + 4 D float64s of
-    # index, score and screen arrays (the 4 x D union blocks and their
-    # 4 x 4 Grams; at D = 9 that is the "as much again" above). Ten
-    # restarts of N = 120 points in R^20 with C = 120 give 5.48 MB
-    # (5.00 MB measured); decomposing all of a round's misses at once
-    # peaks at 6.75 MB.
+    # round, a triangle of N(N-1)/2 pairs, and merged Grams are still
+    # decomposed in pieces of at most N. Ten restarts of N = 120 points
+    # in R^20 with C = 120 give 3.86 MB (3.38 MB measured); full Gram
+    # rows and a bound array peak at 5.06 MB, and decomposing all of a
+    # round's misses at once adds more.
     a = sample_subspace_mixture(SyntheticSpec(
         dims=(2, 3, 4), ambient=20, points_per_cluster=40, noise_sigma=0.01, seed=11)).data
     (d, n), c = a.shape, 120
     cfg = GdmConfig(n_clusters=3, restarts=r, merge_candidates=c, seed=11)
-    layout = 8 * (2 * n * (n - 1) // 2 + r * n * (n - 1)
-                  + (n + r * (n // 2)) * d * d + 2 * n * d * d + r * c * (40 + 4 * d))
+    layout = merge_layout_bytes(d, n, r, c, r * n * (n - 1) // 2)
     tracemalloc.start()
     try:
         optimizer._merged_restarts(a, cfg)
@@ -984,9 +1040,9 @@ def test_merge_screen_slack_holds_at_both_ends_of_p(kind, k, p, monkeypatch):
     merged_dims = optimizer._merged_dims
     decomposed = []
 
-    def counting(grams, x, y, eps, piece):
+    def counting(grams, tril, x, y, eps, piece):
         decomposed[-1] += x.size
-        return merged_dims(grams, x, y, eps, piece)
+        return merged_dims(grams, tril, x, y, eps, piece)
 
     monkeypatch.setattr(optimizer, "_merged_dims", counting)
     for points in (optimizer._SCREEN_POINTS, 1):
