@@ -186,10 +186,11 @@ def p_lower_bound(n_clusters, d):
     natural partition the unique minimizer of the rank-based global
     dimension over all partitions into at most K sets.
     """
-    if not isinstance(n_clusters, (int, np.integer)) or n_clusters < 2:
+    if (isinstance(n_clusters, bool) or not isinstance(n_clusters, (int, np.integer))
+            or n_clusters < 2):
         raise InvalidParameterError(
             "n_clusters must be an integer >= 2, got %r" % (n_clusters,)
         )
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidParameterError("d must be an integer >= 1, got %r" % (d,))
     return math.log(n_clusters) / (math.log(d + 1) - math.log(d))

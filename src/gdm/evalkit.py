@@ -11,6 +11,7 @@ from .exceptions import (
     InvalidParameterError,
     SceneGenerationError,
 )
+from .objective import _whole_numbers
 from .robust import reassignment_distances, tpr_fpr
 
 # Pinhole scene constants: bodies sit a few units in front of the
@@ -246,8 +247,8 @@ def misclassification_rate(pred_labels, true_labels):
     so this is the misclassification rate of retained true inliers.
     Exhaustive permutation matching; supports at most 6 clusters.
     """
-    pred = np.asarray(pred_labels, dtype=int)
-    true = np.asarray(true_labels, dtype=int)
+    pred = _whole_numbers(pred_labels, "labels")
+    true = _whole_numbers(true_labels, "labels")
     if pred.shape != true.shape or pred.ndim != 1:
         raise InvalidInputError("label vectors must be 1-d and equal length")
     mask = (pred >= 0) & (true >= 0)

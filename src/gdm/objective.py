@@ -122,6 +122,17 @@ def _validate_data(a):
     return a
 
 
+def _whole_numbers(values, name):
+    """values as an int array, or InvalidInputError unless every entry is
+    a whole number (an integer, or a finite float with no fraction)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        floats = values.astype(float)
+        if not np.all(np.isfinite(floats) & (floats == np.round(floats))):
+            raise InvalidInputError("%s must be whole numbers" % name)
+    return values.astype(int)
+
+
 def scaled_cluster_matrix(a, m, k):
     """Data matrix with column j scaled by the membership M[k, j]."""
     a = _validate_data(a)
@@ -178,12 +189,15 @@ def _dim_of_columns(cols, eps, on_degenerate):
 def hard_cluster_dims(a, labels, n_clusters, eps=0.35, on_degenerate="raise"):
     """Per-cluster empirical dimensions of a hard partition.
 
-    Negative labels mark rejected points and are excluded.
+    Labels must be whole numbers below n_clusters; negative labels mark
+    rejected points and are excluded.
     """
     a = _validate_data(a)
-    labels = np.asarray(labels)
+    labels = _whole_numbers(labels, "labels")
     if labels.shape != (a.shape[1],):
         raise InvalidInputError("labels must have one entry per data column")
+    if labels.size and labels.max() >= n_clusters:
+        raise InvalidInputError("labels must lie below n_clusters = %d" % n_clusters)
     _check_eps(eps, a.shape[0])
     return np.array(
         [
@@ -200,7 +214,8 @@ def global_dimension_hard(a, labels, params=None, n_clusters=None, on_degenerate
     ----------
     a : ndarray, shape (D, N)
     labels : int array, shape (N,)
-        Cluster ids; negative ids mark rejected points.
+        Cluster ids, whole numbers below n_clusters; negative ids mark
+        rejected points.
     params : ObjectiveParams, optional
     n_clusters : int, optional
         Defaults to max(labels) + 1.

@@ -15,16 +15,17 @@ every restart's candidate pairs from its own generator, scores them as
 one array with one eigvalsh batch, and commits each restart's own best
 merge. Every merge starts from the same N singletons, so the merged
 dimension of two points is a function of the data alone, and one call
-computes each such point-pair dimension at most once for all its
-restarts. Other merged dimensions are cached per restart only in the
-last rounds, from merge_candidates + 1 live sets down, 9 bytes a pair
-(one float64 that holds a screen bound until the exact dimension
-replaces it, and a bool mask). A set's Gram takes memory only once it
-holds two points, and is kept as its D(D+1)/2 lower-triangle entries,
-the only ones eigvalsh reads, so each restart adds
-O(N D(D+1)/4 + merge_candidates^2) to the call's memory. A screen
+computes each such point-pair dimension, and its screen bound, at most
+once for all its restarts. Other merged dimensions are cached per
+restart only in the last rounds, from merge_candidates + 1 live sets
+down, 9 bytes a pair (one float64 that holds a screen bound until the
+exact dimension replaces it, and a bool mask). A set's Gram takes
+memory only once it holds two points, and is kept as its D(D+1)/2
+lower-triangle entries, the only ones eigvalsh reads, so each restart
+adds O(N D(D+1)/4 + merge_candidates^2) to the call's memory. A screen
 skips the D x D eigendecomposition of most unions of at most four
-points: a rigorous lower bound from the union's small Gram shows that
+points, point pairs among them: a rigorous lower bound from the union's
+small Gram, computed when a round first samples the union, shows that
 they lose their round. The labels are those of merging each restart
 alone and scoring every pair afresh. Merged Grams are decomposed in
 batches of at most N.
@@ -62,6 +63,7 @@ from .objective import (
     _dim_of_columns,
     _validate_data,
     _validate_soft,
+    _whole_numbers,
     hard_cluster_dims,
     pnorm,
     value_and_gradient,
@@ -178,8 +180,11 @@ def project_columns(m):
 
 
 def indicator_membership(labels, n_clusters):
-    """0/1 membership matrix of a hard labeling."""
-    labels = np.asarray(labels, dtype=int)
+    """0/1 membership matrix of a hard labeling, labels whole numbers in
+    [0, n_clusters)."""
+    labels = _whole_numbers(labels, "labels")
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_clusters:
+        raise InvalidInputError("labels must lie in [0, %d)" % n_clusters)
     m = np.zeros((n_clusters, labels.size))
     m[labels, np.arange(labels.size)] = 1.0
     return m
@@ -303,31 +308,10 @@ _SCREEN_SLACK = 1e-9
 # With V the union's rescaled D x m block and mass = sum ||v||^2 over its
 # points, the eigenvalues of its m x m Gram fl(V^T V), with D - m zero
 # pads, stand for those of V V^T. Both they and the merge's own lam
-# carry the error above (the small Gram's entries sum D products, and the
-# closed form for m = 2, h -+ hypot((a - c) / 2, b), is off by at most
-# 4 u mass), so the margin is doubled: 2 c (m + D) (u mass + tiny).
+# carry the error above (the small Gram's entries sum D products), so the
+# margin is doubled: 2 c (m + D) (u mass + tiny). Point pairs take this
+# path too, the first time a round samples them.
 _SCREEN_POINTS = 4
-
-# Point pairs per block of _pair_dim_bounds.
-_PAIR_BLOCK = 1024
-
-
-def _pair_dim_bounds(cols, sq_norms, exp, eps, out):
-    """Write the merge-screen bound of every point pair, numbered as pair
-    codes are, into out; the 2 x 2 Grams' eigenvalues in closed form,
-    with D - 2 zero pads."""
-    n, d = cols.shape
-    tri = np.arange(n) * (np.arange(n) - 1) // 2
-    for first in range(0, out.size, _PAIR_BLOCK):
-        codes = np.arange(first, min(first + _PAIR_BLOCK, out.size))
-        i, j = _decode_pairs(codes, n, tri, 0)
-        aa, cc = sq_norms[i], sq_norms[j]
-        bb = np.einsum("ij,ij->i", cols[i], cols[j])
-        h = (aa + cc) / 2.0
-        r = np.hypot((aa - cc) / 2.0, bb)
-        err = (2.0 * _GRAM_ERROR_FACTOR * (2 + d)) * (_UNIT_ROUNDOFF * (aa + cc) + _TINY)
-        out[codes] = _dim_lower_bounds(np.stack([h - r, h + r], axis=1), err, exp, eps,
-                                       d - 2)
 
 
 def greedy_merge_init(a, cfg, rng=None):
@@ -460,12 +444,13 @@ def _merge_init(a, cfg, rngs):
     its members, whose squared norms sum to its mass. A miss whose union
     has m <= min(_SCREEN_POINTS, D) points gets a rigorous lower bound on
     its merged dimension: the refine screen's _dim_lower_bounds on the
-    eigenvalues of the union's m x m Gram with D - m zero pads (for
-    point pairs in closed form, all P of them once per call); hence a
-    lower bound bound**p * (1 - _SCREEN_SLACK) - dp[sa] - dp[sb] on its
-    score as computed. Each restart scores exactly, with its other
-    misses, its candidate of lowest bound, then in a second batch every
-    candidate whose bound does not exceed its best exact score.
+    eigenvalues of the union's m x m Gram with D - m zero pads, computed
+    when a round first samples the union (a point pair's bound goes to
+    its shared entry, so every restart reuses it); hence a lower bound
+    bound**p * (1 - _SCREEN_SLACK) - dp[sa] - dp[sb] on its score as
+    computed. Each restart scores exactly, with its other misses, its
+    candidate of lowest bound, then in a second batch every candidate
+    whose bound does not exceed its best exact score.
     The rest score +inf: their exact scores would exceed the minimum, so
     argmin and its tie rule pick the same pair and every cached dimension
     is still a fresh eigendecomposition's. A bound stays in value until
@@ -503,8 +488,6 @@ def _merge_init(a, cfg, rngs):
     exact = np.zeros(value.size, dtype=bool)
     uncached = value.size - 1
     limit = min(_SCREEN_POINTS, d)
-    if limit >= 2:
-        _pair_dim_bounds(cols[:n], sq_norms[:n], exp, cfg.eps, value[:n_pairs])
     gram_row = np.tile(np.arange(n), r)
     # Restart i's next free pool row.
     pool = n + rows * (n // 2)
@@ -549,7 +532,7 @@ def _merge_init(a, cfg, rngs):
                                                 members[gb.ravel()[fresh]]], axis=1),
                                 axis=1)[:, :limit]
                 v = cols[union]
-                err = (2.0 * _GRAM_ERROR_FACTOR * (limit + d)) * (
+                err = (2.0 * _GRAM_ERROR_FACTOR * (size.ravel()[fresh] + d)) * (
                     _UNIT_ROUNDOFF * sq_norms[union].sum(axis=1) + _TINY)
                 held.ravel()[fresh] = value[at.ravel()[fresh]] = _dim_lower_bounds(
                     np.linalg.eigvalsh(v @ v.transpose(0, 2, 1)), err, exp, cfg.eps,
@@ -862,16 +845,12 @@ def genetic_refine(a, labels, cfg):
     """
     a = _validate_data(a)
     _check_eps(cfg.eps, a.shape[0])
-    labels = np.asarray(labels)
+    labels = _whole_numbers(labels, "labels")
     if labels.shape != (a.shape[1],):
         raise InvalidInputError("labels must have one entry per data column")
-    if labels.dtype.kind not in "iu":
-        values = labels.astype(float)
-        if not np.all(np.isfinite(values) & (values == np.round(values))):
-            raise InvalidInputError("labels must be whole numbers")
     if labels.size and not 0 <= labels.min() <= labels.max() < cfg.n_clusters:
         raise InvalidInputError("labels must lie in [0, %d)" % cfg.n_clusters)
-    return _refine_wave(a, [labels.astype(int)], cfg)[0]
+    return _refine_wave(a, [labels], cfg)[0]
 
 
 def _hard_result(a, labels, cfg, **fields):

@@ -37,7 +37,7 @@ from .exceptions import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .objective import _validate_data
+from .objective import _validate_data, _whole_numbers
 from .optimizer import _descend_loop, _hard_result, _merged_restarts, gdm
 
 # Initial membership mass placed on the outlier row after merge
@@ -283,8 +283,8 @@ def tpr_fpr(predicted_outliers, true_outliers, n_points):
     TPR is 0 when there are no true outliers; FPR is 0 when there are
     no true inliers.
     """
-    pred = set(int(i) for i in np.asarray(predicted_outliers, dtype=int).ravel())
-    true = set(int(i) for i in np.asarray(true_outliers, dtype=int).ravel())
+    pred = set(_whole_numbers(predicted_outliers, "outlier indices").ravel().tolist())
+    true = set(_whole_numbers(true_outliers, "outlier indices").ravel().tolist())
     universe = range(n_points)
     if not pred <= set(universe) or not true <= set(universe):
         raise InvalidInputError("outlier indices must lie in [0, n_points)")

@@ -175,6 +175,7 @@ def _merge_sets(a, cfg, res):
     return "/".join(str(c) for c in sorted(np.bincount(labels), reverse=True))
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_segmentation():
     t0 = time.perf_counter()
     noisy, clean_zero, gap, gap0 = [], 0, 0, 0
@@ -205,6 +206,7 @@ def test_criterion_5_end_to_end_segmentation():
             % (med, clean_zero, gap, gap0, elapsed, " ".join(sets), " ".join(sets0)))
 
 
+@pytest.mark.slow
 def test_criterion_6_two_view_pipeline():
     mis, gap, sets = [], 0, []
     for seed in range(20):
@@ -233,6 +235,7 @@ def test_criterion_6_two_view_pipeline():
             "winning merge's sets %s" % (med, gap, ranks_ok, " ".join(sets)))
 
 
+@pytest.mark.slow
 def test_criterion_7_outlier_framework():
     tprs = []
     curves = []

@@ -162,6 +162,8 @@ class TestPLowerBound:
             p_lower_bound(2, 0)
         with pytest.raises(InvalidParameterError):
             p_lower_bound(2.5, 4)
+        with pytest.raises(InvalidParameterError):
+            p_lower_bound(2, True)
 
 
 def test_numerical_rank():

@@ -217,6 +217,12 @@ class TestMisclassificationRate:
         with pytest.raises(InvalidInputError):
             misclassification_rate([0, 1], [0, 1, 1])
 
+    @pytest.mark.parametrize("pred, true", [([0, 1.5], [0, 1]), ([0, 1], [0.2, 1]),
+                                            ([0, np.nan], [0, 1])])
+    def test_labels_that_are_not_whole_numbers(self, pred, true):
+        with pytest.raises(InvalidInputError):
+            misclassification_rate(pred, true)
+
 
 class TestRocSweep:
     def setup_method(self):

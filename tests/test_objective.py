@@ -119,6 +119,14 @@ class TestSoftGlobalDimension:
             assert global_dimension_soft(a, m[perm], PARAMS) == base
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 0.7, np.inf])
+def test_indicator_membership_rejects_labels_outside_the_clusters(bad):
+    with pytest.raises(InvalidInputError):
+        indicator_membership([0, bad, 1], 2)
+    np.testing.assert_array_equal(indicator_membership([0, 1.0, 1], 2),
+                                  [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+
+
 class TestHardGlobalDimension:
     def test_single_point_cluster(self):
         a = np.array([[3.0], [4.0]])
@@ -138,6 +146,16 @@ class TestHardGlobalDimension:
         a = np.eye(3)
         with pytest.raises(DegenerateClusterError):
             global_dimension_hard(a, [0, 0, 0], PARAMS, n_clusters=2)
+
+    @pytest.mark.parametrize("bad", [7, 2, 0.5, np.nan])
+    def test_labels_outside_the_clusters_are_rejected(self, bad):
+        # Such a point would be left out of every cluster unscored.
+        a = np.random.default_rng(2).normal(size=(9, 6))
+        with pytest.raises(InvalidInputError):
+            global_dimension_hard(a, [0, 0, 0, 1, 1, bad], PARAMS, n_clusters=2)
+        # A negative label still marks a rejected point.
+        assert global_dimension_hard(a, [0, 0, 0, 1, 1, -1], PARAMS, n_clusters=2) == (
+            global_dimension_hard(a[:, :5], [0, 0, 0, 1, 1], PARAMS, n_clusters=2))
 
     def test_three_lines_in_the_plane_rank_oracle(self):
         # The p = 1 failure mode: the natural partition of 3 lines in

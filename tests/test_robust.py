@@ -405,3 +405,9 @@ class TestTprFpr:
     def test_out_of_range(self):
         with pytest.raises(InvalidInputError):
             tpr_fpr([11], [0], 10)
+
+    @pytest.mark.parametrize("pred, true", [([1.7], [1]), ([1], [0.5]), ([np.nan], [1])])
+    def test_indices_that_are_not_whole_numbers(self, pred, true):
+        with pytest.raises(InvalidInputError):
+            tpr_fpr(pred, true, 3)
+        assert tpr_fpr([1.0], [1], 3) == (100.0, 0.0)
