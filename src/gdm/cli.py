@@ -50,42 +50,41 @@ def _as_label(value, path, lineno):
     return int(value)
 
 
+def _data_lines(path):
+    """(line number, stripped line) of each line of path that is neither
+    blank nor a ``#`` comment."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
 def read_correspondences(path):
     """Parse a correspondence file into (coords (n, 4), labels or None)."""
     coords = []
     labels = []
     n_cols = None
-    first_line = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if first_line is None:
-                first_line = lineno
-            fields = _split_fields(line)
-            try:
-                values = [float(t) for t in fields]
-            except ValueError:
-                if lineno == first_line:
-                    continue  # header row
-                raise ParseError(
-                    "%s:%d: cannot parse %r as numbers" % (path, lineno, line)
-                )
-            if len(values) not in (4, 5):
-                raise ParseError(
-                    "%s:%d: expected 4 or 5 columns, got %d"
-                    % (path, lineno, len(values))
-                )
-            if n_cols is None:
-                n_cols = len(values)
-            elif len(values) != n_cols:
-                raise ParseError(
-                    "%s:%d: inconsistent column count" % (path, lineno)
-                )
-            coords.append(values[:4])
-            if n_cols == 5:
-                labels.append(_as_label(values[4], path, lineno))
+    for row, (lineno, line) in enumerate(_data_lines(path)):
+        try:
+            values = [float(t) for t in _split_fields(line)]
+        except ValueError:
+            if row == 0:
+                continue  # header row
+            raise ParseError(
+                "%s:%d: cannot parse %r as numbers" % (path, lineno, line)
+            )
+        if len(values) not in (4, 5):
+            raise ParseError(
+                "%s:%d: expected 4 or 5 columns, got %d"
+                % (path, lineno, len(values))
+            )
+        n_cols = n_cols or len(values)
+        if len(values) != n_cols:
+            raise ParseError("%s:%d: inconsistent column count" % (path, lineno))
+        coords.append(values[:4])
+        if n_cols == 5:
+            labels.append(_as_label(values[4], path, lineno))
     if not coords:
         raise ParseError("%s: no data rows found" % (path,))
     coords = np.asarray(coords, dtype=float)
@@ -94,21 +93,28 @@ def read_correspondences(path):
 
 def read_label_file(path):
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ParseError(
-                    "%s:%d: cannot parse %r as a label" % (path, lineno, line)
-                )
-            out.append(_as_label(value, path, lineno))
+    for lineno, line in _data_lines(path):
+        try:
+            value = float(line)
+        except ValueError:
+            raise ParseError(
+                "%s:%d: cannot parse %r as a label" % (path, lineno, line)
+            )
+        out.append(_as_label(value, path, lineno))
     if not out:
         raise ParseError("%s: no labels found" % (path,))
     return np.asarray(out, dtype=int)
+
+
+def _metrics(pred, truth):
+    """Misclassification of pred against truth, plus the outlier TPR and
+    FPR whenever either labeling marks a point -1."""
+    metrics = {"misclassification_pct": misclassification_rate(pred, truth)}
+    if np.any(truth < 0) or np.any(pred < 0):
+        metrics["tpr_pct"], metrics["fpr_pct"] = tpr_fpr(
+            np.flatnonzero(pred < 0), np.flatnonzero(truth < 0), truth.size
+        )
+    return metrics
 
 
 def _emit(text, output):
@@ -142,6 +148,19 @@ def _resolve_seed(ctx, param, seed):
     return int(np.random.SeedSequence().entropy % (2**32))
 
 
+_INPUT_OPTIONS = [
+    click.argument("input_file", type=click.Path(exists=True, dir_okay=False)),
+    click.option("--k", required=True, type=int, help="Number of clusters."),
+    click.option("--embedding", type=click.Choice(["nonlinear", "linear"]),
+                 default="nonlinear", show_default=True),
+    click.option("--normalize/--no-normalize", default=False, show_default=True,
+                 help="Map each view's coordinates into [-1, 1] before embedding."),
+    click.option("--alpha", default=0.01, show_default=True,
+                 help="Weight of the outlier row's charge alpha/2 * sum(M[0]^2)."),
+    click.option("--fraction", default=0.20, show_default=True,
+                 help="Fraction of points rejected by known-fraction."),
+]
+
 _PIPELINE_OPTIONS = [
     click.option("--epsilon", default=0.35, show_default=True,
                  help="Empirical dimension strictness, in (0, 1), with "
@@ -168,21 +187,32 @@ _PIPELINE_OPTIONS = [
 ]
 
 
-def _pipeline_options(fn):
-    for opt in reversed(_PIPELINE_OPTIONS):
-        fn = opt(fn)
-    return fn
+def _options(options):
+    """Decorator applying a list of click parameters, first listed first."""
+    def apply(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return apply
 
 
 # GdmConfig field of each pipeline flag named otherwise; threads has none.
 _CONFIG_FIELDS = {"epsilon": "eps", "step": "step_target", "threads": None}
 
 
-def _build_config(k, pipeline):
-    """GdmConfig of k clusters from the parsed pipeline flags."""
+def _load_input(input_file, k, embedding, normalize, pipeline):
+    """(embedded data, truth labels or None, GdmConfig of k clusters) from
+    INPUT_FILE and the parsed input and pipeline flags; a GdmError of the
+    config or the embedding exits 1 with its message."""
+    coords, truth = read_correspondences(input_file)
     fields = {_CONFIG_FIELDS.get(name, name): value for name, value in pipeline.items()}
     fields.pop(None)
-    return GdmConfig(n_clusters=k, **fields)
+    try:
+        cfg = GdmConfig(n_clusters=k, **fields)
+        data = embed_dataset(coords, mode=embedding, normalize=normalize)
+    except GdmError as exc:
+        raise click.ClickException(str(exc))
+    return data, truth, cfg
 
 
 @click.group()
@@ -191,55 +221,35 @@ def cli():
 
 
 @cli.command()
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", required=True, type=int, help="Number of clusters.")
-@click.option("--embedding", type=click.Choice(["nonlinear", "linear"]),
-              default="nonlinear", show_default=True)
-@click.option("--normalize/--no-normalize", default=False, show_default=True,
-              help="Map each view's coordinates into [-1, 1] before embedding.")
+@_options(_INPUT_OPTIONS)
 @click.option("--outlier-mode",
               type=click.Choice(["none", "naive", "known-fraction", "model-reassign"]),
               default="none", show_default=True)
-@click.option("--alpha", default=0.01, show_default=True,
-              help="Weight of the outlier row's charge alpha/2 * sum(M[0]^2).")
-@click.option("--fraction", default=0.20, show_default=True,
-              help="Fraction of points rejected by known-fraction.")
 @click.option("--kappa", default=0.05, show_default=True,
               help="Distance threshold of model-reassign.")
-@_pipeline_options
+@_options(_PIPELINE_OPTIONS)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Write the JSON report here instead of stdout.")
 @click.option("--labels-out", type=click.Path(dir_okay=False), default=None,
               help="Also write one label per line to this file.")
-def segment(input_file, k, embedding, normalize, outlier_mode, alpha, fraction,
+def segment(input_file, k, embedding, normalize, alpha, fraction, outlier_mode,
             kappa, output, labels_out, **pipeline):
     """Segment the correspondences in INPUT_FILE into K motions."""
     t0 = time.perf_counter()
     ctx = click.get_current_context()
-    coords, truth = read_correspondences(input_file)
+    data, truth, cfg = _load_input(input_file, k, embedding, normalize, pipeline)
     try:
-        cfg = _build_config(k, pipeline)
-        data = embed_dataset(coords, mode=embedding, normalize=normalize)
         mode = outlier_mode.replace("-", "_")
         ocfg = OutlierConfig(mode=mode, alpha=alpha, fraction=fraction, kappa=kappa)
         result = segment_with_outliers(data, cfg, ocfg)
+        metrics = None if truth is None else _metrics(result.labels, truth)
     except GdmError as exc:
         raise click.ClickException(str(exc))
-    metrics = None
-    if truth is not None:
-        metrics = {
-            "misclassification_pct": misclassification_rate(result.labels, truth),
-        }
-        if np.any(truth < 0):
-            tpr, fpr = tpr_fpr(result.outliers, np.flatnonzero(truth < 0),
-                               truth.size)
-            metrics["tpr_pct"] = tpr
-            metrics["fpr_pct"] = fpr
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": "segment",
         "input": str(input_file),
-        "n_points": int(coords.shape[0]),
+        "n_points": int(data.shape[1]),
         "config": {param.name: ctx.params[param.name] for param in ctx.command.params
                    if param.name not in ("input_file", "output", "labels_out")},
         "seed": cfg.seed,
@@ -306,28 +316,16 @@ def eval_cmd(pred_file, truth_file, output):
             % (pred.size, truth.size)
         )
     try:
-        report = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "command": "eval",
-            "n_points": int(pred.size),
-            "misclassification_pct": misclassification_rate(pred, truth),
-        }
-        if np.any(truth < 0) or np.any(pred < 0):
-            tpr, fpr = tpr_fpr(np.flatnonzero(pred < 0),
-                               np.flatnonzero(truth < 0), truth.size)
-            report["tpr_pct"] = tpr
-            report["fpr_pct"] = fpr
+        metrics = _metrics(pred, truth)
     except GdmError as exc:
         raise click.ClickException(str(exc))
+    report = {"schema_version": REPORT_SCHEMA_VERSION, "command": "eval",
+              "n_points": int(pred.size), **metrics}
     _emit(json.dumps(report, indent=2), output)
 
 
 @cli.command()
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", required=True, type=int, help="Number of clusters.")
-@click.option("--embedding", type=click.Choice(["nonlinear", "linear"]),
-              default="nonlinear", show_default=True)
-@click.option("--normalize/--no-normalize", default=False, show_default=True)
+@_options(_INPUT_OPTIONS)
 @click.option("--kappas", default=None, callback=_comma_list(float),
               help="Comma list of kappa thresholds to sweep.")
 @click.option("--kappa-min", default=0.001, show_default=True)
@@ -335,16 +333,14 @@ def eval_cmd(pred_file, truth_file, output):
 @click.option("--kappa-count", type=click.IntRange(min=1), default=20,
               show_default=True,
               help="Size of the geometric kappa grid when --kappas is unset.")
-@click.option("--alpha", default=0.01, show_default=True)
-@click.option("--fraction", default=0.20, show_default=True)
 @click.option("--truth", "truth_file", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Label file with -1 outliers; defaults to the "
                                  "input's label column.")
-@_pipeline_options
+@_options(_PIPELINE_OPTIONS)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Write the curve as CSV here instead of stdout.")
-def roc(input_file, k, embedding, normalize, kappas, kappa_min, kappa_max,
-        kappa_count, alpha, fraction, truth_file, output, **pipeline):
+def roc(input_file, k, embedding, normalize, alpha, fraction, kappas, kappa_min,
+        kappa_max, kappa_count, truth_file, output, **pipeline):
     """Sweep kappa over a grid and report the outlier-detection ROC."""
     if kappas is None:
         if not all(math.isfinite(b) and b > 0.0 for b in (kappa_min, kappa_max)):
@@ -354,18 +350,16 @@ def roc(input_file, k, embedding, normalize, kappas, kappa_min, kappa_max,
     elif not all(math.isfinite(v) and v >= 0.0 for v in kappas):
         raise click.BadParameter("kappas must be finite and nonnegative",
                                  param_hint="--kappas")
-    coords, truth = read_correspondences(input_file)
+    data, truth, cfg = _load_input(input_file, k, embedding, normalize, pipeline)
     if truth_file is not None:
         truth = read_label_file(truth_file)
-        if truth.size != coords.shape[0]:
+        if truth.size != data.shape[1]:
             raise click.ClickException("truth labels disagree on point count")
     if truth is None:
         raise click.ClickException(
             "ground truth required: give a label column or --truth"
         )
     try:
-        cfg = _build_config(k, pipeline)
-        data = embed_dataset(coords, mode=embedding, normalize=normalize)
         curve = roc_sweep(data, cfg, np.flatnonzero(truth < 0), kappas,
                           fraction=fraction, alpha=alpha)
     except GdmError as exc:

@@ -53,6 +53,8 @@ def singular_values(a):
 def numerical_rank(sigma, rel_tol=RELATIVE_ZERO_TOL):
     """Number of singular values above rel_tol times the largest one."""
     sigma = np.asarray(sigma, dtype=float)
+    if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
+        raise InvalidInputError("singular values must be finite and nonnegative")
     if sigma.size == 0 or sigma.max() <= 0:
         return 0
     return int(np.sum(sigma > rel_tol * sigma.max()))

@@ -209,7 +209,8 @@ def sample_two_view_scene(n_bodies, points_per_body, noise_sigma=0.0,
         counts = [_count(c, "points_per_body") for c in points_per_body]
         if len(counts) != n_bodies:
             raise InvalidParameterError("points_per_body length must match n_bodies")
-    if min(counts) < 1 or n_outliers < 0 or not noise_sigma >= 0.0:
+    # Written so that NaN fails the range test too.
+    if min(counts) < 1 or n_outliers < 0 or not 0.0 <= noise_sigma < np.inf:
         raise InvalidParameterError("invalid point counts or noise/outlier settings")
     rng = np.random.default_rng(seed)
     rows = []

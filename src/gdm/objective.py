@@ -134,12 +134,14 @@ def _whole_numbers(values, name):
 
 
 def scaled_cluster_matrix(a, m, k):
-    """Data matrix with column j scaled by the membership M[k, j]."""
+    """Data matrix with column j scaled by the membership M[k, j]; k must be
+    an integer row index (a Python or numpy one, not a bool)."""
     a = _validate_data(a)
     m = _validate_weights(m)
-    if not 0 <= k < m.shape[0]:
+    if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+            or not 0 <= k < m.shape[0]):
         raise InvalidParameterError(
-            "cluster index %r out of range for %d rows" % (k, m.shape[0])
+            "cluster index must be an integer in [0, %d), got %r" % (m.shape[0], k)
         )
     if a.shape[1] != m.shape[1]:
         raise InvalidInputError("data and membership disagree on point count")

@@ -45,10 +45,10 @@ results, then screens the waiting points of every restart with one
 row-stacked call, in eigvalsh pieces of at most N Grams. A point found
 unable to move is settled until the next accepted move of its restart
 and is not screened again; blocks of unsettled points start at 8 after
-each accepted move and at each pass start and double up to 256, so few
-screened points are thrown away by a move. Restarts with equal
-thresholded labels are refined once. Each restart gets the labels it
-gets alone.
+each accepted move and at each pass start and double, without a cap,
+while no move is accepted, so few screened points are thrown away by a
+move. Restarts with equal thresholded labels are refined once. Each
+restart gets the labels it gets alone.
 """
 
 import math
@@ -658,9 +658,8 @@ def threshold(m):
 
 # Refinement screens the next unsettled points in blocks that start at
 # _FIRST_BLOCK points, after every accepted move and at every pass start,
-# and double up to _LAST_BLOCK while no move is accepted.
+# and double while no move is accepted.
 _FIRST_BLOCK = 8
-_LAST_BLOCK = 256
 
 
 def _screen_moves(req, idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
@@ -734,7 +733,7 @@ def _refine_restart(a, labels, dims, grams, terms, mass, point_grams, sq_norms, 
             # Points past a move below are marked with the count before
             # it, so they stay unsettled.
             settled[block[skip]] = moves
-            j, width = block[-1] + 1, min(2 * width, _LAST_BLOCK)
+            j, width = block[-1] + 1, 2 * width
             for i in block[~skip].tolist():
                 k0 = labels[i]
                 gd_cur = pnorm(dims, cfg.p)
@@ -838,7 +837,7 @@ def genetic_refine(a, labels, cfg):
     accepted move; only a point whose bounds do not rule out every move
     runs the per-candidate SVDs, so accepted moves and stored dimensions
     are SVD values. Blocks start at 8 points after each accepted move and
-    at each pass start, and double up to 256.
+    at each pass start, and double while no move is accepted.
 
     This is a wave of one; gdm refines all its restarts in one lockstep
     wave (_refine_wave), which gives every restart these labels.

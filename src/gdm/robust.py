@@ -171,6 +171,8 @@ def fit_cluster_subspace(points, eps=0.35):
     vectors.
     """
     points = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("cluster points must be finite")
     if points.ndim != 2 or points.shape[1] == 0:
         raise DegenerateClusterError("cannot fit a subspace to an empty cluster")
     u, s, _ = np.linalg.svd(points, full_matrices=False)
@@ -281,8 +283,13 @@ def tpr_fpr(predicted_outliers, true_outliers, n_points):
     """True and false positive rates of an outlier prediction, in percent.
 
     TPR is 0 when there are no true outliers; FPR is 0 when there are
-    no true inliers.
+    no true inliers. n_points must be a nonnegative integer (a Python or
+    numpy one, not a bool).
     """
+    if (isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer))
+            or n_points < 0):
+        raise InvalidInputError("n_points must be a nonnegative integer, got %r"
+                                % (n_points,))
     pred = set(_whole_numbers(predicted_outliers, "outlier indices").ravel().tolist())
     true = set(_whole_numbers(true_outliers, "outlier indices").ravel().tolist())
     universe = range(n_points)

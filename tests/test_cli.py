@@ -71,6 +71,27 @@ def test_segment_round_trip(scene_file, tmp_path, runner):
     assert read_report(res.output)["misclassification_pct"] == 0.0
 
 
+def test_segment_and_eval_report_the_same_metrics(scene_file, tmp_path, runner):
+    # known-fraction rejects a fifth of a scene with no planted outliers;
+    # eval of the labels segment wrote reports what segment did.
+    labels_path = tmp_path / "labels.txt"
+    res = runner.invoke(cli, [
+        "segment", str(scene_file), "--k", "2", "--seed", "7",
+        "--outlier-mode", "known-fraction", "--labels-out", str(labels_path),
+    ])
+    assert res.exit_code == 0, res.output
+    metrics = read_report(res.output)["metrics"]
+    truth_path = tmp_path / "truth.txt"
+    rows = scene_file.read_text().strip().splitlines()[2:]
+    truth_path.write_text("\n".join(r.rsplit(",", 1)[1] for r in rows))
+    res = runner.invoke(cli, ["eval", str(labels_path), str(truth_path)])
+    assert res.exit_code == 0, res.output
+    report = read_report(res.output)
+    assert {key: report[key] for key in metrics} == metrics
+    assert set(report) == set(metrics) | {"schema_version", "command", "n_points"}
+    assert metrics["tpr_pct"] == 0.0 and metrics["fpr_pct"] == 20.0
+
+
 def test_segment_deterministic_with_seed(scene_file, runner):
     args = ["segment", str(scene_file), "--k", "2", "--seed", "5"]
     out1 = runner.invoke(cli, args)
@@ -263,6 +284,7 @@ def test_negative_seed_is_a_usage_error(args, scene_file, tmp_path, runner):
     ["--points", "10,0"],
     ["--outliers", "-3"],
     ["--noise", "-1"],
+    ["--noise", "inf"],
 ])
 def test_generate_rejects_bad_counts(flags, tmp_path, runner):
     path = tmp_path / "bad.csv"

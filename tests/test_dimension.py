@@ -174,6 +174,12 @@ def test_numerical_rank():
     assert numerical_rank(np.zeros(4)) == 0
 
 
+@pytest.mark.parametrize("sigma", [[1.0, np.nan], [1.0, -0.5], [np.inf, 1.0]])
+def test_numerical_rank_rejects_bad_spectra(sigma):
+    with pytest.raises(InvalidInputError):
+        numerical_rank(sigma)
+
+
 def test_singular_values():
     np.testing.assert_allclose(singular_values(np.diag([1.0, 3.0, 2.0])), [3.0, 2.0, 1.0])
     np.testing.assert_array_equal(singular_values(np.zeros((4, 6))), np.zeros(4))

@@ -149,7 +149,7 @@ class TestTwoViewScene:
             sample_two_view_scene(2, (10,))
         for kwargs in ({"points_per_body": 0}, {"points_per_body": (10, 0)},
                        {"n_outliers": -3}, {"noise_sigma": -1.0},
-                       {"noise_sigma": np.nan}):
+                       {"noise_sigma": np.nan}, {"noise_sigma": np.inf}):
             with pytest.raises(InvalidParameterError):
                 sample_two_view_scene(**{"n_bodies": 2, "points_per_body": 10, **kwargs})
         with pytest.raises(SceneGenerationError):

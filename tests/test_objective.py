@@ -74,6 +74,13 @@ class TestScaledClusterMatrix:
         with pytest.raises(InvalidParameterError):
             scaled_cluster_matrix(self.a, m, 3)
 
+    @pytest.mark.parametrize("k", [True, 0.5, 0.0])
+    def test_index_that_is_not_an_integer(self, k):
+        m = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InvalidParameterError):
+            scaled_cluster_matrix(self.a, m, k)
+        np.testing.assert_array_equal(scaled_cluster_matrix(self.a, m, np.int64(0)), self.a)
+
 
 class TestSoftGlobalDimension:
     def test_single_rank_one_cluster(self):

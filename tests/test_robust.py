@@ -305,6 +305,13 @@ class TestFittedSubspace:
         with pytest.raises(DegenerateClusterError):
             fit_cluster_subspace(np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points(self, bad):
+        pts = np.eye(3)
+        pts[1, 2] = bad
+        with pytest.raises(InvalidInputError):
+            fit_cluster_subspace(pts)
+
 
 def point_distance(v, sub):
     return subspace_distances(v[:, None], sub)[0]
@@ -411,3 +418,9 @@ class TestTprFpr:
         with pytest.raises(InvalidInputError):
             tpr_fpr(pred, true, 3)
         assert tpr_fpr([1.0], [1], 3) == (100.0, 0.0)
+
+    @pytest.mark.parametrize("n_points", [2.5, -1, True, 3.0])
+    def test_bad_point_count(self, n_points):
+        with pytest.raises(InvalidInputError):
+            tpr_fpr([], [], n_points)
+        assert tpr_fpr([], [], np.int64(3)) == (0.0, 0.0)
