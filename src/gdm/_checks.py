@@ -1,0 +1,58 @@
+"""Argument checks shared by the package's entry points.
+
+One rule each for a data matrix, an integer argument (a count, an index
+or a seed) and a label vector, so every entry point rejects the same
+malformed input with the same error.
+"""
+
+import numpy as np
+
+from .exceptions import InvalidInputError, InvalidParameterError
+
+
+def _validate_data(a):
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise InvalidInputError("data must be a D x N matrix with N >= 1")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("data entries must be finite")
+    return a
+
+
+def _whole_numbers(values, name):
+    """values as an int array, or InvalidInputError unless every entry is
+    a whole number (an integer, or a finite float with no fraction)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        floats = values.astype(float)
+        if not np.all(np.isfinite(floats) & (floats == np.round(floats))):
+            raise InvalidInputError("%s must be whole numbers" % name)
+    return values.astype(int)
+
+
+def _count(value, name, low=None, high=None, error=InvalidParameterError):
+    """int(value), or error unless value is an integer (a Python or numpy
+    one, not a bool) of at least low and, when high is given (with low),
+    below high."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error("%s must be an integer, got %r" % (name, value))
+    if high is not None and not low <= value < high:
+        raise error("%s must be in [%d, %d), got %r" % (name, low, high, value))
+    if low is not None and value < low:
+        raise error("%s must be >= %d, got %r" % (name, low, value))
+    return int(value)
+
+
+def _labels(labels, n_points, n_clusters=None, rejects=False):
+    """labels as an int vector, or InvalidInputError unless it holds
+    n_points whole numbers below n_clusters (when given), each >= 0
+    unless rejects lets a negative label mark a rejected point."""
+    labels = _whole_numbers(labels, "labels")
+    if labels.shape != (n_points,):
+        raise InvalidInputError("labels must be a vector of %d entries, got shape %s"
+                                % (n_points, labels.shape))
+    low = -np.inf if rejects else 0
+    high = np.inf if n_clusters is None else n_clusters
+    if labels.size and not low <= labels.min() <= labels.max() < high:
+        raise InvalidInputError("labels must lie in [%s, %s)" % (low, high))
+    return labels

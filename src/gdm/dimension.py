@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from ._checks import _count
 from .exceptions import (
     DegenerateSpectrumError,
     InvalidInputError,
@@ -188,11 +189,6 @@ def p_lower_bound(n_clusters, d):
     natural partition the unique minimizer of the rank-based global
     dimension over all partitions into at most K sets.
     """
-    if (isinstance(n_clusters, bool) or not isinstance(n_clusters, (int, np.integer))
-            or n_clusters < 2):
-        raise InvalidParameterError(
-            "n_clusters must be an integer >= 2, got %r" % (n_clusters,)
-        )
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidParameterError("d must be an integer >= 1, got %r" % (d,))
+    n_clusters = _count(n_clusters, "n_clusters", 2)
+    d = _count(d, "d", 1)
     return math.log(n_clusters) / (math.log(d + 1) - math.log(d))

@@ -22,16 +22,24 @@ class PointCorrespondence(NamedTuple):
     yp: float
 
 
-def _as_coords(pc):
-    c = np.asarray(pc, dtype=float)
-    if c.shape != (4,):
+def _coords(pcs):
+    """pcs as a float (n, 4) array of finite coordinates with n >= 1 (a
+    single 4-vector is one row), or InvalidInputError."""
+    given = np.asarray(pcs, dtype=float)
+    coords = given[None, :] if given.ndim == 1 else given
+    if coords.ndim != 2 or coords.shape[1] != 4 or not coords.size:
         raise InvalidInputError(
-            "a correspondence must provide exactly 4 coordinates, got shape %s"
-            % (c.shape,)
+            "expected correspondences of shape (n, 4), n >= 1, got %s" % (given.shape,)
         )
-    if not np.all(np.isfinite(c)):
+    if not np.all(np.isfinite(coords)):
         raise InvalidInputError("correspondence coordinates must be finite")
-    return c
+    return coords
+
+
+def _as_coords(pc):
+    if np.ndim(pc) != 1:
+        raise InvalidInputError("a correspondence must be one vector of 4 coordinates")
+    return _coords(pc)[0]
 
 
 def embed_nonlinear(pc):
@@ -65,8 +73,7 @@ def normalize_views(coords):
     -------
     normalized : ndarray, shape (n, 4)
     """
-    coords = np.asarray(coords, dtype=float)
-    out = coords.copy()
+    out = _coords(coords).copy()
     for view in (slice(0, 2), slice(2, 4)):
         block = out[:, view]
         block -= block.mean(axis=0)
@@ -96,17 +103,7 @@ def embed_dataset(pcs, mode="nonlinear", normalize=False):
     data : ndarray, shape (D, n) with D = 9 or 4
         Column j is the embedding of pcs[j].
     """
-    coords = np.asarray(pcs, dtype=float)
-    if coords.size == 0:
-        raise InvalidInputError("cannot embed an empty set of correspondences")
-    if coords.ndim == 1:
-        coords = coords[None, :]
-    if coords.ndim != 2 or coords.shape[1] != 4:
-        raise InvalidInputError(
-            "expected correspondences of shape (n, 4), got %s" % (coords.shape,)
-        )
-    if not np.all(np.isfinite(coords)):
-        raise InvalidInputError("correspondence coordinates must be finite")
+    coords = _coords(pcs)
     if mode not in ("nonlinear", "linear"):
         raise InvalidInputError("unknown embedding mode %r" % (mode,))
     if normalize:

@@ -6,26 +6,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (
-    InvalidInputError,
-    InvalidParameterError,
-    SceneGenerationError,
-)
-from .objective import _whole_numbers
+from ._checks import _count, _labels
+from .exceptions import InvalidParameterError, SceneGenerationError
 from .robust import reassignment_distances, tpr_fpr
 
 # Pinhole scene constants: bodies sit a few units in front of the
 # camera and every 3-d point must keep at least this depth in both
 # views.
 _MIN_DEPTH = 0.5
-
-
-def _count(value, name):
-    """int(value), or InvalidParameterError unless value is an integer (a
-    Python or numpy one, not a bool), as GdmConfig requires of its counts."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError("%s must be an integer, got %r" % (name, value))
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -48,27 +36,19 @@ class SyntheticSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        dims = tuple(_count(d, "dims") for d in self.dims)
+        ambient = _count(self.ambient, "ambient")
+        dims = tuple(_count(d, "dims", 1, ambient) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        _count(self.ambient, "ambient")
-        _count(self.outlier_count, "outlier_count")
+        _count(self.outlier_count, "outlier_count", 0)
         if not dims:
             raise InvalidParameterError("need at least one cluster")
         counts = self.counts()
         if len(counts) != len(dims):
             raise InvalidParameterError("points_per_cluster length must match dims")
-        for d, c in zip(dims, counts):
-            if not 1 <= d < self.ambient:
-                raise InvalidParameterError(
-                    "subspace dimensions must lie in [1, ambient)"
-                )
-            if c < d + 1:
-                raise InvalidParameterError(
-                    "each cluster needs at least dim + 1 points"
-                )
+        if any(c < d + 1 for d, c in zip(dims, counts)):
+            raise InvalidParameterError("each cluster needs at least dim + 1 points")
         # Written so that NaN fails the range tests too.
-        if (not 0.0 <= self.noise_sigma < np.inf or self.outlier_count < 0
-                or not 0.0 < self.outlier_radius < np.inf):
+        if not (0.0 <= self.noise_sigma < np.inf and 0.0 < self.outlier_radius < np.inf):
             raise InvalidParameterError("invalid noise/outlier settings")
 
     def counts(self):
@@ -137,7 +117,10 @@ class TwoViewScene(NamedTuple):
 def rotation_matrix(axis, angle):
     """Rotation by angle around a (non-zero) axis, via Rodrigues."""
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    norm = np.linalg.norm(axis)
+    if axis.shape != (3,) or not 0.0 < norm < np.inf:
+        raise InvalidParameterError("axis must be a non-zero, finite 3-vector, got %r" % (axis,))
+    axis = axis / norm
     k = np.array([
         [0.0, -axis[2], axis[1]],
         [axis[2], 0.0, -axis[0]],
@@ -198,20 +181,18 @@ def sample_two_view_scene(n_bodies, points_per_body, noise_sigma=0.0,
     points_per_body, n_outliers and max_retries must be integers (Python
     or numpy ones, not bools).
     """
-    n_bodies = _count(n_bodies, "n_bodies")
-    n_outliers = _count(n_outliers, "n_outliers")
-    max_retries = _count(max_retries, "max_retries")
-    if n_bodies < 1:
-        raise InvalidParameterError("need at least one rigid body")
+    n_bodies = _count(n_bodies, "n_bodies", 1)
+    n_outliers = _count(n_outliers, "n_outliers", 0)
+    max_retries = _count(max_retries, "max_retries", 0)
     if np.isscalar(points_per_body):
-        counts = [_count(points_per_body, "points_per_body")] * n_bodies
+        counts = [_count(points_per_body, "points_per_body", 1)] * n_bodies
     else:
-        counts = [_count(c, "points_per_body") for c in points_per_body]
+        counts = [_count(c, "points_per_body", 1) for c in points_per_body]
         if len(counts) != n_bodies:
             raise InvalidParameterError("points_per_body length must match n_bodies")
     # Written so that NaN fails the range test too.
-    if min(counts) < 1 or n_outliers < 0 or not 0.0 <= noise_sigma < np.inf:
-        raise InvalidParameterError("invalid point counts or noise/outlier settings")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise InvalidParameterError("noise_sigma must be nonnegative and finite")
     rng = np.random.default_rng(seed)
     rows = []
     labels = []
@@ -248,10 +229,8 @@ def misclassification_rate(pred_labels, true_labels):
     so this is the misclassification rate of retained true inliers.
     Exhaustive permutation matching; supports at most 6 clusters.
     """
-    pred = _whole_numbers(pred_labels, "labels")
-    true = _whole_numbers(true_labels, "labels")
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise InvalidInputError("label vectors must be 1-d and equal length")
+    true = _labels(true_labels, np.size(true_labels), rejects=True)
+    pred = _labels(pred_labels, true.size, rejects=True)
     mask = (pred >= 0) & (true >= 0)
     p, t = pred[mask], true[mask]
     if p.size == 0:
@@ -287,8 +266,8 @@ def roc_sweep(a, cfg, true_outliers, kappa_grid, fraction=0.20, alpha=0.01,
     restarts always run in one thread.
     """
     grid = np.asarray(kappa_grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError("kappa grid must be nonempty")
+    if grid.ndim != 1 or grid.size == 0:
+        raise InvalidParameterError("kappa grid must be a nonempty 1-d sequence")
     if not np.all(grid >= 0.0):
         raise InvalidParameterError("every kappa must be a nonnegative number")
     _, min_dist, _, _ = reassignment_distances(a, cfg, fraction=fraction, alpha=alpha)

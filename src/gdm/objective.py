@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import _count, _labels, _validate_data
 from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms, _power_sums
 from .exceptions import (
     DegenerateClusterError,
@@ -113,36 +114,12 @@ def _validate_weights(m):
     return m
 
 
-def _validate_data(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise InvalidInputError("data must be a D x N matrix with N >= 1")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("data entries must be finite")
-    return a
-
-
-def _whole_numbers(values, name):
-    """values as an int array, or InvalidInputError unless every entry is
-    a whole number (an integer, or a finite float with no fraction)."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        floats = values.astype(float)
-        if not np.all(np.isfinite(floats) & (floats == np.round(floats))):
-            raise InvalidInputError("%s must be whole numbers" % name)
-    return values.astype(int)
-
-
 def scaled_cluster_matrix(a, m, k):
     """Data matrix with column j scaled by the membership M[k, j]; k must be
     an integer row index (a Python or numpy one, not a bool)."""
     a = _validate_data(a)
     m = _validate_weights(m)
-    if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
-            or not 0 <= k < m.shape[0]):
-        raise InvalidParameterError(
-            "cluster index must be an integer in [0, %d), got %r" % (m.shape[0], k)
-        )
+    k = _count(k, "cluster index", 0, m.shape[0])
     if a.shape[1] != m.shape[1]:
         raise InvalidInputError("data and membership disagree on point count")
     return a * m[k][None, :]
@@ -195,11 +172,8 @@ def hard_cluster_dims(a, labels, n_clusters, eps=0.35, on_degenerate="raise"):
     rejected points and are excluded.
     """
     a = _validate_data(a)
-    labels = _whole_numbers(labels, "labels")
-    if labels.shape != (a.shape[1],):
-        raise InvalidInputError("labels must have one entry per data column")
-    if labels.size and labels.max() >= n_clusters:
-        raise InvalidInputError("labels must lie below n_clusters = %d" % n_clusters)
+    n_clusters = _count(n_clusters, "n_clusters", 0)
+    labels = _labels(labels, a.shape[1], n_clusters, rejects=True)
     _check_eps(eps, a.shape[0])
     return np.array(
         [
@@ -226,9 +200,9 @@ def global_dimension_hard(a, labels, params=None, n_clusters=None, on_degenerate
         extension in which an empty cluster contributes dimension 0.
     """
     params = params or ObjectiveParams()
-    labels = np.asarray(labels)
     if n_clusters is None:
-        n_clusters = int(labels.max()) + 1 if labels.size else 0
+        labels = _labels(labels, _validate_data(a).shape[1], rejects=True)
+        n_clusters = max(int(labels.max()), -1) + 1
     dims = hard_cluster_dims(a, labels, n_clusters, params.eps, on_degenerate)
     return pnorm(dims, params.p)
 

@@ -56,14 +56,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._checks import _count, _labels, _validate_data
 from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
     ObjectiveParams,
     _dim_of_columns,
-    _validate_data,
     _validate_soft,
-    _whole_numbers,
+    _validate_weights,
     hard_cluster_dims,
     pnorm,
     value_and_gradient,
@@ -91,18 +91,11 @@ class GdmConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        counts = ("n_clusters", "restarts", "grad_iters", "genetic_passes",
-                  "merge_candidates")
-        for name in counts:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParameterError("%s must be an integer" % name)
-        if self.n_clusters < 1:
-            raise InvalidParameterError("n_clusters must be >= 1")
-        if self.restarts < 1:
-            raise InvalidParameterError("restarts must be >= 1")
-        if min(self.grad_iters, self.genetic_passes) < 0:
-            raise InvalidParameterError("iteration counts must be >= 0")
+        for name, low in (("n_clusters", 1), ("restarts", 1), ("grad_iters", 0),
+                          ("genetic_passes", 0), ("merge_candidates", 1)):
+            _count(getattr(self, name), name, low)
+        if self.seed is not None:
+            _count(self.seed, "seed", 0)
         # The tests below are written so that NaN fails them too.
         if not 0.0 < self.step_target < np.inf:
             raise InvalidParameterError("step_target must be positive and finite")
@@ -110,13 +103,6 @@ class GdmConfig:
             raise InvalidParameterError("eps must be in (0, 1)")
         if not 0.0 < self.p < np.inf:
             raise InvalidParameterError("p must be positive and finite")
-        if self.merge_candidates < 1:
-            raise InvalidParameterError("merge_candidates must be >= 1")
-        if self.seed is not None and (
-            isinstance(self.seed, bool)
-            or not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0)
-        ):
-            raise InvalidParameterError("seed must be None or an integer >= 0")
 
     def objective_params(self, alpha=0.01):
         return ObjectiveParams(eps=self.eps, p=self.p, alpha=alpha)
@@ -182,9 +168,8 @@ def project_columns(m):
 def indicator_membership(labels, n_clusters):
     """0/1 membership matrix of a hard labeling, labels whole numbers in
     [0, n_clusters)."""
-    labels = _whole_numbers(labels, "labels")
-    if labels.size and not 0 <= labels.min() <= labels.max() < n_clusters:
-        raise InvalidInputError("labels must lie in [0, %d)" % n_clusters)
+    n_clusters = _count(n_clusters, "n_clusters", 0)
+    labels = _labels(labels, np.size(labels), n_clusters)
     m = np.zeros((n_clusters, labels.size))
     m[labels, np.arange(labels.size)] = 1.0
     return m
@@ -651,9 +636,8 @@ def descend(a, m0, cfg):
 
 def threshold(m):
     """Hard labels from a membership matrix: argmax per column, ties to
-    the lowest cluster index."""
-    m = np.asarray(m, dtype=float)
-    return np.argmax(m, axis=0)
+    the lowest cluster index. m must be a finite 2-d matrix."""
+    return np.argmax(_validate_weights(m), axis=0)
 
 
 # Refinement screens the next unsettled points in blocks that start at
@@ -844,11 +828,7 @@ def genetic_refine(a, labels, cfg):
     """
     a = _validate_data(a)
     _check_eps(cfg.eps, a.shape[0])
-    labels = _whole_numbers(labels, "labels")
-    if labels.shape != (a.shape[1],):
-        raise InvalidInputError("labels must have one entry per data column")
-    if labels.size and not 0 <= labels.min() <= labels.max() < cfg.n_clusters:
-        raise InvalidInputError("labels must lie in [0, %d)" % cfg.n_clusters)
+    labels = _labels(labels, a.shape[1], cfg.n_clusters)
     return _refine_wave(a, [labels], cfg)[0]
 
 

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import _count, _validate_data, _whole_numbers
 from .dimension import empirical_dimension
 from .exceptions import (
     DegenerateClusterError,
@@ -37,7 +38,6 @@ from .exceptions import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .objective import _validate_data, _whole_numbers
 from .optimizer import _descend_loop, _hard_result, _merged_restarts, gdm
 
 # Initial membership mass placed on the outlier row after merge
@@ -286,10 +286,7 @@ def tpr_fpr(predicted_outliers, true_outliers, n_points):
     no true inliers. n_points must be a nonnegative integer (a Python or
     numpy one, not a bool).
     """
-    if (isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer))
-            or n_points < 0):
-        raise InvalidInputError("n_points must be a nonnegative integer, got %r"
-                                % (n_points,))
+    n_points = _count(n_points, "n_points", 0, error=InvalidInputError)
     pred = set(_whole_numbers(predicted_outliers, "outlier indices").ravel().tolist())
     true = set(_whole_numbers(true_outliers, "outlier indices").ravel().tolist())
     universe = range(n_points)

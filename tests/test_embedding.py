@@ -87,6 +87,13 @@ def test_normalize_views_maps_into_unit_box():
         assert np.nanstd(ratio) < 1e-6 * np.nanmean(np.abs(ratio))
 
 
+@pytest.mark.parametrize("coords", [np.zeros((3, 3)), [[1, 2, 3, np.nan]], np.zeros((0, 4))],
+                         ids=["three_columns", "nan", "empty"])
+def test_normalize_views_rejects_bad_coordinates(coords):
+    with pytest.raises(InvalidInputError):
+        normalize_views(coords)
+
+
 def test_normalize_flag_in_embed_dataset():
     rng = np.random.default_rng(1)
     coords = rng.uniform(-500, 500, size=(30, 4))

@@ -181,6 +181,13 @@ def test_rotation_matrix_is_orthogonal():
         assert np.linalg.det(r) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("axis", [[0, 0, 0], [np.nan, 0, 1], [np.inf, 0, 0], [1, 0]],
+                         ids=["zero", "nan", "inf", "two_entries"])
+def test_rotation_matrix_rejects_bad_axes(axis):
+    with pytest.raises(InvalidParameterError):
+        rotation_matrix(axis, 0.3)
+
+
 class TestMisclassificationRate:
     def test_exact_match(self):
         assert misclassification_rate([0, 1, 1, 0], [0, 1, 1, 0]) == 0.0
@@ -257,6 +264,9 @@ class TestRocSweep:
     def test_empty_grid(self):
         with pytest.raises(InvalidParameterError):
             roc_sweep(self.mix.data, self.cfg, self.mix.outliers, [])
+        for grid in ([[0.1]], 0.1):
+            with pytest.raises(InvalidParameterError):
+                roc_sweep(self.mix.data, self.cfg, self.mix.outliers, grid)
 
     @pytest.mark.parametrize("kappa", [np.nan, -0.1, -np.inf])
     def test_invalid_kappa(self, kappa):

@@ -408,6 +408,13 @@ def test_threshold_rules():
     np.testing.assert_array_equal(threshold(m), [1, 0, 0])
 
 
+@pytest.mark.parametrize("m", [[0.2, 0.8], [[0.5, np.nan], [0.5, 0.0]], [[[1.0]]]],
+                         ids=["1-d", "nan", "3-d"])
+def test_threshold_rejects_bad_memberships(m):
+    with pytest.raises(InvalidInputError):
+        threshold(m)
+
+
 class TestGeneticRefine:
     def test_fixed_point_unchanged(self):
         a = two_separated_lines()
@@ -977,7 +984,7 @@ def test_merge_peak_memory_is_bounded_by_its_layout():
     # With C >= N every restart caches all its pairs from the first
     # round, a triangle of N(N-1)/2 pairs, and merged Grams are still
     # decomposed in pieces of at most N. Ten restarts of N = 120 points
-    # in R^20 with C = 120 give 3.86 MB (3.38 MB measured); full Gram
+    # in R^20 with C = 120 give 3.86 MB (3.81 MB measured); full Gram
     # rows and a bound array peak at 5.06 MB, and decomposing all of a
     # round's misses at once adds more.
     a = sample_subspace_mixture(SyntheticSpec(
