@@ -1,8 +1,9 @@
 """Argument checks shared by the package's entry points.
 
 One rule each for a data matrix, an integer argument (a count, an index
-or a seed) and a label vector, so every entry point rejects the same
-malformed input with the same error.
+or a seed), a label vector and a real-valued parameter (eps, p, alpha,
+a fraction, a threshold, a noise scale, a tolerance or an angle), so
+every entry point rejects the same malformed input with the same error.
 """
 
 import numpy as np
@@ -41,6 +42,24 @@ def _count(value, name, low=None, high=None, error=InvalidParameterError):
     if low is not None and value < low:
         raise error("%s must be >= %d, got %r" % (name, low, value))
     return int(value)
+
+
+def _real(value, name, low, high, ends="[]"):
+    """value, or InvalidParameterError unless it is a real number (a
+    Python or numpy int or float, not a bool and not an array) in the
+    interval from low to high, whose ends are open where ends has "(" or
+    ")". NaN lies in no interval, nor does an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidParameterError("%s must be a real number, got %r" % (name, value))
+    try:
+        number = float(value)
+    except OverflowError:
+        number = np.nan
+    if not ((low < number if ends[0] == "(" else low <= number)
+            and (number < high if ends[1] == ")" else number <= high)):
+        raise InvalidParameterError("%s must be in %s%g, %g%s, got %r"
+                                    % (name, ends[0], low, high, ends[1], value))
+    return value
 
 
 def _labels(labels, n_points, n_clusters=None, rejects=False):

@@ -13,13 +13,13 @@ supplied through an environment variable named ``GDM_<COMMAND>_<FLAG>``.
 """
 
 import json
-import math
 import sys
 import time
 
 import click
 import numpy as np
 
+from ._checks import _real
 from .embedding import embed_dataset
 from .evalkit import misclassification_rate, roc_sweep, sample_two_view_scene
 from .exceptions import GdmError
@@ -324,6 +324,16 @@ def eval_cmd(pred_file, truth_file, output):
     _emit(json.dumps(report, indent=2), output)
 
 
+def _kappa_flag(values, hint, ends):
+    """Usage error unless every value is a finite kappa, >= 0 or, when
+    ends opens at 0, > 0."""
+    try:
+        for value in values:
+            _real(value, "kappa", 0.0, np.inf, ends)
+    except GdmError as exc:
+        raise click.BadParameter(str(exc), param_hint=hint)
+
+
 @cli.command()
 @_options(_INPUT_OPTIONS)
 @click.option("--kappas", default=None, callback=_comma_list(float),
@@ -343,13 +353,10 @@ def roc(input_file, k, embedding, normalize, alpha, fraction, kappas, kappa_min,
         kappa_max, kappa_count, truth_file, output, **pipeline):
     """Sweep kappa over a grid and report the outlier-detection ROC."""
     if kappas is None:
-        if not all(math.isfinite(b) and b > 0.0 for b in (kappa_min, kappa_max)):
-            raise click.BadParameter("the grid bounds must be positive and finite",
-                                     param_hint="--kappa-min/--kappa-max")
+        _kappa_flag((kappa_min, kappa_max), "--kappa-min/--kappa-max", "()")
         kappas = np.geomspace(kappa_min, kappa_max, kappa_count).tolist()
-    elif not all(math.isfinite(v) and v >= 0.0 for v in kappas):
-        raise click.BadParameter("kappas must be finite and nonnegative",
-                                 param_hint="--kappas")
+    else:
+        _kappa_flag(kappas, "--kappas", "[)")
     data, truth, cfg = _load_input(input_file, k, embedding, normalize, pipeline)
     if truth_file is not None:
         truth = read_label_file(truth_file)

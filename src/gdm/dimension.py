@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._checks import _count
+from ._checks import _count, _real
 from .exceptions import (
     DegenerateSpectrumError,
     InvalidInputError,
@@ -52,7 +52,8 @@ def singular_values(a):
 
 
 def numerical_rank(sigma, rel_tol=RELATIVE_ZERO_TOL):
-    """Number of singular values above rel_tol times the largest one."""
+    """Number of singular values above rel_tol (>= 0) times the largest one."""
+    _real(rel_tol, "rel_tol", 0.0, np.inf, "[)")
     sigma = np.asarray(sigma, dtype=float)
     if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
         raise InvalidInputError("singular values must be finite and nonnegative")
@@ -68,8 +69,7 @@ def _check_eps(eps, d):
     The norm's root is taken of a sum of at most d powers of values at
     most 1, so it needs d**(1/eps) < inf: at d = 9, eps above 0.0031.
     """
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParameterError("eps must be in (0, 1], got %r" % (eps,))
+    _real(eps, "eps", 0.0, 1.0, "(]")
     try:
         finite = math.isfinite(float(d) ** (1.0 / eps))
     except OverflowError:

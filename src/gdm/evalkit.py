@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _count, _labels
+from ._checks import _count, _labels, _real
 from .exceptions import InvalidParameterError, SceneGenerationError
 from .robust import reassignment_distances, tpr_fpr
 
@@ -47,9 +47,8 @@ class SyntheticSpec:
             raise InvalidParameterError("points_per_cluster length must match dims")
         if any(c < d + 1 for d, c in zip(dims, counts)):
             raise InvalidParameterError("each cluster needs at least dim + 1 points")
-        # Written so that NaN fails the range tests too.
-        if not (0.0 <= self.noise_sigma < np.inf and 0.0 < self.outlier_radius < np.inf):
-            raise InvalidParameterError("invalid noise/outlier settings")
+        _real(self.noise_sigma, "noise_sigma", 0.0, np.inf, "[)")
+        _real(self.outlier_radius, "outlier_radius", 0.0, np.inf, "()")
 
     def counts(self):
         if np.isscalar(self.points_per_cluster):
@@ -115,7 +114,8 @@ class TwoViewScene(NamedTuple):
 
 
 def rotation_matrix(axis, angle):
-    """Rotation by angle around a (non-zero) axis, via Rodrigues."""
+    """Rotation by a finite angle around a (non-zero) axis, via Rodrigues."""
+    _real(angle, "angle", -np.inf, np.inf, "()")
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis)
     if axis.shape != (3,) or not 0.0 < norm < np.inf:
@@ -190,9 +190,7 @@ def sample_two_view_scene(n_bodies, points_per_body, noise_sigma=0.0,
         counts = [_count(c, "points_per_body", 1) for c in points_per_body]
         if len(counts) != n_bodies:
             raise InvalidParameterError("points_per_body length must match n_bodies")
-    # Written so that NaN fails the range test too.
-    if not 0.0 <= noise_sigma < np.inf:
-        raise InvalidParameterError("noise_sigma must be nonnegative and finite")
+    _real(noise_sigma, "noise_sigma", 0.0, np.inf, "[)")
     rng = np.random.default_rng(seed)
     rows = []
     labels = []
@@ -265,11 +263,10 @@ def roc_sweep(a, cfg, true_outliers, kappa_grid, fraction=0.20, alpha=0.01,
     points. threads is accepted for compatibility and has no effect:
     restarts always run in one thread.
     """
-    grid = np.asarray(kappa_grid, dtype=float)
+    grid = np.asarray(kappa_grid, dtype=object)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidParameterError("kappa grid must be a nonempty 1-d sequence")
-    if not np.all(grid >= 0.0):
-        raise InvalidParameterError("every kappa must be a nonnegative number")
+    grid = [_real(kappa, "kappa", 0.0, np.inf) for kappa in grid]
     _, min_dist, _, _ = reassignment_distances(a, cfg, fraction=fraction, alpha=alpha)
     n = min_dist.size
     points = []

@@ -45,13 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _count, _labels, _validate_data
+from ._checks import _count, _labels, _real, _validate_data
 from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms, _power_sums
-from .exceptions import (
-    DegenerateClusterError,
-    InvalidInputError,
-    InvalidParameterError,
-)
+from .exceptions import DegenerateClusterError, InvalidInputError
 
 # Relative floor applied to singular values inside the gradient's D_k
 # diagonal (bounded subgradient surrogate near the non-smooth set).
@@ -64,9 +60,9 @@ class ObjectiveParams:
 
     eps is the empirical-dimension strictness (must be strictly inside
     (0, 1) so that delta = eps / (1 - eps) is finite), p the exponent of
-    the combining norm, and alpha the weight of the quadratic outlier-row
-    charge alpha / 2 * sum(M[0]^2) (used only by the outlier-augmented
-    objective).
+    the combining norm (positive and finite, as in GdmConfig), and alpha
+    the weight of the quadratic outlier-row charge alpha / 2 *
+    sum(M[0]^2) (used only by the outlier-augmented objective).
     """
 
     eps: float = 0.35
@@ -75,21 +71,16 @@ class ObjectiveParams:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise InvalidParameterError("eps must be in (0, 1), got %r" % (self.eps,))
-        # Written as not (x > 0) so that NaN is rejected too.
-        if not self.p > 0.0:
-            raise InvalidParameterError("p must be positive, got %r" % (self.p,))
-        if not 0.0 <= self.alpha < np.inf:
-            raise InvalidParameterError(
-                "alpha must be nonnegative and finite, got %r" % (self.alpha,)
-            )
+        _real(self.eps, "eps", 0.0, 1.0, "()")
+        _real(self.p, "p", 0.0, np.inf, "()")
+        _real(self.alpha, "alpha", 0.0, np.inf, "[)")
         object.__setattr__(self, "delta", self.eps / (1.0 - self.eps))
 
 
 def validate_membership(m, tol=1e-10):
     """Check that m is column-stochastic and return it as a float array."""
     m = _validate_weights(m)
+    _real(tol, "tol", 0.0, np.inf, "[)")
     if np.any(m < -tol) or np.any(m > 1.0 + tol):
         raise InvalidInputError("membership entries must lie in [0, 1]")
     colsums = m.sum(axis=0)

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import _count, _labels, _validate_data
+from ._checks import _count, _labels, _real, _validate_data
 from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
@@ -96,13 +96,8 @@ class GdmConfig:
             _count(getattr(self, name), name, low)
         if self.seed is not None:
             _count(self.seed, "seed", 0)
-        # The tests below are written so that NaN fails them too.
-        if not 0.0 < self.step_target < np.inf:
-            raise InvalidParameterError("step_target must be positive and finite")
-        if not 0.0 < self.eps < 1.0:
-            raise InvalidParameterError("eps must be in (0, 1)")
-        if not 0.0 < self.p < np.inf:
-            raise InvalidParameterError("p must be positive and finite")
+        for name, high in (("step_target", np.inf), ("eps", 1.0), ("p", np.inf)):
+            _real(getattr(self, name), name, 0.0, high, "()")
 
     def objective_params(self, alpha=0.01):
         return ObjectiveParams(eps=self.eps, p=self.p, alpha=alpha)

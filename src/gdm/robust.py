@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _count, _validate_data, _whole_numbers
+from ._checks import _count, _real, _validate_data, _whole_numbers
 from .dimension import empirical_dimension
 from .exceptions import (
     DegenerateClusterError,
@@ -69,13 +69,9 @@ class OutlierConfig:
     def __post_init__(self):
         if self.mode not in ("none", "naive", "known_fraction", "model_reassign"):
             raise InvalidParameterError("unknown outlier mode %r" % (self.mode,))
-        # Written as not (x > 0) so that NaN is rejected too.
-        if not 0.0 <= self.alpha < np.inf:
-            raise InvalidParameterError("alpha must be nonnegative and finite")
-        if not 0.0 < self.fraction < 1.0:
-            raise InvalidParameterError("fraction must be in (0, 1)")
-        if not self.kappa > 0.0:
-            raise InvalidParameterError("kappa must be positive")
+        _real(self.alpha, "alpha", 0.0, np.inf, "[)")
+        _real(self.fraction, "fraction", 0.0, 1.0, "()")
+        _real(self.kappa, "kappa", 0.0, np.inf, "(]")
 
 
 class FittedSubspace(NamedTuple):
@@ -130,9 +126,7 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
     global _last_known_fraction
     a = _validate_data(a)
     n = a.shape[1]
-    if not 0.0 < fraction < 1.0:
-        raise InvalidParameterError("fraction must be in (0, 1)")
-    n_out = math.ceil(fraction * n)
+    n_out = math.ceil(_real(fraction, "fraction", 0.0, 1.0, "()") * n)
     if n - n_out <= cfg.n_clusters:
         raise InsufficientInliersError(
             "rejecting %d of %d points leaves too few to segment" % (n_out, n)
@@ -228,8 +222,7 @@ def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1):
     for compatibility and has no effect: restarts always run in one
     thread.
     """
-    if not kappa > 0.0:
-        raise InvalidParameterError("kappa must be positive")
+    _real(kappa, "kappa", 0.0, np.inf, "(]")
     a = _validate_data(a)
     n = a.shape[1]
     nearest, min_dist, _, kf = reassignment_distances(

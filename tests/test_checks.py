@@ -1,5 +1,7 @@
-"""Every public entry point applies one rule to its integer arguments and
-one to its label vectors."""
+"""Every public entry point applies one rule to its integer arguments,
+one to its label vectors and one to its real-valued parameters."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,16 +9,28 @@ import pytest
 from gdm import (
     GdmConfig,
     GdmError,
+    ObjectiveParams,
+    OutlierConfig,
     SyntheticSpec,
+    batch_empirical_dimension,
+    empirical_dimension,
+    fit_cluster_subspace,
     genetic_refine,
     global_dimension_hard,
     hard_cluster_dims,
     indicator_membership,
+    known_fraction,
     misclassification_rate,
+    model_reassign,
+    numerical_rank,
     p_lower_bound,
+    roc_sweep,
+    rotation_matrix,
+    sample_subspace_mixture,
     sample_two_view_scene,
     scaled_cluster_matrix,
     tpr_fpr,
+    validate_membership,
 )
 
 DATA = np.random.default_rng(0).normal(size=(3, 4))
@@ -92,3 +106,96 @@ def test_label_vectors_follow_one_rule(function, bad):
         with pytest.raises(GdmError):
             call(BAD_LABELS[bad])
     call([0.0, 0.0, 1.0, 1.0])
+
+
+MIXTURE = sample_subspace_mixture(
+    SyntheticSpec(dims=(1, 1), ambient=3, points_per_cluster=6, seed=0)).data
+CFG = GdmConfig(n_clusters=2, restarts=2, seed=0)
+SPECTRUM = [2.0, 1.0, 0.5]
+# The nearest floats outside the ends 0 and 1.
+BELOW_0 = np.nextafter(0.0, -1.0)
+ABOVE_1 = np.nextafter(1.0, 2.0)
+
+# name: (call with the argument, accepted values, values just outside the range)
+REAL_ARGS = {
+    "GdmConfig.step_target": (lambda v: GdmConfig(n_clusters=2, step_target=v),
+                              (np.float64(0.3), 2), (0, np.inf)),
+    "GdmConfig.eps": (lambda v: GdmConfig(n_clusters=2, eps=v), (np.float64(0.35),), (0, 1)),
+    "GdmConfig.p": (lambda v: GdmConfig(n_clusters=2, p=v), (np.float64(15.0), 15),
+                    (0, np.inf)),
+    "ObjectiveParams.eps": (lambda v: ObjectiveParams(eps=v), (np.float64(0.35),), (0, 1)),
+    "ObjectiveParams.p": (lambda v: ObjectiveParams(p=v), (np.float64(15.0), 15),
+                          (0, np.inf)),
+    "ObjectiveParams.alpha": (lambda v: ObjectiveParams(alpha=v), (np.float64(0.01), 0),
+                              (BELOW_0, np.inf)),
+    "OutlierConfig.alpha": (lambda v: OutlierConfig(alpha=v), (np.float64(0.01), 0),
+                            (BELOW_0, np.inf)),
+    "OutlierConfig.fraction": (lambda v: OutlierConfig(fraction=v), (np.float64(0.2),),
+                               (0, 1)),
+    "OutlierConfig.kappa": (lambda v: OutlierConfig(kappa=v), (np.float64(0.05), 1, np.inf),
+                            (0,)),
+    "known_fraction.fraction": (lambda v: known_fraction(MIXTURE, CFG, fraction=v),
+                                (np.float64(0.2),), (0, 1)),
+    "known_fraction.alpha": (lambda v: known_fraction(MIXTURE, CFG, alpha=v),
+                             (np.float64(0.01), 0), (BELOW_0, np.inf)),
+    "model_reassign.kappa": (lambda v: model_reassign(MIXTURE, CFG, kappa=v),
+                             (np.float64(0.05), 1, np.inf), (0,)),
+    "SyntheticSpec.noise_sigma": (lambda v: SyntheticSpec(dims=(1,), noise_sigma=v),
+                                  (np.float64(0.1), 0), (BELOW_0, np.inf)),
+    "SyntheticSpec.outlier_radius": (lambda v: SyntheticSpec(dims=(1,), outlier_radius=v),
+                                     (np.float64(3.0), 3), (0, np.inf)),
+    "sample_two_view_scene.noise_sigma": (
+        lambda v: sample_two_view_scene(1, 8, noise_sigma=v, seed=0),
+        (np.float64(0.01), 0), (BELOW_0, np.inf)),
+    "roc_sweep.kappa": (lambda v: roc_sweep(MIXTURE, CFG, [], [0.1, v]),
+                        (np.float64(0.1), 0, np.inf), (BELOW_0,)),
+    "rotation_matrix.angle": (lambda v: rotation_matrix([0, 0, 1], v),
+                              (np.float64(0.3), 1), (np.inf, -np.inf)),
+    "validate_membership.tol": (lambda v: validate_membership(np.full((2, 2), 0.5), v),
+                                (np.float64(1e-10), 0), (BELOW_0, np.inf)),
+    "numerical_rank.rel_tol": (lambda v: numerical_rank(SPECTRUM, v),
+                               (np.float64(1e-12), 0), (BELOW_0, np.inf)),
+    "empirical_dimension.eps": (lambda v: empirical_dimension(SPECTRUM, v),
+                                (np.float64(0.35), 1), (0, ABOVE_1)),
+    "batch_empirical_dimension.eps": (lambda v: batch_empirical_dimension([SPECTRUM], v),
+                                      (np.float64(0.35), 1), (0, ABOVE_1)),
+    "hard_cluster_dims.eps": (lambda v: hard_cluster_dims(DATA, LABELS, 2, eps=v),
+                              (np.float64(0.35), 1), (0, ABOVE_1)),
+    "fit_cluster_subspace.eps": (lambda v: fit_cluster_subspace(DATA, v),
+                                 (np.float64(0.35), 1), (0, ABOVE_1)),
+}
+
+
+@pytest.mark.parametrize("call, good, outside", REAL_ARGS.values(), ids=REAL_ARGS.keys())
+def test_real_arguments_follow_one_rule(call, good, outside):
+    for bad in (True, "a", None, np.array(0.3), np.array([0.3])):
+        with pytest.raises(GdmError, match="must be a real number"):
+            call(bad)
+    for bad in (np.nan, 10**400) + outside:
+        with pytest.raises(GdmError, match="must be in"):
+            call(bad)
+    assert any(isinstance(v, np.float64) for v in good)
+    for value in good:
+        call(value)
+
+
+def test_objective_p_is_finite_as_in_the_pipeline_config():
+    with pytest.raises(GdmError, match=r"p must be in \(0, inf\), got inf"):
+        ObjectiveParams(p=np.inf)
+    with pytest.raises(GdmError, match=r"p must be in \(0, inf\), got inf"):
+        GdmConfig(n_clusters=2, p=np.inf)
+
+
+# Arguments each config class needs besides the field under test.
+REQUIRED = {GdmConfig: dict(n_clusters=2), ObjectiveParams: {}, OutlierConfig: {},
+            SyntheticSpec: dict(dims=(1,))}
+
+
+@pytest.mark.parametrize("cls", REQUIRED, ids=lambda cls: cls.__name__)
+def test_every_float_field_rejects_bools_and_strings(cls):
+    names = [f.name for f in dataclasses.fields(cls) if f.init and f.type is float]
+    assert names
+    for name in names:
+        for bad in (True, "a"):
+            with pytest.raises(GdmError, match="%s must be a real number" % name):
+                cls(**REQUIRED[cls], **{name: bad})

@@ -317,7 +317,7 @@ def test_non_finite_alpha_is_an_error(command, alpha, scene_file, runner):
                               "--alpha", alpha] + flags)
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit), res.exception
-    assert "Error: alpha must be nonnegative and finite" in res.output
+    assert "Error: alpha must be in [0, inf), got %s" % alpha in res.output
 
 
 def test_infeasible_config_fails_cleanly(scene_file, runner):
