@@ -6,6 +6,8 @@ a fraction, a threshold, a noise scale, a tolerance or an angle), so
 every entry point rejects the same malformed input with the same error.
 """
 
+import math
+
 import numpy as np
 
 from .exceptions import InvalidInputError, InvalidParameterError
@@ -60,6 +62,15 @@ def _real(value, name, low, high, ends="[]"):
         raise InvalidParameterError("%s must be in %s%g, %g%s, got %r"
                                     % (name, ends[0], low, high, ends[1], value))
     return value
+
+
+def _finite_power(base, exponent, scale=1.0):
+    """Whether scale * float(base) ** exponent is finite, without an
+    OverflowError where the power overflows."""
+    try:
+        return math.isfinite(scale * float(base) ** exponent)
+    except OverflowError:
+        return False
 
 
 def _labels(labels, n_points, n_clusters=None, rejects=False):

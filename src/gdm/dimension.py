@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._checks import _count, _real
+from ._checks import _count, _finite_power, _real
 from .exceptions import (
     DegenerateSpectrumError,
     InvalidInputError,
@@ -70,11 +70,7 @@ def _check_eps(eps, d):
     most 1, so it needs d**(1/eps) < inf: at d = 9, eps above 0.0031.
     """
     _real(eps, "eps", 0.0, 1.0, "(]")
-    try:
-        finite = math.isfinite(float(d) ** (1.0 / eps))
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not _finite_power(d, 1.0 / eps):
         # Rounded up to 0.0001, with room for the logarithms' rounding.
         bound = math.log(d) / math.log(np.finfo(float).max)
         smallest = math.ceil(bound * 1e4 + 1e-6) / 1e4
@@ -84,47 +80,36 @@ def _check_eps(eps, d):
         )
 
 
-def _power_sums(s, eps, upper=None, pads=0, pad=None):
+def _power_sums(s, eps, upper=None):
     """(sum sn**eps, sum un**delta) along the last axis, delta = eps / (1 - eps):
     the two norms of _power_norms before their roots.
 
     sn and un are s and upper (s when upper is None) divided by the
     largest entry of upper, with entries of sn below RELATIVE_ZERO_TOL
     zeroed. eps = 1 gives (sum sn, None).
-
-    pads > 0 counts that many more entries without storing them: each is
-    0 in s and pad (shape s.shape[:-1]) in upper. They add 0 to the first
-    sum and pads * (pad / top)**delta to the second, and pad takes part
-    in the largest entry top.
     """
     # Scale invariance lets us normalize by the largest value, which
     # keeps the p-th powers bounded for any eps.
     top = (s if upper is None else upper).max(axis=-1, keepdims=True)
-    if pads:
-        top = np.maximum(top, pad[..., None])
     sn = s / top
     sn[sn < RELATIVE_ZERO_TOL] = 0.0
     if eps == 1.0:
         return sn.sum(axis=-1), None
     un = sn if upper is None else upper / top
     delta = eps / (1.0 - eps)
-    den = (un**delta).sum(axis=-1)
-    if pads:
-        den += pads * (pad / top[..., 0]) ** delta
-    return (sn**eps).sum(axis=-1), den
+    return (sn**eps).sum(axis=-1), (un**delta).sum(axis=-1)
 
 
-def _power_norms(s, eps, upper=None, pads=0, pad=None):
+def _power_norms(s, eps, upper=None):
     """(||s||_eps, ||upper||_delta) along the last axis, delta = eps / (1 - eps).
 
     Both spectra are first divided by the largest entry of upper (of s
     when upper is None), and entries of s below RELATIVE_ZERO_TOL after
-    that are zeroed; pads and pad add unstored entries as _power_sums
-    says. eps = 1 gives (||s||_1, ||upper||_inf = 1). A 1-d spectrum
-    gives Python floats: its roots are scalar powers, whose last bit can
-    differ from the array powers a stack of spectra gets.
+    that are zeroed. eps = 1 gives (||s||_1, ||upper||_inf = 1). A 1-d
+    spectrum gives Python floats: its roots are scalar powers, whose last
+    bit can differ from the array powers a stack of spectra gets.
     """
-    num, den = _power_sums(s, eps, upper, pads, pad)
+    num, den = _power_sums(s, eps, upper)
     if eps == 1.0:
         return (float(num) if s.ndim == 1 else num), 1.0
     if s.ndim == 1:

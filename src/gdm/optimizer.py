@@ -31,9 +31,12 @@ alone and scoring every pair afresh. Merged Grams are decomposed in
 batches of at most N.
 
 Refinement screens its candidate moves with the same kind of bound,
-from the clusters' D x D Grams, before their SVDs. Both screens bound
-dimensions with one kernel (_dim_lower_bounds), one Gram error term
-(_GRAM_ERROR_FACTOR) and one rounding slack (_SCREEN_SLACK).
+from the clusters' D x D Grams, before their SVDs. Every Gram either
+screen bounds is a plain sum of its members' point outer products (a
+refine Gram plus or minus the moving point's), and every spectrum it
+bounds has D stored eigenvalues, so both screens bound dimensions with
+one kernel (_dim_lower_bounds), one Gram error term (_GRAM_ERROR_FACTOR)
+and one rounding slack (_SCREEN_SLACK).
 
 The descent wave evaluates every restart's objective and gradient with
 one stacked kernel call (one batched SVD) per iteration; a restart whose
@@ -56,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import _count, _labels, _real, _validate_data
+from ._checks import _count, _finite_power, _labels, _real, _validate_data
 from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
@@ -209,9 +212,10 @@ def _point_grams(a):
 
 # Error bound of a Gram eigenvalue against the SVD path's squared
 # singular value. Let A be a candidate cluster's rescaled D x n block
-# and Ghat its computed Gram: a running sum of m rounded point outer
-# products +-fl(v v^T) (every term added or subtracted since the last
-# rebuild), with mass = sum ||v||^2 over those terms, so ||A||_2^2 <= mass.
+# and Ghat its computed Gram: a sum of m rounded point outer products
+# fl(v v^T), one per member (refine subtracts or adds one more, the
+# moving point's), with mass = sum ||v||^2 over those terms, so
+# ||A||_2^2 <= mass.
 # - Recursive summation: |Ghat - A A^T| <= gamma_m sum |v||v|^T
 #   entrywise, gamma_m = m u / (1 - m u), so ||Ghat - A A^T||_2 <=
 #   gamma_m * mass.
@@ -232,27 +236,23 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _TINY = np.finfo(float).tiny
 
 
-def _dim_lower_bounds(evals, err, exp, eps, pads=0):
+def _dim_lower_bounds(evals, err, exp, eps):
     """Lower bounds on the empirical dimension of matrices whose squared
     singular values lie within err of the Gram eigenvalues evals (shape
-    (..., m)) and of pads more zero eigenvalues, D = m + pads in all; the
-    data were scaled by 2^-exp. The refine screen bounds SVD-path
-    dimensions with it, the merge screen merged ones.
+    (..., D)); the data were scaled by 2^-exp. The refine screen bounds
+    SVD-path dimensions with it, the merge screen merged ones.
 
     The numerator norm takes the low singular values and the denominator
     every high one, both divided by the largest high one. The spectrum
     kernel zeroes low values below its relative tolerance, so the
-    numerator keeps only values the bounded path keeps too. A zero
-    eigenvalue's low value is 0 and its high one sqrt(err), so the pads
-    are added in closed form rather than stored.
+    numerator keeps only values the bounded path keeps too.
     A matrix whose top singular value may be at most DEGENERATE_SMAX, or
     whose bound is not finite, gets 0.
     """
     lo = np.sqrt(np.maximum(evals - err[..., None], 0.0))
     hi = np.sqrt(np.maximum(evals + err[..., None], 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _power_norms(lo, eps, upper=hi, pads=pads,
-                                pad=np.sqrt(err) if pads else None)
+        num, den = _power_norms(lo, eps, upper=hi)
         dims = num / den
     degenerate = np.ldexp(lo.max(axis=-1), exp) <= DEGENERATE_SMAX
     dims[degenerate | ~np.isfinite(dims)] = 0.0
@@ -264,30 +264,26 @@ def _dim_lower_bounds(evals, err, exp, eps, pads=0):
 # slack. A computed dimension or bound is within
 #     rho = (D + 4) u (1/eps + 1/delta) + 9 u
 # of the exact ratio of its power norms (pow within 4 ulps, at most D + 1
-# terms summed, roots 1/eps and 1/delta taken). A merge bound's D - m
-# zero pads enter its denominator sum as one term, pads * pow(pad / top,
-# delta), rounded by its pow and once by the product: the sum has at most
-# m + 1 <= D + 1 terms, so rho covers it too. Its last bits can differ
-# from a sum over D - m stored zeros. Refine compares p-norms of such
-# values, so gd_lo >= gd * (1 + _SCREEN_SLACK) needs a slack above
-# about 2 rho + (K + 4) u. The merge compares p-th powers: the ratio of a
-# bound to its dimension, at most 1 + 2 rho, is raised to p and each pow
-# rounds within 4 ulps, so bound**p * (1 - _SCREEN_SLACK) <= dim**p needs
-# a slack above about 2 p rho + 9 u; taken outside the power, the slack
-# covers pow's own rounding however small p is. At D = 9, 1e-9 covers
-# every p up to 322.7, the largest _check_merge accepts, for
-# eps >= 0.002, and p = 15 for eps >= 1e-4; _check_eps rejects eps below
-# 0.0031 there anyway. The row-stacked refine screen takes the p-norm of
-# each row's current dimensions as an array power, whose last bits can
-# differ from a lone scalar power's: a few more ulps, which the slack
-# covers.
+# terms summed, roots 1/eps and 1/delta taken). Refine compares p-norms
+# of such values, so gd_lo >= gd * (1 + _SCREEN_SLACK) needs a slack
+# above about 2 rho + (K + 4) u. The merge compares p-th powers: the
+# ratio of a bound to its dimension, at most 1 + 2 rho, is raised to p
+# and each pow rounds within 4 ulps, so bound**p * (1 - _SCREEN_SLACK)
+# <= dim**p needs a slack above about 2 p rho + 9 u; taken outside the
+# power, the slack covers pow's own rounding however small p is. At
+# D = 9, 1e-9 covers every p up to 322.7, the largest _check_merge
+# accepts, for eps >= 0.002, and p = 15 for eps >= 1e-4; _check_eps
+# rejects eps below 0.0031 there anyway. The row-stacked refine screen
+# takes the p-norm of each row's current dimensions as an array power,
+# whose last bits can differ from a lone scalar power's: a few more
+# ulps, which the slack covers.
 _SCREEN_SLACK = 1e-9
 
 # The merge screen (_merge_init) bounds the merged dimension of a union of
 # m <= min(_SCREEN_POINTS, D) points from below with _dim_lower_bounds.
 # With V the union's rescaled D x m block and mass = sum ||v||^2 over its
-# points, the eigenvalues of its m x m Gram fl(V^T V), with D - m zero
-# pads, stand for those of V V^T. Both they and the merge's own lam
+# points, the eigenvalues of its m x m Gram fl(V^T V), stored with D - m
+# zeros, stand for those of V V^T. Both they and the merge's own lam
 # carry the error above (the small Gram's entries sum D products), so the
 # margin is doubled: 2 c (m + D) (u mass + tiny). Point pairs take this
 # path too, the first time a round samples them.
@@ -328,11 +324,7 @@ def _check_merge(d, cfg):
     - dp[sb] with every dimension at most D, finite. That needs
     2 * D**p < inf, since inf - inf is NaN and argmin would commit the
     first NaN pair."""
-    try:
-        finite = math.isfinite(2.0 * float(d) ** cfg.p)
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not _finite_power(d, cfg.p, scale=2.0):
         # Rounded down to 0.01, with room for the logarithms' rounding.
         bound = math.log(np.finfo(float).max / 2.0) / math.log(d)
         largest = math.floor(bound * 100.0 - 1e-6) / 100.0
@@ -424,13 +416,14 @@ def _merge_init(a, cfg, rngs):
     its members, whose squared norms sum to its mass. A miss whose union
     has m <= min(_SCREEN_POINTS, D) points gets a rigorous lower bound on
     its merged dimension: the refine screen's _dim_lower_bounds on the
-    eigenvalues of the union's m x m Gram with D - m zero pads, computed
-    when a round first samples the union (a point pair's bound goes to
-    its shared entry, so every restart reuses it); hence a lower bound
-    bound**p * (1 - _SCREEN_SLACK) - dp[sa] - dp[sb] on its score as
-    computed. Each restart scores exactly, with its other misses, its
-    candidate of lowest bound, then in a second batch every candidate
-    whose bound does not exceed its best exact score.
+    eigenvalues of the union's m x m Gram, stored after D - m zeros,
+    computed when a round first samples the union (a point pair's bound
+    goes to its shared entry, so every restart reuses it); hence a lower
+    bound, lower = bound**p * (1 - _SCREEN_SLACK) - dp[sa] - dp[sb], on
+    its score as computed (+inf for every other candidate). Each round
+    scores in two passes: the first scores exactly each restart's other
+    misses and its candidate of lowest bound, the second every candidate
+    whose bound does not exceed its restart's best exact score.
     The rest score +inf: their exact scores would exceed the minimum, so
     argmin and its tie rule pick the same pair and every cached dimension
     is still a fresh eigendecomposition's. A bound stays in value until
@@ -498,47 +491,39 @@ def _merge_init(a, cfg, rngs):
         at = np.where(size == 2, pair_base[sa] + sb, own)
         held, known = value[at], exact[at]
         merged_dims = np.where(known, held, np.nan)
-        todo = ~known
-        small = todo & (size <= limit)
-        screened = small.any()
+        small = ~known & (size <= limit)
         da, db = dp[ga], dp[gb]
         ra, rb = gram_row[ga].ravel(), gram_row[gb].ravel()
-        if screened:
-            todo ^= small
-            fresh = np.flatnonzero(np.isnan(held) & small)
-            if fresh.size:
-                # The padding index N sorts last, after the union's points.
-                union = np.sort(np.concatenate([members[ga.ravel()[fresh]],
-                                                members[gb.ravel()[fresh]]], axis=1),
-                                axis=1)[:, :limit]
-                v = cols[union]
-                err = (2.0 * _GRAM_ERROR_FACTOR * (size.ravel()[fresh] + d)) * (
-                    _UNIT_ROUNDOFF * sq_norms[union].sum(axis=1) + _TINY)
-                held.ravel()[fresh] = value[at.ravel()[fresh]] = _dim_lower_bounds(
-                    np.linalg.eigvalsh(v @ v.transpose(0, 2, 1)), err, exp, cfg.eps,
-                    d - limit)
-            lower = np.where(small, held**cfg.p * (1.0 - _SCREEN_SLACK) - da - db, np.inf)
-            # Each restart's lowest bound is scored exactly, so every
-            # restart has a best exact score to clear.
-            first = lower.argmin(axis=1)
-            todo[rows, first] |= small[rows, first]
-        pos = np.flatnonzero(todo)
-        if pos.size:
-            merged_dims.ravel()[pos] = value[at.ravel()[pos]] = _merged_dims(
-                grams, tril, ra[pos], rb[pos], cfg.eps, n)
-            exact[at.ravel()[pos]] = True
-        scores = merged_dims**cfg.p - da - db
-        if screened:
-            # Unscored candidates whose bound does not clear their
-            # restart's best exact score; the rest cannot win.
-            best = np.fmin.reduce(scores, axis=1)
-            pos = np.flatnonzero(np.isnan(scores) & ~(lower > best[:, None]))
+        fresh = np.flatnonzero(np.isnan(held) & small)
+        if fresh.size:
+            # The padding index N sorts last, after the union's points.
+            union = np.sort(np.concatenate([members[ga.ravel()[fresh]],
+                                            members[gb.ravel()[fresh]]], axis=1),
+                            axis=1)[:, :limit]
+            v = cols[union]
+            err = (2.0 * _GRAM_ERROR_FACTOR * (size.ravel()[fresh] + d)) * (
+                _UNIT_ROUNDOFF * sq_norms[union].sum(axis=1) + _TINY)
+            evals = np.zeros((fresh.size, d))
+            evals[:, d - limit :] = np.linalg.eigvalsh(v @ v.transpose(0, 2, 1))
+            held.ravel()[fresh] = value[at.ravel()[fresh]] = _dim_lower_bounds(
+                evals, err, exp, cfg.eps)
+        lower = np.where(small, held**cfg.p * (1.0 - _SCREEN_SLACK) - da - db, np.inf)
+        # Pass one scores every other miss and each restart's lowest
+        # bound, so every restart has a best exact score to clear; pass
+        # two scores every candidate whose bound does not clear it. The
+        # rest cannot win.
+        todo = ~(known | small)
+        first = lower.argmin(axis=1)
+        todo[rows, first] |= small[rows, first]
+        for _ in range(2):
+            pos = np.flatnonzero(todo)
             if pos.size:
                 merged_dims.ravel()[pos] = value[at.ravel()[pos]] = _merged_dims(
                     grams, tril, ra[pos], rb[pos], cfg.eps, n)
                 exact[at.ravel()[pos]] = True
-                scores = merged_dims**cfg.p - da - db
-            scores[np.isnan(scores)] = np.inf
+            scores = merged_dims**cfg.p - da - db
+            todo = np.isnan(scores) & ~(lower > np.fmin.reduce(scores, axis=1)[:, None])
+        scores[np.isnan(scores)] = np.inf
         value[uncached], exact[uncached] = np.nan, False
         pick = scores.argmin(axis=1) + rows * n_cand
         x, y = ga.ravel()[pick], gb.ravel()[pick]
@@ -641,15 +626,16 @@ def threshold(m):
 _FIRST_BLOCK = 8
 
 
-def _screen_moves(req, idx, labels, dims, grams, terms, mass, point_grams, sq_norms,
+def _screen_moves(req, idx, labels, dims, grams, sizes, mass, point_grams, sq_norms,
                   exp, cfg):
     """For row i, point idx[i] of restart req[i], True when no single
     move of it can lower that restart's hard global dimension below
     pnorm(dims[req[i]]) by the SVD path.
 
-    labels, dims, grams, terms and mass hold one row per restart. Each
-    row's point needs its cluster's Gram minus v v^T and every other
-    cluster's Gram plus v v^T. Each candidate partition's GD is bounded
+    labels, dims, grams, sizes and mass hold one row per restart; a
+    cluster's Gram is the sum of its members' point Grams. Each row's
+    point needs its cluster's Gram minus v v^T and every other cluster's
+    Gram plus v v^T. Each candidate partition's GD is bounded
     from below with _dim_lower_bounds, the merge screen's bound kernel,
     in pieces of at most N Grams per batched eigvalsh, as _merged_dims
     decomposes; a point is cleared only when every bound reaches
@@ -659,7 +645,7 @@ def _screen_moves(req, idx, labels, dims, grams, terms, mass, point_grams, sq_no
     b, k_total, d = idx.size, grams.shape[1], grams.shape[2]
     rows = np.arange(b)
     src = labels[req, idx]
-    count = terms[req] + 1.0
+    count = sizes[req] + 1.0
     total = mass[req] + sq_norms[idx, None]
     err = _GRAM_ERROR_FACTOR * ((count + d) * _UNIT_ROUNDOFF * total + count * _TINY)
     dim_lo = np.empty((b, k_total))
@@ -681,9 +667,11 @@ def _screen_moves(req, idx, labels, dims, grams, terms, mass, point_grams, sq_no
     return np.all(gd_lo >= pnorm(cur, cfg.p)[:, None] * (1.0 + _SCREEN_SLACK), axis=1)
 
 
-def _refine_restart(a, labels, dims, grams, terms, mass, point_grams, sq_norms, cfg):
+def _refine_restart(a, labels, dims, grams, sizes, mass, point_grams, sq_norms, cfg):
     """Greedy passes of one restart, in place on its rows of the wave's
-    labels, dims, grams, terms and mass.
+    labels, dims, grams, sizes and mass. The last three are rebuilt from
+    labels before a block is chosen whenever a move has been accepted
+    since they were last built, rather than updated move by move.
 
     A generator: it yields the points it needs screened, in index order,
     and is sent one screen result per point. A point is settled while no
@@ -693,17 +681,21 @@ def _refine_restart(a, labels, dims, grams, terms, mass, point_grams, sq_norms, 
     """
     k_total = cfg.n_clusters
     n = labels.size
-    sizes = np.bincount(labels, minlength=k_total)
-    # Accepted moves so far, and their count at each point's last check.
+    # Accepted moves so far, their count at each point's last check and
+    # at the last build.
     moves = 0
     settled = np.full(n, -1)
+    built = -1
     for _ in range(cfg.genetic_passes):
         moves_before = moves
-        grams[:] = np.tensordot(indicator_membership(labels, k_total), point_grams, axes=1)
-        terms[:] = sizes
-        mass[:] = np.bincount(labels, weights=sq_norms, minlength=k_total)
         j, width = 0, _FIRST_BLOCK
         while True:
+            if built != moves:
+                sizes[:] = np.bincount(labels, minlength=k_total)
+                grams[:] = np.tensordot(indicator_membership(labels, k_total), point_grams,
+                                        axes=1)
+                mass[:] = np.bincount(labels, weights=sq_norms, minlength=k_total)
+                built = moves
             # A point alone in its cluster cannot move.
             block = j + np.flatnonzero((settled[j:] != moves) & (sizes[labels[j:]] > 1))[:width]
             if not block.size:
@@ -739,12 +731,6 @@ def _refine_restart(a, labels, dims, grams, terms, mass, point_grams, sq_norms, 
                 labels[i] = best_k
                 dims[k0] = dim_src
                 dims[best_k] = best_tgt
-                sizes[k0] -= 1
-                sizes[best_k] += 1
-                grams[k0] -= point_grams[i]
-                grams[best_k] += point_grams[i]
-                terms[[k0, best_k]] += 1.0
-                mass[[k0, best_k]] += sq_norms[i]
                 moves += 1
                 j, width = i + 1, _FIRST_BLOCK
                 break
@@ -773,11 +759,11 @@ def _refine_wave(a, starts, cfg):
     point_grams, exp = _point_grams(a)
     sq_norms = np.einsum("nii->n", point_grams)
     grams = np.empty((r, k_total, d, d))
-    terms = np.empty((r, k_total))
+    sizes = np.empty((r, k_total), dtype=int)
     mass = np.empty((r, k_total))
     waiting = []
     for i in range(r):
-        restart = _refine_restart(a, labels[i], dims[i], grams[i], terms[i], mass[i],
+        restart = _refine_restart(a, labels[i], dims[i], grams[i], sizes[i], mass[i],
                                   point_grams, sq_norms, cfg)
         block = next(restart, None)
         if block is not None:
@@ -785,7 +771,7 @@ def _refine_wave(a, starts, cfg):
     while waiting:
         req = np.concatenate([np.full(block.size, i) for i, _, block in waiting])
         idx = np.concatenate([block for _, _, block in waiting])
-        skip = _screen_moves(req, idx, labels, dims, grams, terms, mass, point_grams,
+        skip = _screen_moves(req, idx, labels, dims, grams, sizes, mass, point_grams,
                              sq_norms, exp, cfg)
         step, first = [], 0
         for i, restart, block in waiting:
@@ -812,11 +798,12 @@ def genetic_refine(a, labels, cfg):
     passed over, until the next accepted move: nothing its decision
     depends on has changed. The other points are screened in blocks
     (_screen_moves) with rigorous lower bounds from per-cluster D x D
-    Grams, rebuilt at each pass start and updated by -+v v^T on each
-    accepted move; only a point whose bounds do not rule out every move
-    runs the per-candidate SVDs, so accepted moves and stored dimensions
-    are SVD values. Blocks start at 8 points after each accepted move and
-    at each pass start, and double while no move is accepted.
+    Grams, the sums of the members' point Grams, rebuilt from the labels
+    before the first block after each accepted move; only a point whose
+    bounds do not rule out every move runs the per-candidate SVDs, so
+    accepted moves and stored dimensions are SVD values. Blocks start at
+    8 points after each accepted move and at each pass start, and double
+    while no move is accepted.
 
     This is a wave of one; gdm refines all its restarts in one lockstep
     wave (_refine_wave), which gives every restart these labels.

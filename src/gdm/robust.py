@@ -127,6 +127,8 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
     a = _validate_data(a)
     n = a.shape[1]
     n_out = math.ceil(_real(fraction, "fraction", 0.0, 1.0, "()") * n)
+    # True equals 1 in the memo key, so alpha is checked before the lookup.
+    _real(alpha, "alpha", 0.0, np.inf, "[)")
     if n - n_out <= cfg.n_clusters:
         raise InsufficientInliersError(
             "rejecting %d of %d points leaves too few to segment" % (n_out, n)

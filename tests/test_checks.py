@@ -1,5 +1,6 @@
-"""Every public entry point applies one rule to its integer arguments,
-one to its label vectors and one to its real-valued parameters."""
+"""Every public entry point applies one rule to its data matrix, one to
+its integer arguments, one to its label vectors and one to its
+real-valued parameters."""
 
 import dataclasses
 
@@ -9,14 +10,20 @@ import pytest
 from gdm import (
     GdmConfig,
     GdmError,
+    InvalidInputError,
     ObjectiveParams,
     OutlierConfig,
     SyntheticSpec,
     batch_empirical_dimension,
+    descend,
     empirical_dimension,
     fit_cluster_subspace,
+    gdm,
+    gdm_naive,
+    gdm_outlier_core,
     genetic_refine,
     global_dimension_hard,
+    greedy_merge_init,
     hard_cluster_dims,
     indicator_membership,
     known_fraction,
@@ -24,6 +31,7 @@ from gdm import (
     model_reassign,
     numerical_rank,
     p_lower_bound,
+    reassignment_distances,
     roc_sweep,
     rotation_matrix,
     sample_subspace_mixture,
@@ -199,3 +207,41 @@ def test_every_float_field_rejects_bools_and_strings(cls):
         for bad in (True, "a"):
             with pytest.raises(GdmError, match="%s must be a real number" % name):
                 cls(**REQUIRED[cls], **{name: bad})
+
+
+def with_entry(value):
+    a = MIXTURE.copy()
+    a[1, 2] = value
+    return a
+
+
+# name: call with a data matrix a of n columns, other arguments to match
+DATA_FUNCTIONS = {
+    "gdm": lambda a, n: gdm(a, CFG),
+    "greedy_merge_init": lambda a, n: greedy_merge_init(a, CFG),
+    "descend": lambda a, n: descend(a, np.full((2, n), 0.5), CFG),
+    "genetic_refine": lambda a, n: genetic_refine(a, np.arange(n) % 2, CFG),
+    "gdm_outlier_core": lambda a, n: gdm_outlier_core(a, CFG),
+    "known_fraction": lambda a, n: known_fraction(a, CFG),
+    "model_reassign": lambda a, n: model_reassign(a, CFG),
+    "gdm_naive": lambda a, n: gdm_naive(a, CFG),
+    "reassignment_distances": lambda a, n: reassignment_distances(a, CFG),
+    "roc_sweep": lambda a, n: roc_sweep(a, CFG, [], [0.1]),
+    "hard_cluster_dims": lambda a, n: hard_cluster_dims(a, np.arange(n) % 2, 2),
+    "global_dimension_hard": lambda a, n: global_dimension_hard(a, np.arange(n) % 2),
+    "scaled_cluster_matrix": lambda a, n: scaled_cluster_matrix(a, np.full((2, n), 0.5), 0),
+}
+BAD_DATA = {
+    "nan": (with_entry(np.nan), "data entries must be finite"),
+    "inf": (with_entry(np.inf), "data entries must be finite"),
+    "no_columns": (np.zeros((9, 0)), "D x N matrix with N >= 1"),
+    "1-d": (np.ones(MIXTURE.shape[1]), "D x N matrix with N >= 1"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_DATA)
+@pytest.mark.parametrize("function", DATA_FUNCTIONS)
+def test_data_matrices_follow_one_rule(function, bad):
+    a, message = BAD_DATA[bad]
+    with pytest.raises(InvalidInputError, match=message):
+        DATA_FUNCTIONS[function](a, a.shape[-1])

@@ -372,3 +372,83 @@ def test_roc_requires_ground_truth(tmp_path, runner):
     res = runner.invoke(cli, ["roc", str(path), "--k", "1", "--kappas", "0.1"])
     assert res.exit_code == 1
     assert "ground truth" in res.output
+
+
+@pytest.mark.parametrize("sep", ["\t", " ", "  \t "])
+def test_tab_and_space_separated_rows(sep, tmp_path):
+    path = tmp_path / "rows.txt"
+    rows = [["x", "y", "x2", "y2", "label"], ["1", "2", "3", "4", "0"],
+            ["5", "6", "7", "8.5", "-1"]]
+    path.write_text("\n".join(sep.join(row) for row in rows) + "\n")
+    coords, labels = read_correspondences(path)
+    assert coords.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8.5]]
+    assert labels.tolist() == [0, -1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2,3,4\n5,6,7,8,0\n", ":2: inconsistent column count"),
+    ("# scene\n\nx,y,x2,y2\n# no rows\n", "no data rows found"),
+])
+def test_malformed_correspondence_files(text, message, tmp_path, runner):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    res = runner.invoke(cli, ["segment", str(path), "--k", "2"])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0\nzero\n1\n", ":2: cannot parse 'zero' as a label"),
+    ("", "no labels found"),
+    ("# only a comment\n\n", "no labels found"),
+])
+def test_malformed_label_files(text, message, tmp_path, runner):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("0\n0\n1\n")
+    bad.write_text(text)
+    for args in ([bad, good], [good, bad]):
+        res = runner.invoke(cli, ["eval"] + [str(p) for p in args])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+
+
+def test_eval_of_more_than_six_clusters_is_an_error(tmp_path, runner):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("\n".join(str(i) for i in range(7)))
+    res = runner.invoke(cli, ["eval", str(labels), str(labels)])
+    assert res.exit_code == 1, res.output
+    assert "at most 6 clusters" in res.output
+
+
+def test_eval_of_all_rejected_labels(tmp_path, runner):
+    pred, truth = tmp_path / "pred.txt", tmp_path / "truth.txt"
+    pred.write_text("-1\n-1\n-1\n")
+    truth.write_text("0\n1\n-1\n")
+    res = runner.invoke(cli, ["eval", str(pred), str(truth)])
+    assert res.exit_code == 0, res.output
+    report = read_report(res.output)
+    assert report["misclassification_pct"] == 0.0
+    assert report["tpr_pct"] == 100.0 and report["fpr_pct"] == 100.0
+
+
+def test_roc_truth_file(tmp_path, runner):
+    # A --truth file stands in for the input's label column.
+    labelled = tmp_path / "planted.csv"
+    res = runner.invoke(cli, [
+        "generate", str(labelled), "--points", "12", "--outliers", "4",
+        "--noise", "0.001", "--seed", "5",
+    ])
+    assert res.exit_code == 0, res.output
+    rows = labelled.read_text().strip().splitlines()[2:]
+    bare, truth = tmp_path / "bare.csv", tmp_path / "truth.txt"
+    bare.write_text("\n".join(row.rsplit(",", 1)[0] for row in rows))
+    truth.write_text("\n".join(row.rsplit(",", 1)[1] for row in rows))
+    flags = ["--k", "2", "--seed", "5", "--restarts", "2", "--kappas", "0.01,0.1"]
+    want = runner.invoke(cli, ["roc", str(labelled)] + flags)
+    got = runner.invoke(cli, ["roc", str(bare), "--truth", str(truth)] + flags)
+    assert want.exit_code == 0 and got.exit_code == 0, (want.output, got.output)
+    assert got.output == want.output
+    truth.write_text("\n".join(row.rsplit(",", 1)[1] for row in rows[1:]))
+    res = runner.invoke(cli, ["roc", str(bare), "--truth", str(truth)] + flags)
+    assert res.exit_code == 1
+    assert "truth labels disagree on point count" in res.output

@@ -243,7 +243,13 @@ class TestKnownFractionSlot:
             with pytest.raises(InvalidParameterError):
                 known_fraction(a, self.cfg, alpha=float("nan"))
         known_fraction(a, self.cfg)
-        assert len(core_calls) == 3
+        # alpha is checked before the slot is read, so a rejected alpha
+        # never reaches the outlier core and True does not hit alpha=1.
+        assert len(core_calls) == 1
+        known_fraction(a, self.cfg, alpha=1)
+        with pytest.raises(InvalidParameterError, match="alpha must be a real number"):
+            known_fraction(a, self.cfg, alpha=True)
+        assert len(core_calls) == 2
 
     def test_model_reassign_then_roc_sweep_segments_once(self, core_calls):
         from gdm import reassignment_distances, roc_sweep

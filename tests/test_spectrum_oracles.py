@@ -21,7 +21,7 @@ from gdm import (
     pnorm,
 )
 from gdm.objective import value_and_gradient
-from gdm.optimizer import _SCREEN_SLACK, _dim_lower_bounds
+from gdm.optimizer import _dim_lower_bounds
 
 from oracles import (
     reference_batch_empirical_dimension,
@@ -152,9 +152,8 @@ def test_dim_lower_bounds_match_reference(seed, eps, exp):
 @pytest.mark.parametrize("exp", [0, -3, 40, -80])
 def test_dim_lower_bounds_pad_zeros_in_closed_form(seed, eps, exp):
     # The merge screen bounds a union of m = 2 or 4 points in R^9 on the
-    # m eigenvalues of its m x m Gram, and adds the D - m zero eigenvalues
-    # in closed form. Each bound must be within the screens' rounding slack
-    # of the explicitly zero-padded reference, and at or below the merged
+    # m eigenvalues of its m x m Gram, stored after D - m explicit zeros.
+    # Each bound must be the reference's and at or below the merged
     # dimension of the union's 9 x 9 Gram. The 4-point unions include a
     # repeated point and a zero one, as a 3-point union is padded; scaled
     # by 2^-80 every union is degenerate and bounded by 0.
@@ -164,14 +163,12 @@ def test_dim_lower_bounds_pad_zeros_in_closed_form(seed, eps, exp):
         if m == 4:
             blocks[:2, :, 3] = 0.0
             blocks[1:3, :, 2] = blocks[1:3, :, 0]
-        small = np.linalg.eigvalsh(blocks.transpose(0, 2, 1) @ blocks)
         err = 16.0 * (m + 9) * (2.0**-53 * np.sum(blocks**2, axis=(1, 2))
                                 + np.finfo(float).tiny)
-        dims = _dim_lower_bounds(small, err, exp, eps, 9 - m)
         padded = np.zeros((6, 9))
-        padded[:, :m] = small
-        np.testing.assert_allclose(dims, reference_dim_lower_bounds(padded, err, exp, eps),
-                                   rtol=_SCREEN_SLACK, atol=0.0)
+        padded[:, 9 - m :] = np.linalg.eigvalsh(blocks.transpose(0, 2, 1) @ blocks)
+        dims = _dim_lower_bounds(padded, err, exp, eps)
+        assert_bitwise(dims, reference_dim_lower_bounds(padded, err, exp, eps))
         full = np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1))
         merged = batch_empirical_dimension(np.sqrt(np.clip(full, 0.0, None)), eps)
         assert np.all(dims <= merged), (dims, merged)
