@@ -5,11 +5,12 @@ segmentation pipeline, emit a JSON report), ``generate`` (write a
 synthetic two-view scene as a correspondence file), ``eval`` (compare
 two label files), and ``roc`` (kappa sweep of the outlier detector).
 
-Correspondence files are CSV/TSV with one row per feature,
-``x,y,x2,y2[,label]``; lines starting with ``#`` are ignored, and the
-first remaining line is taken as a header when it does not parse as
-numbers (any later such line is an error). Every flag can also be
-supplied through an environment variable named ``GDM_<COMMAND>_<FLAG>``.
+Input files are UTF-8 text. Correspondence files are CSV/TSV with one
+row per feature, ``x,y,x2,y2[,label]``; lines starting with ``#`` are
+ignored, and the first remaining line is taken as a header when it does
+not parse as numbers (any later such line is an error). Every flag can
+also be supplied through an environment variable named
+``GDM_<COMMAND>_<FLAG>``.
 """
 
 import json
@@ -52,12 +53,16 @@ def _as_label(value, path, lineno):
 
 def _data_lines(path):
     """(line number, stripped line) of each line of path that is neither
-    blank nor a ``#`` comment."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+    blank nor a ``#`` comment; a file that cannot be read as text is a
+    ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("%s: cannot read: %s" % (path, exc))
 
 
 def read_correspondences(path):
@@ -118,13 +123,16 @@ def _metrics(pred, truth):
 
 
 def _emit(text, output):
+    """Write text and a final newline to stdout or, when given, to the
+    file output; a file that cannot be written exits 1."""
     if output is None:
         click.echo(text)
-    else:
+        return
+    try:
         with open(output, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise click.ClickException("cannot write %s: %s" % (output, exc.strerror or exc))
 
 
 def _comma_list(convert):
@@ -260,10 +268,11 @@ def segment(input_file, k, embedding, normalize, alpha, fraction, outlier_mode,
         "metrics": metrics,
         "wall_time_s": time.perf_counter() - t0,
     }
-    _emit(json.dumps(report, indent=2), output)
+    # The labels go first, so that a run whose labels cannot be written
+    # leaves no report behind.
     if labels_out is not None:
-        with open(labels_out, "w") as fh:
-            fh.write("\n".join(str(int(v)) for v in result.labels) + "\n")
+        _emit("\n".join(str(int(v)) for v in result.labels), labels_out)
+    _emit(json.dumps(report, indent=2), output)
 
 
 @cli.command()

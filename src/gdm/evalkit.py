@@ -113,6 +113,11 @@ class TwoViewScene(NamedTuple):
     motions: list
 
 
+def _cross_matrix(v):
+    """The 3 x 3 matrix [v]_x with [v]_x @ w = cross(v, w)."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
 def rotation_matrix(axis, angle):
     """Rotation by a finite angle around a (non-zero) axis, via Rodrigues."""
     _real(angle, "angle", -np.inf, np.inf, "()")
@@ -120,12 +125,7 @@ def rotation_matrix(axis, angle):
     norm = np.linalg.norm(axis)
     if axis.shape != (3,) or not 0.0 < norm < np.inf:
         raise InvalidParameterError("axis must be a non-zero, finite 3-vector, got %r" % (axis,))
-    axis = axis / norm
-    k = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
+    k = _cross_matrix(axis / norm)
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
@@ -133,12 +133,7 @@ def fundamental_from_motion(rotation, translation):
     """Fundamental matrix of one rigid motion under the unit pinhole
     camera: cross(t) @ R, satisfying x2_h^T F x1_h = 0."""
     t = np.asarray(translation, dtype=float)
-    cross = np.array([
-        [0.0, -t[2], t[1]],
-        [t[2], 0.0, -t[0]],
-        [-t[1], t[0], 0.0],
-    ])
-    return cross @ np.asarray(rotation, dtype=float)
+    return _cross_matrix(t) @ np.asarray(rotation, dtype=float)
 
 
 def _sample_body(rng, n_points, coplanar, max_retries):

@@ -110,10 +110,12 @@ class GdmConfig:
 class SegmentationResult:
     """Outcome of a segmentation run.
 
-    labels holds one cluster id per point (-1 marks a rejected point)
-    and outliers the rejected points' indices, np.flatnonzero(labels < 0).
-    gd_value is the hard global dimension of labels (rejects left out),
-    the p-norm of per_cluster_dims. membership is the K x N soft
+    labels holds one cluster id per point (-1 marks a rejected point),
+    and the rejected points' indices are derived from it: outliers is
+    np.flatnonzero(labels < 0), a read-only property, not a field (the
+    constructor, replace and asdict neither take nor list it). gd_value
+    is the hard global dimension of labels (rejects left out), the
+    p-norm of per_cluster_dims. membership is the K x N soft
     membership of the winning restart's descent (for known_fraction the
     survivor run's, zero on rejects; for model_reassign the 0/1
     indicator of labels); gdm_naive returns the (K+1) x N augmented one,
@@ -125,13 +127,16 @@ class SegmentationResult:
     """
 
     labels: np.ndarray
-    outliers: np.ndarray
     gd_value: float
     per_cluster_dims: np.ndarray
     membership: np.ndarray
     restarts_run: int
     trace: np.ndarray
     restart_gd_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def outliers(self):
+        return np.flatnonzero(self.labels < 0)
 
 
 def project_simplex(v):
@@ -865,8 +870,7 @@ def gdm(a, cfg, threads=1):
     ms, traces = _descend_loop(a, m0, cfg, cfg.objective_params(), outlier=False)
     refined = _refine_wave(a, [threshold(m) for m in ms], cfg)
     results = [
-        _hard_result(a, labels, cfg, outliers=np.empty(0, dtype=int), membership=m,
-                     restarts_run=cfg.restarts, trace=trace)
+        _hard_result(a, labels, cfg, membership=m, restarts_run=cfg.restarts, trace=trace)
         for m, trace, labels in zip(ms, traces, refined)
     ]
     values = np.array([result.gd_value for result in results])

@@ -15,6 +15,10 @@ practical pipelines exploit:
   prior rejects) to its nearest subspace, and reject points farther
   than kappa from all of them.
 
+Every pipeline marks a rejected point by the label -1 and by nothing
+else: a result's outliers are derived from its labels,
+np.flatnonzero(labels < 0).
+
 model_reassign, roc_sweep, reassignment_distances and
 segment_with_outliers all run known_fraction. It remembers its last
 seeded call: a call that repeats that call's data (bit for bit),
@@ -144,19 +148,15 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
 
 
 def _known_fraction(a, cfg, n_out, alpha):
-    n = a.shape[1]
     membership = gdm_outlier_core(a, cfg, alpha=alpha)
-    order = np.argsort(-membership[0], kind="stable")
-    outliers = np.sort(order[:n_out])
-    survivors = np.setdiff1d(np.arange(n), outliers)
+    labels = np.zeros(a.shape[1], dtype=int)
+    labels[np.argsort(-membership[0], kind="stable")[:n_out]] = -1
+    survivors = labels == 0
     inner = gdm(a[:, survivors], cfg)
-    labels = np.full(n, -1, dtype=int)
     labels[survivors] = inner.labels
-    full_membership = np.zeros((cfg.n_clusters, n))
+    full_membership = np.zeros((cfg.n_clusters, a.shape[1]))
     full_membership[:, survivors] = inner.membership
-    return replace(
-        inner, labels=labels, outliers=outliers, membership=full_membership
-    )
+    return replace(inner, labels=labels, membership=full_membership)
 
 
 def fit_cluster_subspace(points, eps=0.35):
@@ -190,55 +190,45 @@ def subspace_distances(a, subspace):
 def reassignment_distances(a, cfg, fraction=0.20, alpha=0.01):
     """Shared first stage of model_reassign and ROC sweeps.
 
-    Runs known_fraction, fits one subspace per nonempty cluster, and
-    returns (nearest_labels, min_distances, distance_matrix, result of
-    the known_fraction stage). Distances cover every point, including
-    the ones known_fraction rejected.
+    Runs known_fraction, fits one subspace per cluster that holds a
+    nonzero point, and returns (nearest_labels, min_distances,
+    distance_matrix, result of the known_fraction stage). Distances
+    cover every point, including the ones known_fraction rejected; a
+    cluster without a fit is at distance inf from all of them.
     """
     a = _validate_data(a)
     kf = known_fraction(a, cfg, fraction=fraction, alpha=alpha)
-    n = a.shape[1]
-    dists = np.full((cfg.n_clusters, n), np.inf)
-    fitted_any = False
+    if not np.any(a[:, kf.labels >= 0]):
+        raise DegenerateClusterError("no nonempty cluster to fit")
+    dists = np.full((cfg.n_clusters, a.shape[1]), np.inf)
     for k in range(cfg.n_clusters):
         cols = a[:, kf.labels == k]
-        if cols.shape[1] == 0 or not np.any(cols):
-            continue
-        sub = fit_cluster_subspace(cols, cfg.eps)
-        dists[k] = subspace_distances(a, sub)
-        fitted_any = True
-    if not fitted_any:
-        raise DegenerateClusterError("no nonempty cluster to fit")
-    nearest = np.argmin(dists, axis=0)
-    min_dist = dists[nearest, np.arange(n)]
-    return nearest, min_dist, dists, kf
+        if np.any(cols):
+            dists[k] = subspace_distances(a, fit_cluster_subspace(cols, cfg.eps))
+    return np.argmin(dists, axis=0), dists.min(axis=0), dists, kf
 
 
 def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1):
     """Re-assign every point to its nearest fitted cluster subspace and
     reject the ones farther than kappa from all of them.
 
-    The known_fraction stage is reused when it repeats the last seeded
-    known_fraction call (same data, cfg, fraction and alpha), as after a
-    roc_sweep of the same data; no result changes. threads is accepted
-    for compatibility and has no effect: restarts always run in one
-    thread.
+    A rejected point gets label -1; membership is the 0/1 indicator of
+    the labels, zero on rejects. The known_fraction stage is reused when
+    it repeats the last seeded known_fraction call (same data, cfg,
+    fraction and alpha), as after a roc_sweep of the same data; no
+    result changes. threads is accepted for compatibility and has no
+    effect: restarts always run in one thread.
     """
     _real(kappa, "kappa", 0.0, np.inf, "(]")
     a = _validate_data(a)
-    n = a.shape[1]
     nearest, min_dist, _, kf = reassignment_distances(
         a, cfg, fraction=fraction, alpha=alpha
     )
-    outlier_mask = min_dist > kappa
-    labels = np.where(outlier_mask, -1, nearest)
-    membership = np.zeros((cfg.n_clusters, n))
-    inlier_idx = np.flatnonzero(~outlier_mask)
-    membership[labels[inlier_idx], inlier_idx] = 1.0
+    labels = np.where(min_dist > kappa, -1, nearest)
+    membership = (labels == np.arange(cfg.n_clusters)[:, None]).astype(float)
     return _hard_result(
-        a, labels, cfg, outliers=np.flatnonzero(outlier_mask),
-        membership=membership, restarts_run=kf.restarts_run, trace=kf.trace,
-        restart_gd_values=kf.restart_gd_values,
+        a, labels, cfg, membership=membership, restarts_run=kf.restarts_run,
+        trace=kf.trace, restart_gd_values=kf.restart_gd_values,
     )
 
 
@@ -251,10 +241,9 @@ def gdm_naive(a, cfg, alpha=0.01):
     """
     a = _validate_data(a)
     membership = gdm_outlier_core(a, cfg, alpha=alpha)
-    winners = np.argmax(membership, axis=0)
     return _hard_result(
-        a, winners - 1, cfg, outliers=np.flatnonzero(winners == 0),
-        membership=membership, restarts_run=cfg.restarts, trace=np.empty(0),
+        a, np.argmax(membership, axis=0) - 1, cfg, membership=membership,
+        restarts_run=cfg.restarts, trace=np.empty(0),
     )
 
 
@@ -282,11 +271,12 @@ def tpr_fpr(predicted_outliers, true_outliers, n_points):
     numpy one, not a bool).
     """
     n_points = _count(n_points, "n_points", 0, error=InvalidInputError)
-    pred = set(_whole_numbers(predicted_outliers, "outlier indices").ravel().tolist())
-    true = set(_whole_numbers(true_outliers, "outlier indices").ravel().tolist())
-    universe = range(n_points)
-    if not pred <= set(universe) or not true <= set(universe):
+    pred = _whole_numbers(predicted_outliers, "outlier indices").ravel()
+    true = _whole_numbers(true_outliers, "outlier indices").ravel()
+    both = np.concatenate([pred, true])
+    if both.size and not 0 <= both.min() <= both.max() < n_points:
         raise InvalidInputError("outlier indices must lie in [0, n_points)")
+    pred, true = set(pred.tolist()), set(true.tolist())
     n_true = len(true)
     n_inliers = n_points - n_true
     tpr = 100.0 * len(pred & true) / n_true if n_true else 0.0

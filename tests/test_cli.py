@@ -452,3 +452,49 @@ def test_roc_truth_file(tmp_path, runner):
     res = runner.invoke(cli, ["roc", str(bare), "--truth", str(truth)] + flags)
     assert res.exit_code == 1
     assert "truth labels disagree on point count" in res.output
+
+
+def assert_one_error_line(res, exit_code):
+    assert res.exit_code == exit_code, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.output.count("Error:") == 1 and "Traceback" not in res.output
+    assert "schema_version" not in res.output
+
+
+def not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y,x2,y2\n0.5,1,2,3\n\xe9,1,2,3\n")
+    return path
+
+
+def test_segment_of_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, runner):
+    path = not_utf8(tmp_path)
+    res = runner.invoke(cli, ["segment", str(path), "--k", "2"])
+    assert_one_error_line(res, 2)
+    assert "Error: %s: cannot read: 'utf-8' codec can't decode" % path in res.output
+
+
+def test_eval_of_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, runner):
+    bad, good = not_utf8(tmp_path), tmp_path / "good.txt"
+    good.write_text("0\n1\n")
+    for args in ([bad, good], [good, bad]):
+        res = runner.invoke(cli, ["eval"] + [str(p) for p in args])
+        assert_one_error_line(res, 2)
+        assert "Error: %s: cannot read" % bad in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["segment", "{scene}", "--k", "2", "--restarts", "1", "--output", "{target}"],
+    ["segment", "{scene}", "--k", "2", "--restarts", "1", "--labels-out", "{target}"],
+    ["roc", "{scene}", "--k", "2", "--restarts", "1", "--kappas", "0.1",
+     "--output", "{target}"],
+    ["generate", "{target}"],
+], ids=["segment-output", "segment-labels-out", "roc-output", "generate"])
+def test_unwritable_output_is_a_one_line_error(args, scene_file, tmp_path, runner):
+    # A --labels-out failure leaves no report on stdout.
+    target = tmp_path / "missing" / "out.txt"
+    args = [arg.format(scene=scene_file, target=target) for arg in args]
+    res = runner.invoke(cli, args + ["--seed", "1"])
+    assert_one_error_line(res, 1)
+    assert "Error: cannot write %s: No such file or directory" % target in res.output
+    assert not target.parent.exists()

@@ -50,6 +50,11 @@ def test_nonfinite_input_rejected():
         embed_dataset([[0, 0, 0, np.nan]])
 
 
+def test_single_correspondence_embedding_rejects_a_matrix():
+    with pytest.raises(InvalidInputError, match="one vector"):
+        embed_nonlinear(np.zeros((2, 4)))
+
+
 def test_dataset_composition():
     pcs = [(1, 2, 3, 4), (0, 0, 0, 0)]
     data = embed_dataset(pcs, mode="nonlinear")

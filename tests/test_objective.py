@@ -81,6 +81,10 @@ class TestScaledClusterMatrix:
             scaled_cluster_matrix(self.a, m, k)
         np.testing.assert_array_equal(scaled_cluster_matrix(self.a, m, np.int64(0)), self.a)
 
+    def test_point_count_mismatch(self):
+        with pytest.raises(InvalidInputError, match="point count"):
+            scaled_cluster_matrix(self.a, np.ones((1, 3)), 0)
+
 
 class TestSoftGlobalDimension:
     def test_single_rank_one_cluster(self):
@@ -251,6 +255,10 @@ class TestOutlierObjective:
         got = global_dimension_outlier(self.a, m, self.params)
         want = global_dimension_soft(self.a, m[1:], self.params)
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_needs_an_outlier_row_and_a_cluster_row(self):
+        with pytest.raises(InvalidInputError, match="at least 2 rows"):
+            global_dimension_outlier(self.a, self.m[:1], self.params)
 
     def test_full_outlier_row_is_degenerate(self):
         m = np.zeros((3, 30))

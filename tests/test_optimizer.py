@@ -119,6 +119,11 @@ class TestProjectSimplex:
         )
         np.testing.assert_allclose(project_simplex([2.0, 0.0, 0.0]), [1, 0, 0])
 
+    @pytest.mark.parametrize("v", [[], [np.nan, 1.0]])
+    def test_rejects_empty_and_nonfinite_vectors(self, v):
+        with pytest.raises(InvalidInputError):
+            project_simplex(v)
+
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gdm import (
     InvalidInputError,
     InvalidParameterError,
     OutlierConfig,
+    SegmentationResult,
     SyntheticSpec,
     empirical_dimension,
     fit_cluster_subspace,
@@ -372,6 +374,43 @@ class TestModelReassign:
         for kappa in (0.0, float("nan")):
             with pytest.raises(InvalidParameterError):
                 model_reassign(mix.data, GdmConfig(n_clusters=2, seed=11), kappa=kappa)
+
+
+@pytest.mark.parametrize("second", ["empty", "all zero"])
+def test_reassignment_skips_a_cluster_it_cannot_fit(second, monkeypatch):
+    rng = np.random.default_rng(0)
+    a = np.hstack([rng.normal(size=(3, 1)) * rng.normal(size=10), np.zeros((3, 4))])
+    labels = np.zeros(14, dtype=int)
+    if second == "all zero":
+        labels[10:] = 1
+    stage = SimpleNamespace(labels=labels)
+    monkeypatch.setattr(robust, "known_fraction", lambda *args, **kwargs: stage)
+    nearest, min_dist, dists, kf = robust.reassignment_distances(
+        a, GdmConfig(n_clusters=2, seed=0)
+    )
+    assert kf is stage
+    assert np.all(dists[1] == np.inf)
+    np.testing.assert_array_equal(nearest, 0)
+    np.testing.assert_array_equal(min_dist, dists[0])
+    assert min_dist.max() < 1e-12
+
+
+def test_reassignment_needs_a_cluster_it_can_fit():
+    cfg = GdmConfig(n_clusters=2, seed=0, restarts=2)
+    with pytest.raises(DegenerateClusterError, match="no nonempty cluster"):
+        model_reassign(np.zeros((9, 20)), cfg)
+
+
+def test_outliers_are_derived_from_the_labels():
+    res = SegmentationResult(
+        labels=np.array([0, -1, 1, -1]), gd_value=0.0, per_cluster_dims=np.zeros(2),
+        membership=np.zeros((2, 4)), restarts_run=1, trace=np.empty(0),
+    )
+    np.testing.assert_array_equal(res.outliers, [1, 3])
+    np.testing.assert_array_equal(replace(res, labels=np.array([-1, 0, 0, 1])).outliers, [0])
+    assert "outliers" not in asdict(res)
+    with pytest.raises(TypeError):
+        replace(res, outliers=np.array([0]))
 
 
 def test_gdm_naive_flags_and_labels():
