@@ -23,13 +23,23 @@ def _validate_data(a):
 
 
 def _whole_numbers(values, name):
-    """values as an int array, or InvalidInputError unless every entry is
-    a whole number (an integer, or a finite float with no fraction)."""
+    """values as an int64 array, or InvalidInputError unless every entry is
+    a whole number in the int64 range (an integer, or a finite float with
+    no fraction). Unsigned entries are compared as integers, since a float
+    comparison would round 2**63 - 1 up to 2**63."""
     values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        floats = values.astype(float)
-        if not np.all(np.isfinite(floats) & (floats == np.round(floats))):
-            raise InvalidInputError("%s must be whole numbers" % name)
+    whole = True
+    if values.dtype.kind == "u":
+        whole = np.all(values <= np.uint64(2**63 - 1))
+    elif values.dtype.kind != "i":
+        try:
+            floats = values.astype(float)
+        except OverflowError:  # a Python int beyond the float range
+            floats = np.array(np.nan)
+        whole = np.all((floats == np.round(floats))
+                       & (-2.0**63 <= floats) & (floats < 2.0**63))
+    if not whole:
+        raise InvalidInputError("%s must be whole numbers" % name)
     return values.astype(int)
 
 

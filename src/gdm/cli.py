@@ -20,10 +20,10 @@ import time
 import click
 import numpy as np
 
-from ._checks import _real
+from ._checks import _real, _whole_numbers
 from .embedding import embed_dataset
 from .evalkit import misclassification_rate, roc_sweep, sample_two_view_scene
-from .exceptions import GdmError
+from .exceptions import GdmError, InvalidInputError
 from .optimizer import GdmConfig
 from .robust import OutlierConfig, segment_with_outliers, tpr_fpr
 
@@ -43,12 +43,14 @@ def _split_fields(line):
 
 
 def _as_label(value, path, lineno):
-    """A parsed label value as an int; nan, inf and fractions are errors."""
-    if not value.is_integer():
+    """A parsed label value as an int, by the library's label rule: nan,
+    inf, fractions and values outside the int64 range are errors."""
+    try:
+        return int(_whole_numbers(value, "label"))
+    except InvalidInputError:
         raise ParseError(
             "%s:%d: label %r is not an integer" % (path, lineno, value)
         )
-    return int(value)
 
 
 def _data_lines(path):
@@ -163,29 +165,29 @@ _INPUT_OPTIONS = [
                  default="nonlinear", show_default=True),
     click.option("--normalize/--no-normalize", default=False, show_default=True,
                  help="Map each view's coordinates into [-1, 1] before embedding."),
-    click.option("--alpha", default=0.01, show_default=True,
+    click.option("--alpha", default=OutlierConfig.alpha, show_default=True,
                  help="Weight of the outlier row's charge alpha/2 * sum(M[0]^2)."),
-    click.option("--fraction", default=0.20, show_default=True,
+    click.option("--fraction", default=OutlierConfig.fraction, show_default=True,
                  help="Fraction of points rejected by known-fraction."),
 ]
 
 _PIPELINE_OPTIONS = [
-    click.option("--epsilon", default=0.35, show_default=True,
+    click.option("--epsilon", default=GdmConfig.eps, show_default=True,
                  help="Empirical dimension strictness, in (0, 1), with "
                       "D**(1/eps) below the largest float (eps >= 0.0031 "
                       "for 9-d data)."),
-    click.option("--p", default=15.0, show_default=True,
+    click.option("--p", default=GdmConfig.p, show_default=True,
                  help="Exponent of the dimension-combining norm; finite, "
                       "with 2 * D**p below the largest float."),
-    click.option("--restarts", default=10, show_default=True,
+    click.option("--restarts", default=GdmConfig.restarts, show_default=True,
                  help="Independent restarts."),
-    click.option("--grad-iters", default=30, show_default=True,
+    click.option("--grad-iters", default=GdmConfig.grad_iters, show_default=True,
                  help="Projected gradient iterations per restart."),
-    click.option("--genetic-passes", default=10, show_default=True,
+    click.option("--genetic-passes", default=GdmConfig.genetic_passes, show_default=True,
                  help="Point reassignment sweeps per restart."),
-    click.option("--step", default=0.3, show_default=True,
+    click.option("--step", default=GdmConfig.step_target, show_default=True,
                  help="Target step length on the membership simplex."),
-    click.option("--merge-candidates", default=100, show_default=True,
+    click.option("--merge-candidates", default=GdmConfig.merge_candidates, show_default=True,
                  help="Candidate pairs sampled per merge round."),
     click.option("--seed", type=click.IntRange(min=0), default=None,
                  callback=_resolve_seed,
@@ -210,20 +212,27 @@ _CONFIG_FIELDS = {"epsilon": "eps", "step": "step_target", "threads": None}
 
 def _load_input(input_file, k, embedding, normalize, pipeline):
     """(embedded data, truth labels or None, GdmConfig of k clusters) from
-    INPUT_FILE and the parsed input and pipeline flags; a GdmError of the
-    config or the embedding exits 1 with its message."""
+    INPUT_FILE and the parsed input and pipeline flags."""
     coords, truth = read_correspondences(input_file)
     fields = {_CONFIG_FIELDS.get(name, name): value for name, value in pipeline.items()}
     fields.pop(None)
-    try:
-        cfg = GdmConfig(n_clusters=k, **fields)
-        data = embed_dataset(coords, mode=embedding, normalize=normalize)
-    except GdmError as exc:
-        raise click.ClickException(str(exc))
+    cfg = GdmConfig(n_clusters=k, **fields)
+    data = embed_dataset(coords, mode=embedding, normalize=normalize)
     return data, truth, cfg
 
 
-@click.group()
+class _Group(click.Group):
+    """Command group that ends any command raising a library error
+    (GdmError) with its message on one ``Error:`` line and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GdmError as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Group)
 def cli():
     """Two-view motion segmentation by global dimension minimization."""
 
@@ -233,7 +242,7 @@ def cli():
 @click.option("--outlier-mode",
               type=click.Choice(["none", "naive", "known-fraction", "model-reassign"]),
               default="none", show_default=True)
-@click.option("--kappa", default=0.05, show_default=True,
+@click.option("--kappa", default=OutlierConfig.kappa, show_default=True,
               help="Distance threshold of model-reassign.")
 @_options(_PIPELINE_OPTIONS)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
@@ -246,13 +255,10 @@ def segment(input_file, k, embedding, normalize, alpha, fraction, outlier_mode,
     t0 = time.perf_counter()
     ctx = click.get_current_context()
     data, truth, cfg = _load_input(input_file, k, embedding, normalize, pipeline)
-    try:
-        mode = outlier_mode.replace("-", "_")
-        ocfg = OutlierConfig(mode=mode, alpha=alpha, fraction=fraction, kappa=kappa)
-        result = segment_with_outliers(data, cfg, ocfg)
-        metrics = None if truth is None else _metrics(result.labels, truth)
-    except GdmError as exc:
-        raise click.ClickException(str(exc))
+    ocfg = OutlierConfig(mode=outlier_mode.replace("-", "_"), alpha=alpha,
+                         fraction=fraction, kappa=kappa)
+    result = segment_with_outliers(data, cfg, ocfg)
+    metrics = None if truth is None else _metrics(result.labels, truth)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": "segment",
@@ -292,13 +298,10 @@ def segment(input_file, k, embedding, normalize, alpha, fraction, outlier_mode,
 def generate(output_file, bodies, points, noise, outliers, coplanar, seed):
     """Write a synthetic two-view scene as a correspondence file."""
     per_body = points[0] if len(points) == 1 else points
-    try:
-        scene = sample_two_view_scene(
-            n_bodies=bodies, points_per_body=per_body, noise_sigma=noise,
-            n_outliers=outliers, coplanar=coplanar, seed=seed,
-        )
-    except GdmError as exc:
-        raise click.ClickException(str(exc))
+    scene = sample_two_view_scene(
+        n_bodies=bodies, points_per_body=per_body, noise_sigma=noise,
+        n_outliers=outliers, coplanar=coplanar, seed=seed,
+    )
     lines = ["# two-view scene, seed=%d" % seed, "x,y,x2,y2,label"]
     for row, label in zip(scene.correspondences, scene.labels):
         lines.append(
@@ -324,12 +327,8 @@ def eval_cmd(pred_file, truth_file, output):
             "label files disagree on point count (%d vs %d)"
             % (pred.size, truth.size)
         )
-    try:
-        metrics = _metrics(pred, truth)
-    except GdmError as exc:
-        raise click.ClickException(str(exc))
     report = {"schema_version": REPORT_SCHEMA_VERSION, "command": "eval",
-              "n_points": int(pred.size), **metrics}
+              "n_points": int(pred.size), **_metrics(pred, truth)}
     _emit(json.dumps(report, indent=2), output)
 
 
@@ -375,11 +374,8 @@ def roc(input_file, k, embedding, normalize, alpha, fraction, kappas, kappa_min,
         raise click.ClickException(
             "ground truth required: give a label column or --truth"
         )
-    try:
-        curve = roc_sweep(data, cfg, np.flatnonzero(truth < 0), kappas,
-                          fraction=fraction, alpha=alpha)
-    except GdmError as exc:
-        raise click.ClickException(str(exc))
+    curve = roc_sweep(data, cfg, np.flatnonzero(truth < 0), kappas,
+                      fraction=fraction, alpha=alpha)
     lines = ["kappa,tpr_pct,fpr_pct"]
     for kappa, tpr, fpr in curve:
         lines.append("%.17g,%.17g,%.17g" % (kappa, tpr, fpr))

@@ -199,7 +199,7 @@ def test_parse_failure_reports_line_number(tmp_path, runner):
     assert ":3:" in res.output
 
 
-@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1.7"])
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1.7", "1e20", "-1e20"])
 def test_non_integer_label_is_a_parse_error(label, tmp_path, runner):
     scene = tmp_path / "labels.csv"
     scene.write_text("x,y,x2,y2,label\n1,2,3,4,0\n5,6,7,8,%s\n" % label)

@@ -225,10 +225,23 @@ class TestMisclassificationRate:
             misclassification_rate([0, 1], [0, 1, 1])
 
     @pytest.mark.parametrize("pred, true", [([0, 1.5], [0, 1]), ([0, 1], [0.2, 1]),
-                                            ([0, np.nan], [0, 1])])
+                                            ([0, np.nan], [0, 1]),
+                                            ([0, 1, 1e20], [0, 1, 1]),
+                                            ([0, 1, float(2**63)], [0, 1, 1]),
+                                            ([0, 1, np.uint64(2**63)], [0, 1, 1]),
+                                            ([0, 1, 2**63], [0, 1, 1]),
+                                            ([0, 1, 10**400], [0, 1, 1])])
     def test_labels_that_are_not_whole_numbers(self, pred, true):
         with pytest.raises(InvalidInputError):
             misclassification_rate(pred, true)
+
+    def test_labels_at_the_ends_of_the_int64_range(self):
+        # -2**63 marks a reject; 2**63 - 1 is a label, also when unsigned,
+        # where a float comparison would round it up to 2**63.
+        top = 2**63 - 1
+        assert misclassification_rate(np.array([-2**63, top, top, 0]), [0, 1, 1, 0]) == 0.0
+        assert misclassification_rate(np.array([0, top, top], dtype=np.uint64),
+                                      [0, 1, 1]) == 0.0
 
 
 class TestRocSweep:

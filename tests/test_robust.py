@@ -458,7 +458,9 @@ class TestTprFpr:
         with pytest.raises(InvalidInputError):
             tpr_fpr([11], [0], 10)
 
-    @pytest.mark.parametrize("pred, true", [([1.7], [1]), ([1], [0.5]), ([np.nan], [1])])
+    @pytest.mark.parametrize("pred, true", [([1.7], [1]), ([1], [0.5]), ([np.nan], [1]),
+                                            ([1e20], [1]), ([float(2**63)], [1]),
+                                            ([np.uint64(2**63)], [1])])
     def test_indices_that_are_not_whole_numbers(self, pred, true):
         with pytest.raises(InvalidInputError):
             tpr_fpr(pred, true, 3)
