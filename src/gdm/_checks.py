@@ -15,8 +15,8 @@ from .exceptions import InvalidInputError, InvalidParameterError
 
 def _validate_data(a):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise InvalidInputError("data must be a D x N matrix with N >= 1")
+    if a.ndim != 2 or 0 in a.shape:
+        raise InvalidInputError("data must be a D x N matrix with N >= 1 and D >= 1")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("data entries must be finite")
     return a

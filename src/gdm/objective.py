@@ -47,7 +47,7 @@ import numpy as np
 
 from ._checks import _count, _labels, _real, _validate_data
 from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms, _power_sums
-from .exceptions import DegenerateClusterError, InvalidInputError
+from .exceptions import DegenerateClusterError, InvalidInputError, InvalidParameterError
 
 # Relative floor applied to singular values inside the gradient's D_k
 # diagonal (bounded subgradient surrogate near the non-smooth set).
@@ -137,6 +137,12 @@ def pnorm(values, p):
     return float(norm) if v.ndim == 1 else norm
 
 
+def _check_on_degenerate(on_degenerate):
+    if not (isinstance(on_degenerate, str) and on_degenerate in ("raise", "zero")):
+        raise InvalidParameterError(
+            "on_degenerate must be 'raise' or 'zero', got %r" % (on_degenerate,))
+
+
 def _is_degenerate(s, on_degenerate):
     """True when the nonincreasing spectrum s is empty or its top value is at
     most DEGENERATE_SMAX (dimension 0); raises there unless on_degenerate='zero'."""
@@ -166,6 +172,7 @@ def hard_cluster_dims(a, labels, n_clusters, eps=0.35, on_degenerate="raise"):
     n_clusters = _count(n_clusters, "n_clusters", 0)
     labels = _labels(labels, a.shape[1], n_clusters, rejects=True)
     _check_eps(eps, a.shape[0])
+    _check_on_degenerate(on_degenerate)
     return np.array(
         [
             _dim_of_columns(a[:, labels == k], eps, on_degenerate)
@@ -226,7 +233,7 @@ def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
         s = np.linalg.svd(scaled, compute_uv=False)
     # The scaled stack is as large as vt; free it before the products.
     del scaled
-    smax = s[:, 0] if s.shape[1] else np.zeros(r * k)
+    smax = s[:, 0]
     degenerate = ~(smax > DEGENERATE_SMAX)
     if on_degenerate != "zero" and degenerate.any():
         raise DegenerateClusterError("cluster is empty or identically zero")
@@ -275,7 +282,8 @@ def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
     return values, grad
 
 
-def _validate_soft(a, m, outlier, eps):
+def _validate_soft(a, m, outlier, eps, on_degenerate):
+    _check_on_degenerate(on_degenerate)
     a = _validate_data(a)
     m = _validate_weights(m)
     if outlier and m.shape[0] < 2:
@@ -289,7 +297,7 @@ def _validate_soft(a, m, outlier, eps):
 def global_dimension_soft(a, m, params=None, on_degenerate="raise"):
     """Global dimension of a soft partition (membership matrix)."""
     params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, False, params.eps)
+    a, m = _validate_soft(a, m, False, params.eps, on_degenerate)
     return float(value_and_gradient(a, m[None], params, False, on_degenerate, False)[0][0])
 
 
@@ -301,7 +309,7 @@ def gd_gradient(a, m, params=None, on_degenerate="raise"):
     degenerate clusters get zero rows.
     """
     params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, False, params.eps)
+    a, m = _validate_soft(a, m, False, params.eps, on_degenerate)
     return value_and_gradient(a, m[None], params, False, on_degenerate, True)[1][0]
 
 
@@ -313,7 +321,7 @@ def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
     dimensions through the usual p-norm.
     """
     params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, True, params.eps)
+    a, m = _validate_soft(a, m, True, params.eps, on_degenerate)
     return float(value_and_gradient(a, m[None], params, True, on_degenerate, False)[0][0])
 
 
@@ -325,5 +333,5 @@ def gd_gradient_outlier(a, m, params=None, on_degenerate="raise"):
     over the K true clusters.
     """
     params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, True, params.eps)
+    a, m = _validate_soft(a, m, True, params.eps, on_degenerate)
     return value_and_gradient(a, m[None], params, True, on_degenerate, True)[1][0]

@@ -147,15 +147,18 @@ def project_simplex(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise InvalidInputError("expected a nonempty vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("entries must be finite")
     return project_columns(v[:, None])[:, 0]
 
 
 def project_columns(m):
     """Project every column of a K x N matrix, or of each matrix in a
-    stack of them (..., K, N), onto the simplex."""
+    stack of them (..., K, N), onto the simplex. The matrices must be
+    nonempty and finite."""
     m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.size == 0:
+        raise InvalidInputError("expected a nonempty K x N matrix or a stack of them")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("entries must be finite")
     k = m.shape[-2]
     u = -np.sort(-m, axis=-2)
     css = np.cumsum(u, axis=-2)
@@ -178,9 +181,8 @@ def indicator_membership(labels, n_clusters):
     return m
 
 
-def _decode_pairs(codes, m, tri, first):
-    """Map flat pair codes to index pairs (i, j), i < j, among m items,
-    each shifted by first.
+def _decode_pairs(codes, m, tri):
+    """Map flat pair codes to index pairs (i, j), i < j, among m items.
 
     Codes run row-major over (0, 1), (0, 2), ..., (m-2, m-1). Counted
     from the last code, row i = m-1-u holds codes u(u-1)/2 to u(u+1)/2 - 1,
@@ -189,8 +191,7 @@ def _decode_pairs(codes, m, tri, first):
     """
     back = (m * (m - 1) // 2 - 1) - codes
     u = np.searchsorted(tri, back, side="right") - 1
-    last = (m - 1) + first
-    return last - u, (last - back) + tri[u]
+    return (m - 1) - u, (m - 1 - back) + tri[u]
 
 
 def _pair_bases(n):
@@ -380,9 +381,12 @@ def _merge_init(a, cfg, rngs):
     as one (R, C) array with one eigvalsh over every restart's cache
     misses, and commits each restart's own argmin. A restart keeps each
     set in the slot of its first point. Restart i's slot s is entry
-    i * N + s of the per-slot arrays, and its live slots stay in
-    ascending order in live[i * N : i * N + sets], so candidates have
-    sa < sb.
+    i * N + s of the per-slot arrays. The partition is held as two
+    (R, N) arrays: alive[i, s] says whether slot s still holds a set,
+    and part[i, j] is the slot of point j's set. Each round decodes a
+    restart's codes against its live slots in ascending order, so
+    candidates have sa < sb, and the final labels number each restart's
+    n_clusters live slots in that order.
 
     Set Grams are pooled, each packed as the D(D+1)/2 entries of its
     lower triangle (tril = np.tril_indices(D)), the only ones eigvalsh
@@ -474,20 +478,20 @@ def _merge_init(a, cfg, rngs):
     members[:, 0] = np.tile(np.arange(n), r)
     # A singleton has dimension 1 unless the point is exactly zero.
     dp = np.tile(np.any(a != 0.0, axis=0).astype(float) ** cfg.p, r)
-    live = np.tile(np.arange(n), r)
-    merges = []
+    alive = np.ones((r, n), dtype=bool)
+    part = np.tile(np.arange(n), (r, 1))
     for m_sets in range(n, cfg.n_clusters, -1):
+        live = np.nonzero(alive)[1].reshape(r, m_sets)
         if m_sets == late:
-            late_slots = live.reshape(r, n)[:, :late] + base
+            late_slots = live + base
             compact[late_slots] = np.arange(late)
             caching = True
         total_pairs = m_sets * (m_sets - 1) // 2
         n_cand = min(cfg.merge_candidates, total_pairs)
         codes = np.array([rng.choice(total_pairs, size=n_cand, replace=False)
                           for rng in rngs])
-        # Positions in live, so restart i's are shifted by i * N.
-        ia, ib = _decode_pairs(codes, m_sets, tri, base)
-        sa, sb = live[ia], live[ib]
+        ia, ib = _decode_pairs(codes, m_sets, tri)
+        sa, sb = live[rows[:, None], ia], live[rows[:, None], ib]
         ga, gb = sa + base, sb + base
         size = count[ga] + count[gb]
         own = uncached
@@ -544,7 +548,8 @@ def _merge_init(a, cfg, rngs):
         members[x] = np.sort(np.concatenate([members[x], members[y]], axis=1),
                              axis=1)[:, :limit]
         count[x] = cx + cy
-        merges.append((x, y))
+        alive.ravel()[y] = False
+        np.copyto(part, x[:, None] - base, where=part == y[:, None] - base)
         if caching:
             # Row i of other lists every compact index but that of
             # restart i's kept slot.
@@ -553,18 +558,11 @@ def _merge_init(a, cfg, rngs):
             lo, hi = np.minimum(kept, other), np.maximum(kept, other)
             stale = late_block[:, None] + late_base[lo] + hi
             value[stale], exact[stale] = np.nan, False
-        for i, slot, gone, dim in zip(rows.tolist(), x.tolist(), ib.ravel()[pick].tolist(),
-                                      merged_dims.ravel()[pick].tolist()):
+        for slot, dim in zip(x.tolist(), merged_dims.ravel()[pick].tolist()):
             # A scalar power (libm pow), as a lone restart computes it.
             dp[slot] = dim**cfg.p
-            live[gone : i * n + m_sets - 1] = live[gone + 1 : i * n + m_sets]
-    # Set y joined set x: replayed from the last merge back, every slot
-    # takes the slot of its final set.
-    owner = np.arange(r * n)
-    for x, y in reversed(merges):
-        owner[y] = owner[x]
-    return [np.searchsorted(live[i * n : i * n + cfg.n_clusters] + i * n,
-                            owner[i * n : (i + 1) * n]) for i in rows]
+    live = np.nonzero(alive)[1].reshape(r, cfg.n_clusters)
+    return [np.searchsorted(slots, labels) for slots, labels in zip(live, part)]
 
 
 def _descend_loop(a, m0, cfg, params, outlier):
@@ -615,7 +613,7 @@ def descend(a, m0, cfg):
     its restarts together, with the same bits. m0 must be a finite
     matrix with one column per data column.
     """
-    a, m0 = _validate_soft(a, m0, False, cfg.eps)
+    a, m0 = _validate_soft(a, m0, False, cfg.eps, "zero")
     return _descend_loop(a, m0[None], cfg, cfg.objective_params(), outlier=False)[0][0]
 
 

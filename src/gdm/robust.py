@@ -167,9 +167,11 @@ def fit_cluster_subspace(points, eps=0.35):
     vectors.
     """
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise InvalidInputError("cluster points must be a D x N matrix with D >= 1")
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("cluster points must be finite")
-    if points.ndim != 2 or points.shape[1] == 0:
+    if points.shape[1] == 0:
         raise DegenerateClusterError("cannot fit a subspace to an empty cluster")
     u, s, _ = np.linalg.svd(points, full_matrices=False)
     if s[0] <= 0.0:
@@ -182,7 +184,11 @@ def fit_cluster_subspace(points, eps=0.35):
 
 def subspace_distances(a, subspace):
     """Distance of every column of a to a fitted subspace."""
+    a = _validate_data(a)
     basis = subspace.basis
+    if a.shape[0] != basis.shape[0]:
+        raise InvalidInputError("data in R^%d cannot be measured against a subspace of R^%d"
+                                % (a.shape[0], basis.shape[0]))
     residual = a - basis @ (basis.T @ a)
     return np.linalg.norm(residual, axis=0)
 

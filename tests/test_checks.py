@@ -235,6 +235,7 @@ BAD_DATA = {
     "nan": (with_entry(np.nan), "data entries must be finite"),
     "inf": (with_entry(np.inf), "data entries must be finite"),
     "no_columns": (np.zeros((9, 0)), "D x N matrix with N >= 1"),
+    "no_rows": (np.zeros((0, 6)), "D x N matrix with N >= 1"),
     "1-d": (np.ones(MIXTURE.shape[1]), "D x N matrix with N >= 1"),
 }
 

@@ -11,6 +11,7 @@ from gdm import (
     global_dimension_hard,
     global_dimension_outlier,
     global_dimension_soft,
+    hard_cluster_dims,
     indicator_membership,
     scaled_cluster_matrix,
     validate_membership,
@@ -186,6 +187,35 @@ class TestHardGlobalDimension:
         assert rank_based_gd(a, lumped, p=1.0) == pytest.approx(2.0)
         assert rank_based_gd(a, lumped, p=1.0) < rank_based_gd(a, labels, p=1.0)
         assert rank_based_gd(a, labels, p=15.0) < rank_based_gd(a, lumped, p=15.0)
+
+
+# name: call with data a, a membership m whose row 1 is empty (an outlier
+# row is prepended) and the on_degenerate value
+DEGENERATE_RULE_FUNCTIONS = {
+    "hard_cluster_dims": lambda a, m, rule: hard_cluster_dims(a, [0, 0, 0], 2,
+                                                              on_degenerate=rule),
+    "global_dimension_hard": lambda a, m, rule: global_dimension_hard(
+        a, [0, 0, 0], PARAMS, n_clusters=2, on_degenerate=rule),
+    "global_dimension_soft": lambda a, m, rule: global_dimension_soft(a, m, PARAMS, rule),
+    "gd_gradient": lambda a, m, rule: gd_gradient(a, m, PARAMS, rule),
+    "global_dimension_outlier": lambda a, m, rule: global_dimension_outlier(
+        a, np.vstack([np.zeros(3), m]), PARAMS, rule),
+    "gd_gradient_outlier": lambda a, m, rule: gd_gradient_outlier(
+        a, np.vstack([np.zeros(3), m]), PARAMS, rule),
+}
+
+
+@pytest.mark.parametrize("bad", ["Zero", "bogus", None])
+@pytest.mark.parametrize("call", DEGENERATE_RULE_FUNCTIONS.values(),
+                         ids=DEGENERATE_RULE_FUNCTIONS.keys())
+def test_on_degenerate_is_raise_or_zero(call, bad):
+    # Any other value would act as 'raise' on the empty cluster.
+    a, m = np.eye(3), indicator_membership([0, 0, 0], 2)
+    with pytest.raises(InvalidParameterError, match="on_degenerate must be 'raise' or 'zero'"):
+        call(a, m, bad)
+    with pytest.raises(DegenerateClusterError):
+        call(a, m, "raise")
+    call(a, m, "zero")
 
 
 class TestGradient:

@@ -313,6 +313,11 @@ class TestFittedSubspace:
         with pytest.raises(DegenerateClusterError):
             fit_cluster_subspace(np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("pts", [np.ones(9), np.zeros((0, 4))])
+    def test_points_that_are_not_a_matrix(self, pts):
+        with pytest.raises(InvalidInputError, match="D x N matrix"):
+            fit_cluster_subspace(pts)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points(self, bad):
         pts = np.eye(3)
@@ -345,6 +350,16 @@ class TestSubspaceDistance:
             assert point_distance(v, sub) == pytest.approx(
                 lstsq_subspace_distance(v, sub.basis), abs=1e-10
             )
+
+    def test_data_follows_the_data_rule(self):
+        rng = np.random.default_rng(2)
+        sub = fit_cluster_subspace(rng.normal(size=(9, 30)))
+        a = rng.normal(size=(9, 5))
+        a[3, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            subspace_distances(a, sub)
+        with pytest.raises(InvalidInputError, match="R\\^4"):
+            subspace_distances(rng.normal(size=(4, 5)), sub)
 
 
 class TestModelReassign:
