@@ -1,46 +1,66 @@
 """Argument checks shared by the package's entry points.
 
-One rule each for a data matrix, an integer argument (a count, an index
-or a seed), a label vector and a real-valued parameter (eps, p, alpha,
-a fraction, a threshold, a noise scale, a tolerance or an angle), so
-every entry point rejects the same malformed input with the same error.
+One rule reads every array argument (data, a membership, a spectrum,
+coordinates, a vector or matrix to project, labels or indices): _reals.
+On top of it, one rule each checks a data matrix and a label vector;
+beside it, one rule each checks an integer argument (a count, an index
+or a seed) and a real-valued parameter (eps, p, alpha, a fraction, a
+threshold, a noise scale, a tolerance or an angle). So every entry point
+rejects the same malformed input with the same error.
 """
 
 import math
+import numbers
 
 import numpy as np
 
 from .exceptions import InvalidInputError, InvalidParameterError
 
 
+def _reals(values, name, error=InvalidInputError, whole=False):
+    """values as a float64 array (values itself when it already is one), or
+    error unless numpy reads it as a regular array of bools, integers,
+    floats or objects holding real numbers (not text, complex entries or
+    ragged nesting) whose entries are all finite.
+
+    With whole, each entry must instead be a whole number in the int64
+    range (an integer, or a finite float with no fraction), and the array
+    comes back as int64. Unsigned entries are compared as integers, since
+    a float comparison would round 2**63 - 1 up to 2**63.
+    """
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged nesting
+        values = np.array("")
+    kind = values.dtype.kind
+    if kind not in "biufO" or kind == "O" and not all(
+            isinstance(v, (numbers.Real, np.bool_)) for v in values.flat):
+        raise error("%s must be real numbers in a regular array" % name)
+    try:
+        floats = values.astype(float, copy=False)
+    except OverflowError:  # a Python int beyond the float range
+        floats = np.array(np.nan)
+    if not whole:
+        ok = np.all(np.isfinite(floats))
+    elif kind in "iu":
+        ok = kind == "i" or np.all(values <= np.uint64(2**63 - 1))
+    else:
+        ok = np.all((floats == np.round(floats)) & (-2.0**63 <= floats) & (floats < 2.0**63))
+    if not ok:
+        raise error("%s must be %s" % (name, "whole numbers" if whole else "finite"))
+    return values.astype(int) if whole else floats
+
+
 def _validate_data(a):
-    a = np.asarray(a, dtype=float)
+    a = _reals(a, "data entries")
     if a.ndim != 2 or 0 in a.shape:
         raise InvalidInputError("data must be a D x N matrix with N >= 1 and D >= 1")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("data entries must be finite")
     return a
 
 
 def _whole_numbers(values, name):
-    """values as an int64 array, or InvalidInputError unless every entry is
-    a whole number in the int64 range (an integer, or a finite float with
-    no fraction). Unsigned entries are compared as integers, since a float
-    comparison would round 2**63 - 1 up to 2**63."""
-    values = np.asarray(values)
-    whole = True
-    if values.dtype.kind == "u":
-        whole = np.all(values <= np.uint64(2**63 - 1))
-    elif values.dtype.kind != "i":
-        try:
-            floats = values.astype(float)
-        except OverflowError:  # a Python int beyond the float range
-            floats = np.array(np.nan)
-        whole = np.all((floats == np.round(floats))
-                       & (-2.0**63 <= floats) & (floats < 2.0**63))
-    if not whole:
-        raise InvalidInputError("%s must be whole numbers" % name)
-    return values.astype(int)
+    """The label rule: _reals with its whole-number test."""
+    return _reals(values, name, whole=True)
 
 
 def _count(value, name, low=None, high=None, error=InvalidParameterError):
@@ -83,11 +103,12 @@ def _finite_power(base, exponent, scale=1.0):
         return False
 
 
-def _labels(labels, n_points, n_clusters=None, rejects=False):
+def _labels(labels, n_points=None, n_clusters=None, rejects=False):
     """labels as an int vector, or InvalidInputError unless it holds
-    n_points whole numbers below n_clusters (when given), each >= 0
-    unless rejects lets a negative label mark a rejected point."""
+    n_points (when given) whole numbers below n_clusters (when given),
+    each >= 0 unless rejects lets a negative label mark a rejected point."""
     labels = _whole_numbers(labels, "labels")
+    n_points = labels.size if n_points is None else n_points
     if labels.shape != (n_points,):
         raise InvalidInputError("labels must be a vector of %d entries, got shape %s"
                                 % (n_points, labels.shape))

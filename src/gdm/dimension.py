@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._checks import _count, _finite_power, _real
+from ._checks import _count, _finite_power, _real, _reals
 from .exceptions import (
     DegenerateSpectrumError,
     InvalidInputError,
@@ -44,19 +44,31 @@ DEGENERATE_SMAX = 1e-14
 
 
 def singular_values(a):
-    """Singular values of a real matrix, sorted nonincreasing."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix entries must be finite")
+    """Singular values of a real matrix (of each matrix in a stack of
+    them), sorted nonincreasing."""
+    a = _reals(a, "matrix entries")
+    if a.ndim < 2:
+        raise InvalidInputError("expected a matrix or a stack of them, got shape %s" % (a.shape,))
     return np.linalg.svd(a, compute_uv=False)
+
+
+def _spectra(sigma, ndim=None):
+    """sigma as a float array, or InvalidInputError unless its entries are
+    finite and nonnegative and, when ndim is given, it is an ndim-d stack
+    of nonempty spectra."""
+    sigma = _reals(sigma, "singular values")
+    if ndim is not None and (sigma.ndim != ndim or sigma.shape[-1] == 0):
+        raise InvalidInputError("singular values must be a %d-d array of nonempty spectra, "
+                                "got shape %s" % (ndim, sigma.shape))
+    if np.any(sigma < 0):
+        raise InvalidInputError("singular values must be nonnegative")
+    return sigma
 
 
 def numerical_rank(sigma, rel_tol=RELATIVE_ZERO_TOL):
     """Number of singular values above rel_tol (>= 0) times the largest one."""
     _real(rel_tol, "rel_tol", 0.0, np.inf, "[)")
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
-        raise InvalidInputError("singular values must be finite and nonnegative")
+    sigma = _spectra(sigma)
     if sigma.size == 0 or sigma.max() <= 0:
         return 0
     return int(np.sum(sigma > rel_tol * sigma.max()))
@@ -134,12 +146,8 @@ def empirical_dimension(sigma, eps=0.35):
     -------
     float in [1, len(sigma)].
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 1 or sigma.size == 0:
-        raise InvalidInputError("sigma must be a nonempty 1-d vector")
+    sigma = _spectra(sigma, 1)
     _check_eps(eps, sigma.size)
-    if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
-        raise InvalidInputError("singular values must be finite and nonnegative")
     if sigma.max() <= 0.0:
         raise DegenerateSpectrumError("all singular values are zero")
     num, den = _power_norms(sigma, eps)
@@ -152,12 +160,8 @@ def batch_empirical_dimension(sigmas, eps=0.35):
     Rows that are identically zero get dimension 0 (the continuous
     extension used for empty clusters).
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 2 or sigmas.shape[1] == 0:
-        raise InvalidInputError("sigmas must be a 2-d stack of nonempty spectra")
+    sigmas = _spectra(sigmas, 2)
     _check_eps(eps, sigmas.shape[1])
-    if not np.all(np.isfinite(sigmas)) or np.any(sigmas < 0):
-        raise InvalidInputError("singular values must be finite and nonnegative")
     ok = sigmas.max(axis=1) > 0.0
     dims = np.zeros(sigmas.shape[0])
     if np.any(ok):

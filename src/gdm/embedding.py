@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import _reals
 from .exceptions import InvalidInputError
 
 
@@ -22,24 +23,19 @@ class PointCorrespondence(NamedTuple):
     yp: float
 
 
-def _coords(pcs):
+def _coords(pcs, one=False):
     """pcs as a float (n, 4) array of finite coordinates with n >= 1 (a
-    single 4-vector is one row), or InvalidInputError."""
-    given = np.asarray(pcs, dtype=float)
+    single 4-vector is one row), or InvalidInputError; with one, pcs must
+    be that single 4-vector."""
+    given = _reals(pcs, "correspondence coordinates")
+    if one and given.ndim != 1:
+        raise InvalidInputError("a correspondence must be one vector of 4 coordinates")
     coords = given[None, :] if given.ndim == 1 else given
     if coords.ndim != 2 or coords.shape[1] != 4 or not coords.size:
         raise InvalidInputError(
             "expected correspondences of shape (n, 4), n >= 1, got %s" % (given.shape,)
         )
-    if not np.all(np.isfinite(coords)):
-        raise InvalidInputError("correspondence coordinates must be finite")
     return coords
-
-
-def _as_coords(pc):
-    if np.ndim(pc) != 1:
-        raise InvalidInputError("a correspondence must be one vector of 4 coordinates")
-    return _coords(pc)[0]
 
 
 def embed_nonlinear(pc):
@@ -49,12 +45,12 @@ def embed_nonlinear(pc):
     coordinate is fixed at exactly 1 (standard homogeneous coordinates,
     no rescaling).
     """
-    return embed_dataset(_as_coords(pc))[:, 0]
+    return embed_dataset(_coords(pc, one=True))[:, 0]
 
 
 def embed_linear(pc):
     """The plain 4-dimensional embedding (x, y, x', y')."""
-    return _as_coords(pc).copy()
+    return _coords(pc, one=True)[0].copy()
 
 
 def normalize_views(coords):

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _count, _labels, _real
+from ._checks import _count, _labels, _real, _reals
 from .exceptions import InvalidParameterError, SceneGenerationError
 from .robust import reassignment_distances, tpr_fpr
 
@@ -121,7 +121,7 @@ def _cross_matrix(v):
 def rotation_matrix(axis, angle):
     """Rotation by a finite angle around a (non-zero) axis, via Rodrigues."""
     _real(angle, "angle", -np.inf, np.inf, "()")
-    axis = np.asarray(axis, dtype=float)
+    axis = _reals(axis, "axis", InvalidParameterError)
     norm = np.linalg.norm(axis)
     if axis.shape != (3,) or not 0.0 < norm < np.inf:
         raise InvalidParameterError("axis must be a non-zero, finite 3-vector, got %r" % (axis,))
@@ -132,8 +132,8 @@ def rotation_matrix(axis, angle):
 def fundamental_from_motion(rotation, translation):
     """Fundamental matrix of one rigid motion under the unit pinhole
     camera: cross(t) @ R, satisfying x2_h^T F x1_h = 0."""
-    t = np.asarray(translation, dtype=float)
-    return _cross_matrix(t) @ np.asarray(rotation, dtype=float)
+    return (_cross_matrix(_reals(translation, "translation", InvalidParameterError))
+            @ _reals(rotation, "rotation", InvalidParameterError))
 
 
 def _sample_body(rng, n_points, coplanar, max_retries):
@@ -222,7 +222,7 @@ def misclassification_rate(pred_labels, true_labels):
     so this is the misclassification rate of retained true inliers.
     Exhaustive permutation matching; supports at most 6 clusters.
     """
-    true = _labels(true_labels, np.size(true_labels), rejects=True)
+    true = _labels(true_labels, rejects=True)
     pred = _labels(pred_labels, true.size, rejects=True)
     mask = (pred >= 0) & (true >= 0)
     p, t = pred[mask], true[mask]

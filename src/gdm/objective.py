@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _count, _labels, _real, _validate_data
+from ._checks import _count, _labels, _real, _reals, _validate_data
 from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms, _power_sums
 from .exceptions import DegenerateClusterError, InvalidInputError, InvalidParameterError
 
@@ -90,18 +90,16 @@ def validate_membership(m, tol=1e-10):
 
 
 def _validate_weights(m):
-    """Shape and finiteness checks only.
+    """Shape and finiteness checks only: a 2-d matrix of at least one row.
 
     The objective and its gradient are smooth functions of arbitrary
     weight matrices (that is what makes finite differencing them
     meaningful); the simplex constraint is enforced by the optimizer,
     not here.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise InvalidInputError("membership must be a 2-d matrix")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("membership entries must be finite")
+    m = _reals(m, "membership entries")
+    if m.ndim != 2 or m.shape[0] == 0:
+        raise InvalidInputError("membership must be a 2-d matrix with at least one row")
     return m
 
 
@@ -294,11 +292,18 @@ def _validate_soft(a, m, outlier, eps, on_degenerate):
     return a, m
 
 
+def _checked_soft(a, m, params, outlier, on_degenerate, want_grad):
+    """One membership's value (a float) or, if want_grad, gradient, after
+    checking the arguments; params None means ObjectiveParams()."""
+    params = params or ObjectiveParams()
+    a, m = _validate_soft(a, m, outlier, params.eps, on_degenerate)
+    values, grads = value_and_gradient(a, m[None], params, outlier, on_degenerate, want_grad)
+    return grads[0] if want_grad else float(values[0])
+
+
 def global_dimension_soft(a, m, params=None, on_degenerate="raise"):
     """Global dimension of a soft partition (membership matrix)."""
-    params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, False, params.eps, on_degenerate)
-    return float(value_and_gradient(a, m[None], params, False, on_degenerate, False)[0][0])
+    return _checked_soft(a, m, params, False, on_degenerate, False)
 
 
 def gd_gradient(a, m, params=None, on_degenerate="raise"):
@@ -308,9 +313,7 @@ def gd_gradient(a, m, params=None, on_degenerate="raise"):
     have a nonzero spectrum unless on_degenerate='zero', in which case
     degenerate clusters get zero rows.
     """
-    params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, False, params.eps, on_degenerate)
-    return value_and_gradient(a, m[None], params, False, on_degenerate, True)[1][0]
+    return _checked_soft(a, m, params, False, on_degenerate, True)
 
 
 def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
@@ -320,9 +323,7 @@ def global_dimension_outlier(a, m, params=None, on_degenerate="raise"):
     alpha / 2 * sum(M[0]^2), and rows 1..K contribute their empirical
     dimensions through the usual p-norm.
     """
-    params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, True, params.eps, on_degenerate)
-    return float(value_and_gradient(a, m[None], params, True, on_degenerate, False)[0][0])
+    return _checked_soft(a, m, params, True, on_degenerate, False)
 
 
 def gd_gradient_outlier(a, m, params=None, on_degenerate="raise"):
@@ -332,6 +333,4 @@ def gd_gradient_outlier(a, m, params=None, on_degenerate="raise"):
     the same structure as the classic gradient with the p-norm taken
     over the K true clusters.
     """
-    params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, True, params.eps, on_degenerate)
-    return value_and_gradient(a, m[None], params, True, on_degenerate, True)[1][0]
+    return _checked_soft(a, m, params, True, on_degenerate, True)

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._checks import _count, _finite_power, _labels, _real, _validate_data
+from ._checks import _count, _finite_power, _labels, _real, _reals, _validate_data
 from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
@@ -144,7 +144,7 @@ def project_simplex(v):
 
     Returns the closest point of {w : w >= 0, sum(w) = 1}. Idempotent.
     """
-    v = np.asarray(v, dtype=float)
+    v = _reals(v, "vector entries")
     if v.ndim != 1 or v.size == 0:
         raise InvalidInputError("expected a nonempty vector")
     return project_columns(v[:, None])[:, 0]
@@ -154,11 +154,9 @@ def project_columns(m):
     """Project every column of a K x N matrix, or of each matrix in a
     stack of them (..., K, N), onto the simplex. The matrices must be
     nonempty and finite."""
-    m = np.asarray(m, dtype=float)
+    m = _reals(m, "matrix entries")
     if m.ndim < 2 or m.size == 0:
         raise InvalidInputError("expected a nonempty K x N matrix or a stack of them")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("entries must be finite")
     k = m.shape[-2]
     u = -np.sort(-m, axis=-2)
     css = np.cumsum(u, axis=-2)
@@ -175,7 +173,7 @@ def indicator_membership(labels, n_clusters):
     """0/1 membership matrix of a hard labeling, labels whole numbers in
     [0, n_clusters)."""
     n_clusters = _count(n_clusters, "n_clusters", 0)
-    labels = _labels(labels, np.size(labels), n_clusters)
+    labels = _labels(labels, n_clusters=n_clusters)
     m = np.zeros((n_clusters, labels.size))
     m[labels, np.arange(labels.size)] = 1.0
     return m

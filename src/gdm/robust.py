@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _count, _real, _validate_data, _whole_numbers
+from ._checks import _count, _real, _reals, _validate_data, _whole_numbers
 from .dimension import empirical_dimension
 from .exceptions import (
     DegenerateClusterError,
@@ -166,11 +166,9 @@ def fit_cluster_subspace(points, eps=0.35):
     to [1, min(D, N_k)]; the basis holds the leading left singular
     vectors.
     """
-    points = np.asarray(points, dtype=float)
+    points = _reals(points, "cluster points")
     if points.ndim != 2 or points.shape[0] == 0:
         raise InvalidInputError("cluster points must be a D x N matrix with D >= 1")
-    if not np.all(np.isfinite(points)):
-        raise InvalidInputError("cluster points must be finite")
     if points.shape[1] == 0:
         raise DegenerateClusterError("cannot fit a subspace to an empty cluster")
     u, s, _ = np.linalg.svd(points, full_matrices=False)

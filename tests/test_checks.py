@@ -1,6 +1,6 @@
-"""Every public entry point applies one rule to its data matrix, one to
-its integer arguments, one to its label vectors and one to its
-real-valued parameters."""
+"""Every public entry point applies one rule to its array arguments, one
+to its data matrix, one to its integer arguments, one to its label
+vectors and one to its real-valued parameters."""
 
 import dataclasses
 
@@ -11,32 +11,46 @@ from gdm import (
     GdmConfig,
     GdmError,
     InvalidInputError,
+    InvalidParameterError,
     ObjectiveParams,
     OutlierConfig,
     SyntheticSpec,
     batch_empirical_dimension,
     descend,
+    embed_dataset,
+    embed_linear,
+    embed_nonlinear,
     empirical_dimension,
     fit_cluster_subspace,
+    fundamental_from_motion,
+    gd_gradient,
+    gd_gradient_outlier,
     gdm,
     gdm_naive,
     gdm_outlier_core,
     genetic_refine,
     global_dimension_hard,
+    global_dimension_outlier,
+    global_dimension_soft,
     greedy_merge_init,
     hard_cluster_dims,
     indicator_membership,
     known_fraction,
     misclassification_rate,
     model_reassign,
+    normalize_views,
     numerical_rank,
     p_lower_bound,
+    project_columns,
+    project_simplex,
     reassignment_distances,
     roc_sweep,
     rotation_matrix,
     sample_subspace_mixture,
     sample_two_view_scene,
     scaled_cluster_matrix,
+    singular_values,
+    threshold,
     tpr_fpr,
     validate_membership,
 )
@@ -101,6 +115,9 @@ BAD_LABELS = {
     "fraction": [0, 0, 1, 0.5],
     "2-d": [[0, 0], [1, 1]],
     "out_of_range": [0, 0, 1, 2],
+    "text": ["0", "0", "1", "1"],
+    "ragged": [[0, 0], [1]],
+    "complex": [0, 0, 1, 1 + 0j],
 }
 # Without a cluster count there is no upper end to leave.
 UNBOUNDED = {"global_dimension_hard.default_clusters", "misclassification_rate"}
@@ -237,6 +254,10 @@ BAD_DATA = {
     "no_columns": (np.zeros((9, 0)), "D x N matrix with N >= 1"),
     "no_rows": (np.zeros((0, 6)), "D x N matrix with N >= 1"),
     "1-d": (np.ones(MIXTURE.shape[1]), "D x N matrix with N >= 1"),
+    "text": (MIXTURE.astype(str), "data entries must be real numbers"),
+    "ragged": (MIXTURE.tolist()[:-1] + [MIXTURE[-1, :-1].tolist()],
+               "data entries must be real numbers"),
+    "complex": (MIXTURE + 0j, "data entries must be real numbers"),
 }
 
 
@@ -244,5 +265,72 @@ BAD_DATA = {
 @pytest.mark.parametrize("function", DATA_FUNCTIONS)
 def test_data_matrices_follow_one_rule(function, bad):
     a, message = BAD_DATA[bad]
+    n = MIXTURE.shape[1] if isinstance(a, list) else a.shape[-1]
     with pytest.raises(InvalidInputError, match=message):
-        DATA_FUNCTIONS[function](a, a.shape[-1])
+        DATA_FUNCTIONS[function](a, n)
+
+
+# name: call with a membership of DATA's 4 columns
+MEMBERSHIP_FUNCTIONS = {
+    "threshold": threshold,
+    "descend": lambda m: descend(DATA, m, CFG),
+    "validate_membership": validate_membership,
+    "scaled_cluster_matrix": lambda m: scaled_cluster_matrix(DATA, m, 0),
+    "global_dimension_soft": lambda m: global_dimension_soft(DATA, m),
+    "gd_gradient": lambda m: gd_gradient(DATA, m),
+    "global_dimension_outlier": lambda m: global_dimension_outlier(DATA, m),
+    "gd_gradient_outlier": lambda m: gd_gradient_outlier(DATA, m),
+}
+BAD_MEMBERSHIPS = {
+    "no_rows": (np.zeros((0, 4)), "membership must be a 2-d matrix with at least one row"),
+    "text": (np.full((2, 4), "0.5"), "membership entries must be real numbers"),
+    "complex": (np.full((2, 4), 0.5 + 0j), "membership entries must be real numbers"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MEMBERSHIPS)
+@pytest.mark.parametrize("function", MEMBERSHIP_FUNCTIONS)
+def test_memberships_follow_one_rule(function, bad):
+    m, message = BAD_MEMBERSHIPS[bad]
+    with pytest.raises(InvalidInputError, match=message):
+        MEMBERSHIP_FUNCTIONS[function](m)
+    MEMBERSHIP_FUNCTIONS[function](np.full((2, 4), 0.5))
+
+
+COORDS = np.arange(12.0).reshape(3, 4) ** 1.5
+
+# name: (call with the argument, an accepted value, the error a bad value raises)
+ARRAY_ARGS = {
+    "singular_values": (singular_values, DATA, InvalidInputError),
+    "numerical_rank": (numerical_rank, SPECTRUM, InvalidInputError),
+    "empirical_dimension": (empirical_dimension, SPECTRUM, InvalidInputError),
+    "batch_empirical_dimension": (batch_empirical_dimension, [SPECTRUM], InvalidInputError),
+    "embed_nonlinear": (embed_nonlinear, COORDS[0], InvalidInputError),
+    "embed_linear": (embed_linear, COORDS[0], InvalidInputError),
+    "normalize_views": (normalize_views, COORDS, InvalidInputError),
+    "embed_dataset": (embed_dataset, COORDS, InvalidInputError),
+    "project_simplex": (project_simplex, [0.2, 0.9], InvalidInputError),
+    "project_columns": (project_columns, np.full((2, 3), 0.7), InvalidInputError),
+    "fit_cluster_subspace": (fit_cluster_subspace, DATA, InvalidInputError),
+    "tpr_fpr": (lambda v: tpr_fpr(v, [1], 4), [0, 2], InvalidInputError),
+    "rotation_matrix.axis": (lambda v: rotation_matrix(v, 0.3), [0.0, 0.6, 0.8],
+                             InvalidParameterError),
+    "fundamental_from_motion.rotation": (lambda v: fundamental_from_motion(v, [1.0, 0.0, 0.0]),
+                                         np.eye(3), InvalidParameterError),
+    "fundamental_from_motion.translation": (
+        lambda v: fundamental_from_motion(np.eye(3), v), [1.0, 0.0, 0.0], InvalidParameterError),
+}
+BAD_ARRAYS = {
+    "text": lambda good: np.asarray(good).astype(str),
+    "ragged": lambda good: [[0.0, 1.0], [2.0]],
+    "complex": lambda good: np.asarray(good) + 0j,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ARRAYS)
+@pytest.mark.parametrize("function", ARRAY_ARGS)
+def test_array_arguments_follow_one_rule(function, bad):
+    call, good, error = ARRAY_ARGS[function]
+    with pytest.raises(error, match="must be real numbers in a regular array"):
+        call(BAD_ARRAYS[bad](good))
+    call(good)

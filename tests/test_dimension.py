@@ -185,3 +185,6 @@ def test_singular_values():
     np.testing.assert_array_equal(singular_values(np.zeros((4, 6))), np.zeros(4))
     with pytest.raises(InvalidInputError):
         singular_values([[1.0, np.nan]])
+    for below_2d in ([1.0, 2.0], 3.0):
+        with pytest.raises(InvalidInputError, match="expected a matrix"):
+            singular_values(below_2d)
