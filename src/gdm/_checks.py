@@ -17,16 +17,18 @@ import numpy as np
 from .exceptions import InvalidInputError, InvalidParameterError
 
 
-def _reals(values, name, error=InvalidInputError, whole=False):
+def _reals(values, name, error=InvalidInputError, whole=False, shape=None):
     """values as a float64 array (values itself when it already is one), or
     error unless numpy reads it as a regular array of bools, integers,
     floats or objects holding real numbers (not text, complex entries or
-    ragged nesting) whose entries are all finite.
+    ragged nesting) whose entries are all finite, of the given shape when
+    one is given.
 
     With whole, each entry must instead be a whole number in the int64
     range (an integer, or a finite float with no fraction), and the array
-    comes back as int64. Unsigned entries are compared as integers, since
-    a float comparison would round 2**63 - 1 up to 2**63.
+    comes back as int64. Entries not already int64 are tested one at a
+    time, through int(), which is exact: a float comparison would round
+    2**63 - 1, unsigned or a Python int, up to 2**63.
     """
     try:
         values = np.asarray(values)
@@ -36,16 +38,17 @@ def _reals(values, name, error=InvalidInputError, whole=False):
     if kind not in "biufO" or kind == "O" and not all(
             isinstance(v, (numbers.Real, np.bool_)) for v in values.flat):
         raise error("%s must be real numbers in a regular array" % name)
+    if shape is not None and values.shape != shape:
+        raise error("%s must have shape %s, got %s" % (name, shape, values.shape))
     try:
         floats = values.astype(float, copy=False)
     except OverflowError:  # a Python int beyond the float range
         floats = np.array(np.nan)
     if not whole:
         ok = np.all(np.isfinite(floats))
-    elif kind in "iu":
-        ok = kind == "i" or np.all(values <= np.uint64(2**63 - 1))
     else:
-        ok = np.all((floats == np.round(floats)) & (-2.0**63 <= floats) & (floats < 2.0**63))
+        ok = kind == "i" or np.all(np.isfinite(floats)) and all(
+            v % 1 == 0 and -2**63 <= int(v) < 2**63 for v in values.flat)
     if not ok:
         raise error("%s must be %s" % (name, "whole numbers" if whole else "finite"))
     return values.astype(int) if whole else floats

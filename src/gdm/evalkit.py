@@ -121,9 +121,9 @@ def _cross_matrix(v):
 def rotation_matrix(axis, angle):
     """Rotation by a finite angle around a (non-zero) axis, via Rodrigues."""
     _real(angle, "angle", -np.inf, np.inf, "()")
-    axis = _reals(axis, "axis", InvalidParameterError)
+    axis = _reals(axis, "axis", InvalidParameterError, shape=(3,))
     norm = np.linalg.norm(axis)
-    if axis.shape != (3,) or not 0.0 < norm < np.inf:
+    if not 0.0 < norm < np.inf:
         raise InvalidParameterError("axis must be a non-zero, finite 3-vector, got %r" % (axis,))
     k = _cross_matrix(axis / norm)
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
@@ -131,9 +131,10 @@ def rotation_matrix(axis, angle):
 
 def fundamental_from_motion(rotation, translation):
     """Fundamental matrix of one rigid motion under the unit pinhole
-    camera: cross(t) @ R, satisfying x2_h^T F x1_h = 0."""
-    return (_cross_matrix(_reals(translation, "translation", InvalidParameterError))
-            @ _reals(rotation, "rotation", InvalidParameterError))
+    camera: cross(t) @ R, satisfying x2_h^T F x1_h = 0. The rotation
+    must be a 3 x 3 matrix and the translation a 3-vector."""
+    return (_cross_matrix(_reals(translation, "translation", InvalidParameterError, shape=(3,)))
+            @ _reals(rotation, "rotation", InvalidParameterError, shape=(3, 3)))
 
 
 def _sample_body(rng, n_points, coplanar, max_retries):

@@ -218,7 +218,7 @@ def _point_grams(a):
 # singular value. Let A be a candidate cluster's rescaled D x n block
 # and Ghat its computed Gram: a sum of m rounded point outer products
 # fl(v v^T), one per member (refine subtracts or adds one more, the
-# moving point's), with mass = sum ||v||^2 over those terms, so
+# moving point's), and let mass = sum ||v||^2 over those terms, so
 # ||A||_2^2 <= mass.
 # - Recursive summation: |Ghat - A A^T| <= gamma_m sum |v||v|^T
 #   entrywise, gamma_m = m u / (1 - m u), so ||Ghat - A A^T||_2 <=
@@ -235,6 +235,11 @@ def _point_grams(a):
 # absorbs their constant factors and the O(u^2) terms; m * tiny covers
 # products and rescaled entries that underflow. Hence
 # sqrt(max(lam - E, 0)) <= s <= sqrt(lam + E).
+# Each screen reads mass off what it decomposes: the traces of its
+# computed Grams (refine adds the moving point's to its cluster's), or
+# the squared Frobenius norm of the union's block (the merge). Either is
+# a rounding of sum ||v||^2, within a relative (m + D) u of it, which
+# c = 8 absorbs too.
 _GRAM_ERROR_FACTOR = 8.0
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _TINY = np.finfo(float).tiny
@@ -285,12 +290,12 @@ _SCREEN_SLACK = 1e-9
 
 # The merge screen (_merge_init) bounds the merged dimension of a union of
 # m <= min(_SCREEN_POINTS, D) points from below with _dim_lower_bounds.
-# With V the union's rescaled D x m block and mass = sum ||v||^2 over its
-# points, the eigenvalues of its m x m Gram fl(V^T V), stored with D - m
-# zeros, stand for those of V V^T. Both they and the merge's own lam
-# carry the error above (the small Gram's entries sum D products), so the
-# margin is doubled: 2 c (m + D) (u mass + tiny). Point pairs take this
-# path too, the first time a round samples them.
+# With V the union's rescaled D x m block and mass its computed squared
+# Frobenius norm, the eigenvalues of its m x m Gram fl(V^T V), stored
+# with D - m zeros, stand for those of V V^T. Both they and the merge's
+# own lam carry the error above (the small Gram's entries sum D
+# products), so the margin is doubled: 2 c (m + D) (u mass + tiny).
+# Point pairs take this path too, the first time a round samples them.
 _SCREEN_POINTS = 4
 
 
@@ -379,9 +384,10 @@ def _merge_init(a, cfg, rngs):
     as one (R, C) array with one eigvalsh over every restart's cache
     misses, and commits each restart's own argmin. A restart keeps each
     set in the slot of its first point. Restart i's slot s is entry
-    i * N + s of the per-slot arrays. The partition is held as two
-    (R, N) arrays: alive[i, s] says whether slot s still holds a set,
-    and part[i, j] is the slot of point j's set. Each round decodes a
+    i * N + s of the per-slot arrays. The partition is held in count,
+    the per-slot point count of each set (0 once the set is absorbed, so
+    a slot is live while its count is not), and in the (R, N) array
+    part, part[i, j] the slot of point j's set. Each round decodes a
     restart's codes against its live slots in ascending order, so
     candidates have sa < sb, and the final labels number each restart's
     n_clusters live slots in that order.
@@ -418,19 +424,20 @@ def _merge_init(a, cfg, rngs):
     call's memory: O(N D(D+1)/4 + C^2).
 
     Most misses are unions of a few points that lose their round, so a
-    screen spares their D x D eigendecompositions. Each slot keeps its
-    set's point count and, while it has at most _SCREEN_POINTS points,
-    its members, whose squared norms sum to its mass. A miss whose union
-    has m <= min(_SCREEN_POINTS, D) points gets a rigorous lower bound on
-    its merged dimension: the refine screen's _dim_lower_bounds on the
-    eigenvalues of the union's m x m Gram, stored after D - m zeros,
-    computed when a round first samples the union (a point pair's bound
-    goes to its shared entry, so every restart reuses it); hence a lower
-    bound, lower = bound**p * (1 - _SCREEN_SLACK) - dp[sa] - dp[sb], on
-    its score as computed (+inf for every other candidate). Each round
-    scores in two passes: the first scores exactly each restart's other
-    misses and its candidate of lowest bound, the second every candidate
-    whose bound does not exceed its restart's best exact score.
+    screen spares their D x D eigendecompositions. While a slot's set has
+    at most _SCREEN_POINTS points, the slot keeps its members. A miss
+    whose union has m <= min(_SCREEN_POINTS, D) points gets a rigorous
+    lower bound on its merged dimension: the refine screen's
+    _dim_lower_bounds on the eigenvalues of the union's m x m Gram,
+    stored after D - m zeros, with the mass of its error term read off
+    the union's block, computed when a round first samples the union (a
+    point pair's bound goes to its shared entry, so every restart reuses
+    it); hence a lower bound, lower = bound**p * (1 - _SCREEN_SLACK) -
+    dp[sa] - dp[sb], on its score as computed (+inf for every other
+    candidate). Each round scores in two passes: the first scores
+    exactly each restart's other misses and its candidate of lowest
+    bound, the second every candidate whose bound does not exceed its
+    restart's best exact score.
     The rest score +inf: their exact scores would exceed the minimum, so
     argmin and its tie rule pick the same pair and every cached dimension
     is still a fresh eigendecomposition's. A bound stays in value until
@@ -459,8 +466,6 @@ def _merge_init(a, cfg, rngs):
     # Index N is a zero point that pads a union's members.
     cols = np.zeros((n + 1, d))
     cols[:n] = np.ldexp(a, -exp).T
-    sq_norms = np.zeros(n + 1)
-    sq_norms[:n] = np.einsum("nii->n", points)
     del points
     # The point pairs, restart i's triangle at n_pairs + i * n_late, and
     # one last entry that every uncached pair reads, reset every round.
@@ -476,10 +481,9 @@ def _merge_init(a, cfg, rngs):
     members[:, 0] = np.tile(np.arange(n), r)
     # A singleton has dimension 1 unless the point is exactly zero.
     dp = np.tile(np.any(a != 0.0, axis=0).astype(float) ** cfg.p, r)
-    alive = np.ones((r, n), dtype=bool)
     part = np.tile(np.arange(n), (r, 1))
     for m_sets in range(n, cfg.n_clusters, -1):
-        live = np.nonzero(alive)[1].reshape(r, m_sets)
+        live = np.nonzero(count.reshape(r, n))[1].reshape(r, m_sets)
         if m_sets == late:
             late_slots = live + base
             compact[late_slots] = np.arange(late)
@@ -509,7 +513,7 @@ def _merge_init(a, cfg, rngs):
                             axis=1)[:, :limit]
             v = cols[union]
             err = (2.0 * _GRAM_ERROR_FACTOR * (size.ravel()[fresh] + d)) * (
-                _UNIT_ROUNDOFF * sq_norms[union].sum(axis=1) + _TINY)
+                _UNIT_ROUNDOFF * np.einsum("fij,fij->f", v, v) + _TINY)
             evals = np.zeros((fresh.size, d))
             evals[:, d - limit :] = np.linalg.eigvalsh(v @ v.transpose(0, 2, 1))
             held.ravel()[fresh] = value[at.ravel()[fresh]] = _dim_lower_bounds(
@@ -545,8 +549,7 @@ def _merge_init(a, cfg, rngs):
         # Members of a set beyond limit points are never read again.
         members[x] = np.sort(np.concatenate([members[x], members[y]], axis=1),
                              axis=1)[:, :limit]
-        count[x] = cx + cy
-        alive.ravel()[y] = False
+        count[x], count[y] = cx + cy, 0
         np.copyto(part, x[:, None] - base, where=part == y[:, None] - base)
         if caching:
             # Row i of other lists every compact index but that of
@@ -559,7 +562,7 @@ def _merge_init(a, cfg, rngs):
         for slot, dim in zip(x.tolist(), merged_dims.ravel()[pick].tolist()):
             # A scalar power (libm pow), as a lone restart computes it.
             dp[slot] = dim**cfg.p
-    live = np.nonzero(alive)[1].reshape(r, cfg.n_clusters)
+    live = np.nonzero(count.reshape(r, n))[1].reshape(r, cfg.n_clusters)
     return [np.searchsorted(slots, labels) for slots, labels in zip(live, part)]
 
 
@@ -627,16 +630,16 @@ def threshold(m):
 _FIRST_BLOCK = 8
 
 
-def _screen_moves(req, idx, labels, dims, grams, sizes, mass, point_grams, sq_norms,
-                  exp, cfg):
+def _screen_moves(req, idx, labels, dims, grams, sizes, point_grams, exp, cfg):
     """For row i, point idx[i] of restart req[i], True when no single
     move of it can lower that restart's hard global dimension below
     pnorm(dims[req[i]]) by the SVD path.
 
-    labels, dims, grams, sizes and mass hold one row per restart; a
-    cluster's Gram is the sum of its members' point Grams. Each row's
-    point needs its cluster's Gram minus v v^T and every other cluster's
-    Gram plus v v^T. Each candidate partition's GD is bounded
+    labels, dims, grams and sizes hold one row per restart; a cluster's
+    Gram is the sum of its members' point Grams. Each row's point needs
+    its cluster's Gram minus v v^T and every other cluster's Gram plus
+    v v^T, whose error term takes as mass the trace of the cluster's Gram
+    plus that of v v^T. Each candidate partition's GD is bounded
     from below with _dim_lower_bounds, the merge screen's bound kernel,
     in pieces of at most N Grams per batched eigvalsh, as _merged_dims
     decomposes; a point is cleared only when every bound reaches
@@ -647,7 +650,7 @@ def _screen_moves(req, idx, labels, dims, grams, sizes, mass, point_grams, sq_no
     rows = np.arange(b)
     src = labels[req, idx]
     count = sizes[req] + 1.0
-    total = mass[req] + sq_norms[idx, None]
+    total = np.einsum("rkii->rk", grams)[req] + np.einsum("nii->n", point_grams)[idx, None]
     err = _GRAM_ERROR_FACTOR * ((count + d) * _UNIT_ROUNDOFF * total + count * _TINY)
     dim_lo = np.empty((b, k_total))
     piece = max(1, labels.shape[1] // k_total)
@@ -668,11 +671,11 @@ def _screen_moves(req, idx, labels, dims, grams, sizes, mass, point_grams, sq_no
     return np.all(gd_lo >= pnorm(cur, cfg.p)[:, None] * (1.0 + _SCREEN_SLACK), axis=1)
 
 
-def _refine_restart(a, labels, dims, grams, sizes, mass, point_grams, sq_norms, cfg):
+def _refine_restart(a, labels, dims, grams, sizes, point_grams, cfg):
     """Greedy passes of one restart, in place on its rows of the wave's
-    labels, dims, grams, sizes and mass. The last three are rebuilt from
-    labels before a block is chosen whenever a move has been accepted
-    since they were last built, rather than updated move by move.
+    labels, dims, grams and sizes. The last two are rebuilt from labels
+    before a block is chosen whenever a move has been accepted since
+    they were last built, rather than updated move by move.
 
     A generator: it yields the points it needs screened, in index order,
     and is sent one screen result per point. A point is settled while no
@@ -695,7 +698,6 @@ def _refine_restart(a, labels, dims, grams, sizes, mass, point_grams, sq_norms, 
                 sizes[:] = np.bincount(labels, minlength=k_total)
                 grams[:] = np.tensordot(indicator_membership(labels, k_total), point_grams,
                                         axes=1)
-                mass[:] = np.bincount(labels, weights=sq_norms, minlength=k_total)
                 built = moves
             # A point alone in its cluster cannot move.
             block = j + np.flatnonzero((settled[j:] != moves) & (sizes[labels[j:]] > 1))[:width]
@@ -758,22 +760,18 @@ def _refine_wave(a, starts, cfg):
     dims = np.array([hard_cluster_dims(a, row, k_total, cfg.eps, on_degenerate="zero")
                      for row in labels])
     point_grams, exp = _point_grams(a)
-    sq_norms = np.einsum("nii->n", point_grams)
     grams = np.empty((r, k_total, d, d))
     sizes = np.empty((r, k_total), dtype=int)
-    mass = np.empty((r, k_total))
     waiting = []
     for i in range(r):
-        restart = _refine_restart(a, labels[i], dims[i], grams[i], sizes[i], mass[i],
-                                  point_grams, sq_norms, cfg)
+        restart = _refine_restart(a, labels[i], dims[i], grams[i], sizes[i], point_grams, cfg)
         block = next(restart, None)
         if block is not None:
             waiting.append((i, restart, block))
     while waiting:
         req = np.concatenate([np.full(block.size, i) for i, _, block in waiting])
         idx = np.concatenate([block for _, _, block in waiting])
-        skip = _screen_moves(req, idx, labels, dims, grams, sizes, mass, point_grams,
-                             sq_norms, exp, cfg)
+        skip = _screen_moves(req, idx, labels, dims, grams, sizes, point_grams, exp, cfg)
         step, first = [], 0
         for i, restart, block in waiting:
             try:

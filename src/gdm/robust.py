@@ -22,14 +22,15 @@ np.flatnonzero(labels < 0).
 model_reassign, roc_sweep, reassignment_distances and
 segment_with_outliers all run known_fraction. It remembers its last
 seeded call: a call that repeats that call's data (bit for bit),
-config, number of rejects and alpha returns copies of its result
-instead of segmenting again, so a ROC sweep of the data a
+config, number of rejects and alpha returns a deep copy of its
+result instead of segmenting again, so a ROC sweep of the data a
 model_reassign just segmented costs one segmentation, not two. No
 result changes, and a call with cfg.seed None always segments anew.
 """
 
+import copy
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -108,15 +109,6 @@ def gdm_outlier_core(a, cfg, alpha=0.01):
     return ms[int(np.argmin([trace[-1] for trace in traces]))]
 
 
-def _copy_arrays(result):
-    """The result with a fresh copy of every array field."""
-    return replace(result, **{
-        f.name: getattr(result, f.name).copy()
-        for f in fields(result)
-        if isinstance(getattr(result, f.name), np.ndarray)
-    })
-
-
 def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
     """Reject a preset fraction of the data ranked by outlier-row mass,
     then re-segment the survivors with the classic pipeline.
@@ -124,8 +116,8 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
     The rerun is cold started (fresh restarts on the survivor set) so
     results are deterministic given cfg.seed. A seeded call that repeats
     the last seeded call's data (bit for bit), cfg, number of rejects
-    and alpha returns copies of that call's result without segmenting
-    again; the result is the one a fresh computation gives.
+    and alpha returns a deep copy of that call's result without
+    segmenting again; the result is the one a fresh computation gives.
     """
     global _last_known_fraction
     a = _validate_data(a)
@@ -144,7 +136,7 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
     if last is None or last[0] != key:
         last = (key, _known_fraction(a, cfg, n_out, alpha))
         _last_known_fraction = last
-    return _copy_arrays(last[1])
+    return copy.deepcopy(last[1])
 
 
 def _known_fraction(a, cfg, n_out, alpha):

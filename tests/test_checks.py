@@ -118,6 +118,10 @@ BAD_LABELS = {
     "text": ["0", "0", "1", "1"],
     "ragged": [[0, 0], [1]],
     "complex": [0, 0, 1, 1 + 0j],
+    # Python ints just outside the int64 range; as floats the first rounds
+    # to 2**63 and the second to -2**63, which is a label.
+    "object_2**63": np.array([0, 0, 1, 2**63], dtype=object),
+    "object_-2**63-1": np.array([0, 0, 1, -2**63 - 1], dtype=object),
 }
 # Without a cluster count there is no upper end to leave.
 UNBOUNDED = {"global_dimension_hard.default_clusters", "misclassification_rate"}
@@ -131,6 +135,14 @@ def test_label_vectors_follow_one_rule(function, bad):
         with pytest.raises(GdmError):
             call(BAD_LABELS[bad])
     call([0.0, 0.0, 1.0, 1.0])
+
+
+def test_object_labels_are_exact_at_the_int64_ends():
+    # 2**63 - 1 as a Python int lies in the int64 range, though as a float
+    # it would round up to 2**63; -2**63 marks a reject.
+    top = np.array([2**63 - 1, 0], dtype=object)
+    assert misclassification_rate(top, [0, 0]) == 50.0
+    assert misclassification_rate(np.array([-2**63, 0], dtype=object), [1, 0]) == 0.0
 
 
 MIXTURE = sample_subspace_mixture(
@@ -334,3 +346,18 @@ def test_array_arguments_follow_one_rule(function, bad):
     with pytest.raises(error, match="must be real numbers in a regular array"):
         call(BAD_ARRAYS[bad](good))
     call(good)
+
+
+# name: (rotation, translation, the argument the error names)
+BAD_MOTIONS = {
+    "short_translation": (np.eye(3), [1.0, 2.0], "translation"),
+    "2x2_rotation": (np.eye(2), [1.0, 2.0, 3.0], "rotation"),
+    "3x3x1_rotation": (np.eye(3)[:, :, None], [1.0, 2.0, 3.0], "rotation"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MOTIONS)
+def test_motions_are_a_3x3_rotation_and_a_3_vector(bad):
+    rotation, translation, name = BAD_MOTIONS[bad]
+    with pytest.raises(InvalidParameterError, match="%s must have shape" % name):
+        fundamental_from_motion(rotation, translation)
