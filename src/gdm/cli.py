@@ -55,10 +55,10 @@ def _as_label(value, path, lineno):
 
 def _data_lines(path):
     """(line number, stripped line) of each line of path that is neither
-    blank nor a ``#`` comment; a file that cannot be read as text is a
-    ParseError."""
+    blank nor a ``#`` comment, after any UTF-8 byte-order mark; a file
+    that cannot be read as text is a ParseError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if line and not line.startswith("#"):

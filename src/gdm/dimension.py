@@ -11,12 +11,16 @@ It is invariant to scaling and rotation, never exceeds the true
 dimension of the span, and converges to it for spherically symmetric
 samples. eps = 1 degenerates to the effective rank ||sigma||_1 / max(sigma).
 
-This module is the one place where spectra become dimensions: the public
-estimators, the objective's per-cluster dimensions and gradient, the
-merge's dimensions, and optimizer._dim_lower_bounds, the one
-lower-bound kernel of both Gram screens (merge init and refine), all
-take their two norms from _power_norms, so the normalisation and the
-zero tolerance live here.
+This module is the one place where spectra become dimensions. _dims is
+the one ratio rule: the public estimators, the objective's per-cluster
+dimensions, the merge's dimensions and optimizer._dim_lower_bounds, the
+one lower-bound kernel of both Gram screens (merge init and refine),
+all take their dimensions from it, and value_and_gradient, which also
+needs both norms for its gradient, takes their sums from _power_sums.
+So the normalisation, the zero tolerance and the dimension 0 of an
+all-zero spectrum live here. _degenerate is the one degenerate floor:
+it marks the cluster matrices whose top singular value is at most
+DEGENERATE_SMAX, for the objective and both screens.
 """
 
 import math
@@ -25,6 +29,7 @@ import numpy as np
 
 from ._checks import _count, _finite_power, _real, _reals
 from .exceptions import (
+    DegenerateClusterError,
     DegenerateSpectrumError,
     InvalidInputError,
     InvalidParameterError,
@@ -92,17 +97,30 @@ def _check_eps(eps, d):
         )
 
 
+def _degenerate(smax, on_degenerate="zero"):
+    """Mask of the top singular values smax that are at most DEGENERATE_SMAX
+    (or NaN): cluster matrices treated as empty, of dimension 0. Raises
+    DegenerateClusterError where the mask holds unless on_degenerate is
+    'zero'."""
+    degenerate = ~(smax > DEGENERATE_SMAX)
+    if on_degenerate != "zero" and degenerate.any():
+        raise DegenerateClusterError("cluster is empty or identically zero")
+    return degenerate
+
+
 def _power_sums(s, eps, upper=None):
     """(sum sn**eps, sum un**delta) along the last axis, delta = eps / (1 - eps):
-    the two norms of _power_norms before their roots.
+    the two norms of _dims before their roots.
 
     sn and un are s and upper (s when upper is None) divided by the
     largest entry of upper, with entries of sn below RELATIVE_ZERO_TOL
-    zeroed. eps = 1 gives (sum sn, None).
+    zeroed; a spectrum whose top is zero is divided by 1 and keeps sums
+    0. eps = 1 gives (sum sn, None).
     """
     # Scale invariance lets us normalize by the largest value, which
     # keeps the p-th powers bounded for any eps.
     top = (s if upper is None else upper).max(axis=-1, keepdims=True)
+    top = np.where(top > 0.0, top, 1.0)
     sn = s / top
     sn[sn < RELATIVE_ZERO_TOL] = 0.0
     if eps == 1.0:
@@ -112,22 +130,27 @@ def _power_sums(s, eps, upper=None):
     return (sn**eps).sum(axis=-1), (un**delta).sum(axis=-1)
 
 
-def _power_norms(s, eps, upper=None):
-    """(||s||_eps, ||upper||_delta) along the last axis, delta = eps / (1 - eps).
+def _dims(s, eps, upper=None):
+    """Empirical dimensions ||s||_eps / ||upper||_delta along the last axis,
+    delta = eps / (1 - eps), with upper = s when it is None.
 
-    Both spectra are first divided by the largest entry of upper (of s
-    when upper is None), and entries of s below RELATIVE_ZERO_TOL after
-    that are zeroed. eps = 1 gives (||s||_1, ||upper||_inf = 1). A 1-d
-    spectrum gives Python floats: its roots are scalar powers, whose last
-    bit can differ from the array powers a stack of spectra gets.
+    Both spectra are first divided by the largest entry of upper, and
+    entries of s below RELATIVE_ZERO_TOL after that are zeroed. eps = 1
+    gives ||s||_1 / ||upper||_inf. A spectrum whose top is zero gets 0.
+    A 1-d spectrum gives a Python float: its roots are scalar powers,
+    whose last bit can differ from the array powers a stack of spectra
+    gets.
     """
     num, den = _power_sums(s, eps, upper)
-    if eps == 1.0:
-        return (float(num) if s.ndim == 1 else num), 1.0
-    if s.ndim == 1:
-        num, den = float(num), float(den)
-    delta = eps / (1.0 - eps)
-    return num ** (1.0 / eps), den ** (1.0 / delta)
+    if eps < 1.0:
+        # A live spectrum's top adds exactly 1 to den, so den >= 1 there;
+        # a zero spectrum has sums 0 and gets 0 / 1.
+        den = np.maximum(den, 1.0)
+        if s.ndim == 1:
+            num, den = float(num), float(den)
+        delta = eps / (1.0 - eps)
+        num = num ** (1.0 / eps) / den ** (1.0 / delta)
+    return float(num) if s.ndim == 1 else num
 
 
 def empirical_dimension(sigma, eps=0.35):
@@ -150,8 +173,7 @@ def empirical_dimension(sigma, eps=0.35):
     _check_eps(eps, sigma.size)
     if sigma.max() <= 0.0:
         raise DegenerateSpectrumError("all singular values are zero")
-    num, den = _power_norms(sigma, eps)
-    return num / den
+    return _dims(sigma, eps)
 
 
 def batch_empirical_dimension(sigmas, eps=0.35):
@@ -162,12 +184,7 @@ def batch_empirical_dimension(sigmas, eps=0.35):
     """
     sigmas = _spectra(sigmas, 2)
     _check_eps(eps, sigmas.shape[1])
-    ok = sigmas.max(axis=1) > 0.0
-    dims = np.zeros(sigmas.shape[0])
-    if np.any(ok):
-        num, den = _power_norms(sigmas[ok], eps)
-        dims[ok] = num / den
-    return dims
+    return _dims(sigmas, eps)
 
 
 def p_lower_bound(n_clusters, d):

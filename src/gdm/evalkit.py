@@ -16,6 +16,24 @@ from .robust import reassignment_distances, tpr_fpr
 _MIN_DEPTH = 0.5
 
 
+def _per_group(value, name, n_groups=None, low=None, high=None):
+    """value as a tuple of ints, each checked by _count: a sequence of one
+    per group (of n_groups entries when n_groups is given), or, when
+    n_groups is given, also one integer for every group. Anything else is
+    an InvalidParameterError naming the argument."""
+    if n_groups is not None and np.isscalar(value):
+        return (_count(value, name, low, high),) * n_groups
+    try:
+        counts = tuple(_count(c, name, low, high) for c in value)
+    except TypeError:  # not iterable, as a 0-d array is not
+        raise InvalidParameterError("%s must be a sequence of integers%s, got %r" % (
+            name, "" if n_groups is None else " or one integer", value))
+    if n_groups is not None and len(counts) != n_groups:
+        raise InvalidParameterError("%s length must be %d, one per group, got %d"
+                                    % (name, n_groups, len(counts)))
+    return counts
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Layout of a planted union-of-subspaces data set.
@@ -37,23 +55,18 @@ class SyntheticSpec:
 
     def __post_init__(self):
         ambient = _count(self.ambient, "ambient")
-        dims = tuple(_count(d, "dims", 1, ambient) for d in self.dims)
+        dims = _per_group(self.dims, "dims", low=1, high=ambient)
         object.__setattr__(self, "dims", dims)
         _count(self.outlier_count, "outlier_count", 0)
         if not dims:
             raise InvalidParameterError("need at least one cluster")
-        counts = self.counts()
-        if len(counts) != len(dims):
-            raise InvalidParameterError("points_per_cluster length must match dims")
-        if any(c < d + 1 for d, c in zip(dims, counts)):
+        if any(c < d + 1 for d, c in zip(dims, self.counts())):
             raise InvalidParameterError("each cluster needs at least dim + 1 points")
         _real(self.noise_sigma, "noise_sigma", 0.0, np.inf, "[)")
         _real(self.outlier_radius, "outlier_radius", 0.0, np.inf, "()")
 
     def counts(self):
-        if np.isscalar(self.points_per_cluster):
-            return (_count(self.points_per_cluster, "points_per_cluster"),) * len(self.dims)
-        return tuple(_count(c, "points_per_cluster") for c in self.points_per_cluster)
+        return _per_group(self.points_per_cluster, "points_per_cluster", len(self.dims))
 
 
 class SubspaceMixture(NamedTuple):
@@ -180,12 +193,7 @@ def sample_two_view_scene(n_bodies, points_per_body, noise_sigma=0.0,
     n_bodies = _count(n_bodies, "n_bodies", 1)
     n_outliers = _count(n_outliers, "n_outliers", 0)
     max_retries = _count(max_retries, "max_retries", 0)
-    if np.isscalar(points_per_body):
-        counts = [_count(points_per_body, "points_per_body", 1)] * n_bodies
-    else:
-        counts = [_count(c, "points_per_body", 1) for c in points_per_body]
-        if len(counts) != n_bodies:
-            raise InvalidParameterError("points_per_body length must match n_bodies")
+    counts = _per_group(points_per_body, "points_per_body", n_bodies, low=1)
     _real(noise_sigma, "noise_sigma", 0.0, np.inf, "[)")
     rng = np.random.default_rng(seed)
     rows = []

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import _count, _labels, _real, _reals, _validate_data
-from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms, _power_sums
-from .exceptions import DegenerateClusterError, InvalidInputError, InvalidParameterError
+from .dimension import _check_eps, _degenerate, _dims, _power_sums
+from .exceptions import InvalidInputError, InvalidParameterError
 
 # Relative floor applied to singular values inside the gradient's D_k
 # diagonal (bounded subgradient surrogate near the non-smooth set).
@@ -141,23 +141,10 @@ def _check_on_degenerate(on_degenerate):
             "on_degenerate must be 'raise' or 'zero', got %r" % (on_degenerate,))
 
 
-def _is_degenerate(s, on_degenerate):
-    """True when the nonincreasing spectrum s is empty or its top value is at
-    most DEGENERATE_SMAX (dimension 0); raises there unless on_degenerate='zero'."""
-    if s.size and s[0] > DEGENERATE_SMAX:
-        return False
-    if on_degenerate == "zero":
-        return True
-    raise DegenerateClusterError("cluster is empty or identically zero")
-
-
 def _dim_of_columns(cols, eps, on_degenerate):
     """Empirical dimension of a (possibly empty) block of data columns."""
-    s = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
-    if _is_degenerate(s, on_degenerate):
-        return 0.0
-    norm_e, norm_d = _power_norms(s, eps)
-    return norm_e / norm_d
+    s = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(1)
+    return 0.0 if _degenerate(s[0], on_degenerate) else _dims(s, eps)
 
 
 def hard_cluster_dims(a, labels, n_clusters, eps=0.35, on_degenerate="raise"):
@@ -232,9 +219,7 @@ def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
     # The scaled stack is as large as vt; free it before the products.
     del scaled
     smax = s[:, 0]
-    degenerate = ~(smax > DEGENERATE_SMAX)
-    if on_degenerate != "zero" and degenerate.any():
-        raise DegenerateClusterError("cluster is empty or identically zero")
+    degenerate = _degenerate(smax, on_degenerate)
     eps, delta = params.eps, params.delta
     dims, c1, c2 = np.zeros(r * k), np.zeros(r * k), np.zeros(r * k)
     ok = np.flatnonzero(~degenerate)

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._checks import _count, _finite_power, _labels, _real, _reals, _validate_data
-from .dimension import DEGENERATE_SMAX, _check_eps, _power_norms
+from .dimension import _check_eps, _degenerate, _dims
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
     ObjectiveParams,
@@ -251,20 +251,19 @@ def _dim_lower_bounds(evals, err, exp, eps):
     (..., D)); the data were scaled by 2^-exp. The refine screen bounds
     SVD-path dimensions with it, the merge screen merged ones.
 
-    The numerator norm takes the low singular values and the denominator
-    every high one, both divided by the largest high one. The spectrum
-    kernel zeroes low values below its relative tolerance, so the
-    numerator keeps only values the bounded path keeps too.
-    A matrix whose top singular value may be at most DEGENERATE_SMAX, or
-    whose bound is not finite, gets 0.
+    Each bound is dimension._dims of the low singular values with the
+    high ones as its upper spectrum: the numerator norm takes the low
+    values and the denominator every high one, both divided by the
+    largest high one. _dims zeroes low values below its relative
+    tolerance, so the numerator keeps only values the bounded path keeps
+    too, and gives 0 where every high value is zero. A matrix whose top
+    singular value may lie under dimension._degenerate's floor, once
+    scaled back by 2^exp, gets 0.
     """
     lo = np.sqrt(np.maximum(evals - err[..., None], 0.0))
     hi = np.sqrt(np.maximum(evals + err[..., None], 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _power_norms(lo, eps, upper=hi)
-        dims = num / den
-    degenerate = np.ldexp(lo.max(axis=-1), exp) <= DEGENERATE_SMAX
-    dims[degenerate | ~np.isfinite(dims)] = 0.0
+    dims = _dims(lo, eps, upper=hi)
+    dims[_degenerate(np.ldexp(lo.max(axis=-1), exp))] = 0.0
     return dims
 
 
@@ -352,7 +351,13 @@ def _merged_dims(grams, tril, x, y, eps, piece):
     A packed row holds the lower triangle of a symmetric D x D Gram at
     tril = np.tril_indices(D). Each sum is scattered into the lower
     triangle of a D x D matrix whose upper triangle is zero: eigvalsh
-    reads only the lower one, so it gives the full sum's bits."""
+    reads only the lower one, so it gives the full sum's bits.
+
+    Each stack of spectra becomes dimensions through dimension._dims,
+    which gives an all-zero spectrum 0. That exact-zero test is the
+    merge's only degenerate rule: its Grams are of rescaled data, so a
+    zero test is scale-invariant where the absolute floor of
+    dimension._degenerate would not be."""
     d = tril[0][-1] + 1
     dims = np.empty(x.size)
     batch = np.zeros((min(piece, x.size), d, d))
@@ -364,12 +369,7 @@ def _merged_dims(grams, tril, x, y, eps, piece):
         mats = batch[: sums.shape[0]]
         mats[:, tril[0], tril[1]] = sums
         spectra = np.sqrt(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num, den = _power_norms(spectra, eps)
-            part = num / den
-        # eigvalsh sorts ascending: an all-zero spectrum has dimension 0.
-        part[spectra[:, -1] == 0.0] = 0.0
-        dims[first : first + piece] = part
+        dims[first : first + piece] = _dims(spectra, eps)
     return dims
 
 

@@ -102,6 +102,28 @@ def test_integer_arguments_follow_one_rule(call, good, low):
     call(np.int64(good))
 
 
+# name: (call with the argument, the argument's name, an accepted value,
+# values that are neither one integer for every group nor one per group)
+PER_GROUP_ARGS = {
+    "SyntheticSpec.dims": (lambda v: SyntheticSpec(dims=v, points_per_cluster=8), "dims",
+                           np.array([2]), (3, np.array(3), None)),
+    "SyntheticSpec.points_per_cluster": (
+        lambda v: SyntheticSpec(dims=(1,), points_per_cluster=v), "points_per_cluster",
+        np.array([8]), (np.array(5), None, (8, 8))),
+    "sample_two_view_scene.points_per_body": (
+        lambda v: sample_two_view_scene(1, v, seed=0), "points_per_body",
+        np.array([8]), (np.array(5), None, (8, 8))),
+}
+
+
+@pytest.mark.parametrize("call, name, good, bad", PER_GROUP_ARGS.values(),
+                         ids=PER_GROUP_ARGS.keys())
+def test_per_group_counts_follow_one_rule(call, name, good, bad):
+    for value in bad:
+        with pytest.raises(InvalidParameterError, match=name):
+            call(value)
+    call(good)
+
 LABEL_FUNCTIONS = {
     "indicator_membership": lambda labels: indicator_membership(labels, 2),
     "genetic_refine": lambda labels: genetic_refine(DATA, labels, GdmConfig(n_clusters=2)),

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from gdm.cli import ParseError, cli, read_correspondences
+from gdm.cli import ParseError, cli, read_correspondences, read_label_file
 
 
 @pytest.fixture
@@ -482,6 +482,21 @@ def test_eval_of_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, runner):
         assert_one_error_line(res, 2)
         assert "Error: %s: cannot read" % bad in res.output
 
+
+
+def test_a_byte_order_mark_is_skipped_in_correspondence_files(tmp_path):
+    # Read as text, the mark would turn the first row into a header.
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeff1,2,3,4\n5,6,7,8\n9,10,11,12\n".encode("utf-8"))
+    coords, labels = read_correspondences(path)
+    assert coords.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+    assert labels is None
+
+
+def test_a_byte_order_mark_is_skipped_in_label_files(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes("\ufeff0\n1\n1\n".encode("utf-8"))
+    assert read_label_file(path).tolist() == [0, 1, 1]
 
 @pytest.mark.parametrize("args", [
     ["segment", "{scene}", "--k", "2", "--restarts", "1", "--output", "{target}"],

@@ -14,6 +14,7 @@ from gdm import (
     InvalidParameterError,
     ObjectiveParams,
     SyntheticSpec,
+    batch_empirical_dimension,
     descend,
     embed_dataset,
     gdm,
@@ -31,7 +32,6 @@ from gdm import (
     threshold,
     validate_membership,
 )
-from gdm.dimension import _power_norms
 from gdm import optimizer
 from gdm.optimizer import (
     _decode_pairs,
@@ -708,12 +708,7 @@ def fresh_merged_dims(grams, x, y, eps):
     """Merged dimension of each Gram pair (x, y) from one fresh batched
     eigvalsh, which gives each matrix the bits it gets alone."""
     spectra = np.sqrt(np.clip(np.linalg.eigvalsh(grams[x] + grams[y]), 0.0, None))
-    dims = np.zeros(len(x))
-    live = spectra.max(axis=1) > 0.0
-    if np.any(live):
-        num, den = _power_norms(spectra[live], eps)
-        dims[live] = num / den
-    return dims
+    return batch_empirical_dimension(spectra, eps)
 
 
 def unpacked(grams, d):
