@@ -73,64 +73,9 @@ from .robust import (
     tpr_fpr,
 )
 
-__all__ = [
-    "DegenerateClusterError",
-    "DegenerateSpectrumError",
-    "FittedSubspace",
-    "GdmConfig",
-    "GdmError",
-    "InsufficientInliersError",
-    "InvalidInputError",
-    "InvalidParameterError",
-    "ObjectiveParams",
-    "OutlierConfig",
-    "PointCorrespondence",
-    "SceneGenerationError",
-    "SegmentationResult",
-    "SubspaceMixture",
-    "SyntheticSpec",
-    "TwoViewScene",
-    "batch_empirical_dimension",
-    "descend",
-    "embed_dataset",
-    "embed_linear",
-    "embed_nonlinear",
-    "empirical_dimension",
-    "fit_cluster_subspace",
-    "fundamental_from_motion",
-    "gd_gradient",
-    "gd_gradient_outlier",
-    "gdm",
-    "gdm_naive",
-    "gdm_outlier_core",
-    "genetic_refine",
-    "global_dimension_hard",
-    "global_dimension_outlier",
-    "global_dimension_soft",
-    "greedy_merge_init",
-    "hard_cluster_dims",
-    "indicator_membership",
-    "known_fraction",
-    "misclassification_rate",
-    "model_reassign",
-    "normalize_views",
-    "numerical_rank",
-    "p_lower_bound",
-    "pnorm",
-    "project_columns",
-    "project_simplex",
-    "reassignment_distances",
-    "roc_sweep",
-    "rotation_matrix",
-    "sample_subspace_mixture",
-    "sample_two_view_scene",
-    "scaled_cluster_matrix",
-    "segment_with_outliers",
-    "singular_values",
-    "subspace_distances",
-    "threshold",
-    "tpr_fpr",
-    "validate_membership",
-]
+# Every public name the imports above bind; they bind each submodule
+# too, and type(exceptions) is the module type.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, type(exceptions)))
 
 __version__ = "0.1.0"

@@ -61,11 +61,6 @@ def _validate_data(a):
     return a
 
 
-def _whole_numbers(values, name):
-    """The label rule: _reals with its whole-number test."""
-    return _reals(values, name, whole=True)
-
-
 def _count(value, name, low=None, high=None, error=InvalidParameterError):
     """int(value), or error unless value is an integer (a Python or numpy
     one, not a bool) of at least low and, when high is given (with low),
@@ -110,7 +105,7 @@ def _labels(labels, n_points=None, n_clusters=None, rejects=False):
     """labels as an int vector, or InvalidInputError unless it holds
     n_points (when given) whole numbers below n_clusters (when given),
     each >= 0 unless rejects lets a negative label mark a rejected point."""
-    labels = _whole_numbers(labels, "labels")
+    labels = _reals(labels, "labels", whole=True)
     n_points = labels.size if n_points is None else n_points
     if labels.shape != (n_points,):
         raise InvalidInputError("labels must be a vector of %d entries, got shape %s"

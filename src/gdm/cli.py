@@ -20,7 +20,7 @@ import time
 import click
 import numpy as np
 
-from ._checks import _real, _whole_numbers
+from ._checks import _real, _reals
 from .embedding import embed_dataset
 from .evalkit import misclassification_rate, roc_sweep, sample_two_view_scene
 from .exceptions import GdmError, InvalidInputError
@@ -43,10 +43,11 @@ def _split_fields(line):
 
 
 def _as_label(value, path, lineno):
-    """A parsed label value as an int, by the library's label rule: nan,
-    inf, fractions and values outside the int64 range are errors."""
+    """A parsed label value as an int, by the library's label rule
+    (_reals with whole=True): nan, inf, fractions and values outside the
+    int64 range are errors."""
     try:
-        return int(_whole_numbers(value, "label"))
+        return int(_reals(value, "label", whole=True))
     except InvalidInputError:
         raise ParseError(
             "%s:%d: label %r is not an integer" % (path, lineno, value)

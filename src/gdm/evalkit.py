@@ -39,10 +39,10 @@ class SyntheticSpec:
     """Layout of a planted union-of-subspaces data set.
 
     dims lists one subspace dimension per cluster; points_per_cluster
-    is an int applied to all clusters or a per-cluster sequence. Each
-    cluster needs at least dim + 1 points so it is adequately
-    represented. Dimensions and counts must be integers (Python or
-    numpy ones, not bools).
+    is an int applied to all clusters or a per-cluster sequence, and is
+    stored as a tuple of one count per cluster. Each cluster needs at
+    least dim + 1 points so it is adequately represented. Dimensions and
+    counts must be integers (Python or numpy ones, not bools).
     """
 
     dims: tuple
@@ -60,13 +60,15 @@ class SyntheticSpec:
         _count(self.outlier_count, "outlier_count", 0)
         if not dims:
             raise InvalidParameterError("need at least one cluster")
-        if any(c < d + 1 for d, c in zip(dims, self.counts())):
+        counts = _per_group(self.points_per_cluster, "points_per_cluster", len(dims))
+        object.__setattr__(self, "points_per_cluster", counts)
+        if any(c < d + 1 for d, c in zip(dims, counts)):
             raise InvalidParameterError("each cluster needs at least dim + 1 points")
         _real(self.noise_sigma, "noise_sigma", 0.0, np.inf, "[)")
         _real(self.outlier_radius, "outlier_radius", 0.0, np.inf, "()")
 
     def counts(self):
-        return _per_group(self.points_per_cluster, "points_per_cluster", len(self.dims))
+        return self.points_per_cluster
 
 
 class SubspaceMixture(NamedTuple):

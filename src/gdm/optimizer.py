@@ -7,51 +7,15 @@ descent on the soft membership matrix, thresholding back to a hard
 partition, and a greedy point-reassignment cleanup. Several restarts
 are run and the partition with the lowest hard global dimension wins.
 
-All restarts of one call merge in one lockstep wave (_merged_restarts),
+All restarts of one call merge in one lockstep wave (_merge_init),
 descend in a second (_descend_loop) and, after thresholding, refine in
 a third (_refine_wave); gdm then scores each in restart order and keeps
-the first with the lowest score. In the merge wave each round draws
-every restart's candidate pairs from its own generator, scores them as
-one array with one eigvalsh batch, and commits each restart's own best
-merge. Every merge starts from the same N singletons, so the merged
-dimension of two points is a function of the data alone, and one call
-computes each such point-pair dimension, and its screen bound, at most
-once for all its restarts. Other merged dimensions are cached per
-restart only in the last rounds, from merge_candidates + 1 live sets
-down, 9 bytes a pair (one float64 that holds a screen bound until the
-exact dimension replaces it, and a bool mask). A set's Gram takes
-memory only once it holds two points, and is kept as its D(D+1)/2
-lower-triangle entries, the only ones eigvalsh reads, so each restart
-adds O(N D(D+1)/4 + merge_candidates^2) to the call's memory. A screen
-skips the D x D eigendecomposition of most unions of at most four
-points, point pairs among them: a rigorous lower bound from the union's
-small Gram, computed when a round first samples the union, shows that
-they lose their round. The labels are those of merging each restart
-alone and scoring every pair afresh. Merged Grams are decomposed in
-batches of at most N.
-
-Refinement screens its candidate moves with the same kind of bound,
-from the clusters' D x D Grams, before their SVDs. Every Gram either
-screen bounds is a plain sum of its members' point outer products (a
-refine Gram plus or minus the moving point's), and every spectrum it
-bounds has D stored eigenvalues, so both screens bound dimensions with
-one kernel (_dim_lower_bounds), one Gram error term (_GRAM_ERROR_FACTOR)
-and one rounding slack (_SCREEN_SLACK).
-
-The descent wave evaluates every restart's objective and gradient with
-one stacked kernel call (one batched SVD) per iteration; a restart whose
-step scale reaches 0 drops out. Each restart's descent has the bits it
-gets alone.
-
-The refine wave runs each restart's passes until it needs screen
-results, then screens the waiting points of every restart with one
-row-stacked call, in eigvalsh pieces of at most N Grams. A point found
-unable to move is settled until the next accepted move of its restart
-and is not screened again; blocks of unsettled points start at 8 after
-each accepted move and at each pass start and double, without a cap,
-while no move is accepted, so few screened points are thrown away by a
-move. Restarts with equal thresholded labels are refined once. Each
-restart gets the labels it gets alone.
+the first with the lowest score. The waves batch, cache and screen work
+across restarts, but each restart gets the labels it gets alone. Both
+screens bound dimensions with one kernel (_dim_lower_bounds), one Gram
+error term (_GRAM_ERROR_FACTOR) and one rounding slack (_SCREEN_SLACK).
+The docstrings of _merge_init, _descend_loop, _refine_wave and
+genetic_refine give the caches, screens and batching of each stage.
 """
 
 import math

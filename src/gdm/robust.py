@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _count, _real, _reals, _validate_data, _whole_numbers
+from ._checks import _count, _real, _reals, _validate_data
 from .dimension import empirical_dimension
 from .exceptions import (
     DegenerateClusterError,
@@ -267,8 +267,8 @@ def tpr_fpr(predicted_outliers, true_outliers, n_points):
     numpy one, not a bool).
     """
     n_points = _count(n_points, "n_points", 0, error=InvalidInputError)
-    pred = _whole_numbers(predicted_outliers, "outlier indices").ravel()
-    true = _whole_numbers(true_outliers, "outlier indices").ravel()
+    pred = _reals(predicted_outliers, "outlier indices", whole=True).ravel()
+    true = _reals(true_outliers, "outlier indices", whole=True).ravel()
     both = np.concatenate([pred, true])
     if both.size and not 0 <= both.min() <= both.max() < n_points:
         raise InvalidInputError("outlier indices must lie in [0, n_points)")

@@ -53,6 +53,13 @@ class TestSyntheticSpec:
         spec = SyntheticSpec(dims=(1, 2), points_per_cluster=(5, 9))
         assert spec.counts() == (5, 9)
 
+    def test_counts_are_read_once(self):
+        spec = SyntheticSpec(dims=(1, 2), points_per_cluster=iter([5, 6]))
+        assert spec.points_per_cluster == (5, 6)
+        mix = sample_subspace_mixture(spec)
+        assert mix.data.shape == (9, 11)
+        np.testing.assert_array_equal(mix.labels, [0] * 5 + [1] * 6)
+
     @pytest.mark.parametrize("bad", [dict(dims=(2.7,)), dict(dims=(True, 2)),
                                      dict(points_per_cluster=7.9),
                                      dict(points_per_cluster=(8, 9.5)),

@@ -533,7 +533,11 @@ class TestGdm:
         recomputed = global_dimension_hard(
             mix.data, res.labels, PARAMS, n_clusters=2, on_degenerate="zero"
         )
-        assert res.gd_value == pytest.approx(recomputed, abs=1e-8)
+        assert res.gd_value == recomputed
+        np.testing.assert_array_equal(
+            res.per_cluster_dims,
+            hard_cluster_dims(mix.data, res.labels, 2, PARAMS.eps, on_degenerate="zero"),
+        )
         assert res.restarts_run == 10
         assert res.membership.shape == (2, mix.data.shape[1])
         assert res.trace.size >= 1
