@@ -25,7 +25,7 @@ from .embedding import embed_dataset
 from .evalkit import misclassification_rate, roc_sweep, sample_two_view_scene
 from .exceptions import GdmError, InvalidInputError
 from .optimizer import GdmConfig
-from .robust import OutlierConfig, segment_with_outliers, tpr_fpr
+from .robust import _PIPELINES, OutlierConfig, segment_with_outliers, tpr_fpr
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -241,7 +241,7 @@ def cli():
 @cli.command()
 @_options(_INPUT_OPTIONS)
 @click.option("--outlier-mode",
-              type=click.Choice(["none", "naive", "known-fraction", "model-reassign"]),
+              type=click.Choice([mode.replace("_", "-") for mode in _PIPELINES]),
               default="none", show_default=True)
 @click.option("--kappa", default=OutlierConfig.kappa, show_default=True,
               help="Distance threshold of model-reassign.")

@@ -261,13 +261,10 @@ def roc_sweep(a, cfg, true_outliers, kappa_grid, fraction=0.20, alpha=0.01,
 
     The segmentation and subspace fitting run once per call; every kappa
     in the grid is then applied to the same point-to-subspace distances.
-    The segmentation itself (known_fraction) is reused when it repeats
-    the last seeded known_fraction call, as when model_reassign has just
-    segmented the same data with the same cfg, fraction and alpha; no
-    result changes. Returns a list of (kappa, tpr, fpr) tuples in grid
-    order. Kappas must be nonnegative; 0 and inf give the curve's end
-    points. threads is accepted for compatibility and has no effect:
-    restarts always run in one thread.
+    Returns a list of (kappa, tpr, fpr) tuples in grid order. Kappas
+    must be nonnegative; 0 and inf give the curve's end points. threads
+    is accepted for compatibility and has no effect: restarts always run
+    in one thread.
     """
     grid = np.asarray(kappa_grid, dtype=object)
     if grid.ndim != 1 or grid.size == 0:

@@ -18,17 +18,10 @@ practical pipelines exploit:
 Every pipeline marks a rejected point by the label -1 and by nothing
 else: a result's outliers are derived from its labels,
 np.flatnonzero(labels < 0).
-
-model_reassign, roc_sweep, reassignment_distances and
-segment_with_outliers all run known_fraction. It remembers its last
-seeded call: a call that repeats that call's data (bit for bit),
-config, number of rejects and alpha returns a deep copy of its
-result instead of segmenting again, so a ROC sweep of the data a
-model_reassign just segmented costs one segmentation, not two. No
-result changes, and a call with cfg.seed None always segments anew.
 """
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -49,12 +42,6 @@ from .optimizer import _descend_loop, _hard_result, _merged_restarts, gdm
 # initialization; the remaining 1 - beta sits on the point's own set.
 OUTLIER_INIT_MASS = 0.05
 
-# known_fraction's last seeded call as one (key, result) tuple, replaced
-# whole so that concurrent callers at worst both compute. One entry is
-# all that evaluating a scene and then sweeping it needs; more would
-# carry results across passes over a set of scenes.
-_last_known_fraction = None
-
 
 @dataclass(frozen=True)
 class OutlierConfig:
@@ -72,7 +59,7 @@ class OutlierConfig:
     kappa: float = 0.05
 
     def __post_init__(self):
-        if self.mode not in ("none", "naive", "known_fraction", "model_reassign"):
+        if self.mode not in _PIPELINES:
             raise InvalidParameterError("unknown outlier mode %r" % (self.mode,))
         _real(self.alpha, "alpha", 0.0, np.inf, "[)")
         _real(self.fraction, "fraction", 0.0, 1.0, "()")
@@ -118,8 +105,11 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
     the last seeded call's data (bit for bit), cfg, number of rejects
     and alpha returns a deep copy of that call's result without
     segmenting again; the result is the one a fresh computation gives.
+    So model_reassign, roc_sweep, reassignment_distances and
+    segment_with_outliers, which all run known_fraction, segment a scene
+    once when run on it in turn with the same cfg, fraction and alpha. A
+    call with cfg.seed None always segments anew.
     """
-    global _last_known_fraction
     a = _validate_data(a)
     n = a.shape[1]
     n_out = math.ceil(_real(fraction, "fraction", 0.0, 1.0, "()") * n)
@@ -131,12 +121,14 @@ def known_fraction(a, cfg, fraction=0.20, alpha=0.01):
         )
     if cfg.seed is None:
         return _known_fraction(a, cfg, n_out, alpha)
-    key = (a.shape, a.tobytes(), cfg, n_out, alpha)
-    last = _last_known_fraction
-    if last is None or last[0] != key:
-        last = (key, _known_fraction(a, cfg, n_out, alpha))
-        _last_known_fraction = last
-    return copy.deepcopy(last[1])
+    return copy.deepcopy(_last_known_fraction(a.shape, a.tobytes(), cfg, n_out, alpha))
+
+
+# One entry is all that evaluating a scene and then sweeping it needs;
+# more would carry results across passes over a set of scenes.
+@functools.lru_cache(maxsize=1)
+def _last_known_fraction(shape, data, cfg, n_out, alpha):
+    return _known_fraction(np.frombuffer(data).reshape(shape), cfg, n_out, alpha)
 
 
 def _known_fraction(a, cfg, n_out, alpha):
@@ -209,11 +201,8 @@ def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1):
     reject the ones farther than kappa from all of them.
 
     A rejected point gets label -1; membership is the 0/1 indicator of
-    the labels, zero on rejects. The known_fraction stage is reused when
-    it repeats the last seeded known_fraction call (same data, cfg,
-    fraction and alpha), as after a roc_sweep of the same data; no
-    result changes. threads is accepted for compatibility and has no
-    effect: restarts always run in one thread.
+    the labels, zero on rejects. threads is accepted for compatibility
+    and has no effect: restarts always run in one thread.
     """
     _real(kappa, "kappa", 0.0, np.inf, "(]")
     a = _validate_data(a)
@@ -243,20 +232,20 @@ def gdm_naive(a, cfg, alpha=0.01):
     )
 
 
+# Each outlier mode's pipeline and the OutlierConfig fields it takes, in
+# the order the CLI lists the modes.
+_PIPELINES = {
+    "none": (gdm, ()),
+    "naive": (gdm_naive, ("alpha",)),
+    "known_fraction": (known_fraction, ("fraction", "alpha")),
+    "model_reassign": (model_reassign, ("kappa", "fraction", "alpha")),
+}
+
+
 def segment_with_outliers(a, cfg, outlier_cfg):
     """Dispatch to the pipeline selected by outlier_cfg.mode."""
-    if outlier_cfg.mode == "none":
-        return gdm(a, cfg)
-    if outlier_cfg.mode == "naive":
-        return gdm_naive(a, cfg, alpha=outlier_cfg.alpha)
-    if outlier_cfg.mode == "known_fraction":
-        return known_fraction(
-            a, cfg, fraction=outlier_cfg.fraction, alpha=outlier_cfg.alpha
-        )
-    return model_reassign(
-        a, cfg, kappa=outlier_cfg.kappa, fraction=outlier_cfg.fraction,
-        alpha=outlier_cfg.alpha,
-    )
+    pipeline, fields = _PIPELINES[outlier_cfg.mode]
+    return pipeline(a, cfg, **{field: getattr(outlier_cfg, field) for field in fields})
 
 
 def tpr_fpr(predicted_outliers, true_outliers, n_points):

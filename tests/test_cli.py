@@ -191,6 +191,16 @@ def test_outlier_mode_model_reassign(tmp_path, runner):
     assert all(report["labels"][i] == -1 for i in flagged)
 
 
+def test_outlier_modes_are_the_library_modes_with_hyphens(scene_file, runner):
+    option = next(param for param in cli.commands["segment"].params
+                  if param.name == "outlier_mode")
+    assert list(option.type.choices) == ["none", "naive", "known-fraction", "model-reassign"]
+    res = runner.invoke(cli, ["segment", str(scene_file), "--k", "2",
+                              "--outlier-mode", "known_fraction"])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--outlier-mode'" in res.output
+
+
 def test_parse_failure_reports_line_number(tmp_path, runner):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y,x2,y2\n1,2,3,4\n5,6,oops,8\n")

@@ -277,7 +277,7 @@ class TestRocSweep:
         grid = [0.01, 0.1, 1.0]
         a = roc_sweep(self.mix.data, self.cfg, self.mix.outliers, grid)
         # Two computations, not a computation and a remembered result.
-        robust._last_known_fraction = None
+        robust._last_known_fraction.cache_clear()
         b = roc_sweep(self.mix.data, self.cfg, self.mix.outliers, grid)
         assert a == b
 

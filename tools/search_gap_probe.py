@@ -1,6 +1,6 @@
 """Search-gap probe: how close gdm's search gets to the true partition.
 
-Runs seven fixed sets of seeded scenes at GdmConfig defaults (only
+Runs nine fixed sets of seeded scenes at GdmConfig defaults (only
 n_clusters and the seed are set) and prints one row per set:
 
   misclass  median misclassification, in percent
@@ -11,22 +11,28 @@ n_clusters and the seed are set) and prints one row per set:
             truth's, over all restarts of the set
   cpu_s     CPU seconds of the set's segmentation calls
 
-The outlier set runs known_fraction at its default fraction and alpha
-and reports its median true positive rate instead of the search columns.
+The outlier sets run known_fraction at its default fraction and alpha
+and report, instead of the search columns, its median true positive
+rate and its scenes over 5 % misclassified (rejected points excluded).
 
-  acc6   20 two-body scenes, 30-80 points a body, seeds 0-19
-  k3     three-body scenes of 3 x 80 points, seeds 900-905
-  n400   two-body scenes of 2 x 200 points, seeds 14-16
-  n800   two-body scenes of 2 x 400 points, seeds 11-12
-  acc5   a 2-d and a 3-d subspace of R^9, 60 points each, noise 0.01,
-         seeds 400-419 (GdmConfig seeds 0-19)
-  acc5c  the same without noise, seeds 500-519
-  acc7   acc5's mixtures plus 30 outliers of radius 3, seeds 900-919
+  acc6      20 two-body scenes, 30-80 points a body, seeds 0-19
+  k3        three-body scenes of 3 x 80 points, seeds 900-905
+  n400      two-body scenes of 2 x 200 points, seeds 14-16
+  n800      two-body scenes of 2 x 400 points, seeds 11-12
+  acc5      a 2-d and a 3-d subspace of R^9, 60 points each, noise 0.01,
+            seeds 400-419 (GdmConfig seeds 0-19)
+  acc5c     the same without noise, seeds 500-519
+  acc7      acc5's mixtures plus 30 outliers of radius 3, seeds 900-919
+  planted   a 2-d and a 3-d subspace of R^9, 30 points each, plus 12
+            outliers of radius 3, no noise, seeds 0-19 (GdmConfig seeds
+            the same)
+  plantedn  the same with noise 0.01
 
 acc5, acc6 and acc7 are the scenes of acceptance criteria 5, 6 and 7
-in tests/test_acceptance.py. Two-view scenes have image noise 0.001
-and are embedded nonlinearly. BLAS runs in one thread. The probe gates
-nothing; it takes a few minutes.
+in tests/test_acceptance.py; planted and plantedn are those of
+tests/test_robust.py's planted(seed) at noise 0 and 0.01. Two-view
+scenes have image noise 0.001 and are embedded nonlinearly. BLAS runs
+in one thread. The probe gates nothing; it takes a few minutes.
 
 Usage: python tools/search_gap_probe.py [SET ...]   (default: every set)
 """
@@ -66,11 +72,11 @@ def two_view(bodies, seeds, counts):
                GdmConfig(n_clusters=bodies, seed=seed))
 
 
-def mixtures(first, noise, outliers=0):
-    """The twenty subspace mixtures of an acceptance set."""
+def mixtures(first, noise, outliers=0, points=60):
+    """The twenty subspace mixtures of a set, data seeds first to first + 19."""
     for seed in range(20):
         mix = sample_subspace_mixture(SyntheticSpec(
-            dims=(2, 3), ambient=9, points_per_cluster=60, noise_sigma=noise,
+            dims=(2, 3), ambient=9, points_per_cluster=points, noise_sigma=noise,
             outlier_count=outliers, outlier_radius=3.0, seed=first + seed))
         yield mix.data, mix.labels, mix.outliers, GdmConfig(n_clusters=2, seed=seed)
 
@@ -84,6 +90,8 @@ SETS = {
     "acc5": lambda: mixtures(400, 0.01),
     "acc5c": lambda: mixtures(500, 0.0),
     "acc7": lambda: mixtures(900, 0.01, outliers=30),
+    "planted": lambda: mixtures(0, 0.0, outliers=12, points=30),
+    "plantedn": lambda: mixtures(0, 0.01, outliers=12, points=30),
 }
 
 
@@ -94,18 +102,20 @@ def probe(name):
         start = time.process_time()
         res = known_fraction(a, cfg) if outliers.size else gdm(a, cfg)
         cpu += time.process_time() - start
+        mis.append(misclassification_rate(res.labels, truth))
         if outliers.size:
             tprs.append(tpr_fpr(res.outliers, outliers, a.shape[1])[0])
             continue
-        mis.append(misclassification_rate(res.labels, truth))
         true_gd = global_dimension_hard(a, truth, cfg.objective_params(),
                                         n_clusters=cfg.n_clusters, on_degenerate="zero")
         gap += res.gd_value > true_gd
         at_or_below += int(np.count_nonzero(res.restart_gd_values <= true_gd))
         restarts += res.restart_gd_values.size
     if tprs:
-        return "%-6s %6d  median TPR %.1f %%%32.1f" % (name, len(tprs), np.median(tprs), cpu)
-    return "%-6s %6d %8.2f %% %4d/%-3d %3d/%-3d %7d/%-5d %8.1f" % (
+        over = sum(m > 5.0 for m in mis)
+        return "%-8s %4d  median TPR %.1f %%, %d/%d over 5 %%%12.1f" % (
+            name, len(tprs), np.median(tprs), over, len(tprs), cpu)
+    return "%-8s %4d %8.2f %% %4d/%-3d %3d/%-3d %7d/%-5d %8.1f" % (
         name, len(mis), np.median(mis), mis.count(0.0), len(mis), gap, len(mis),
         at_or_below, restarts, cpu)
 
