@@ -36,7 +36,8 @@ from .exceptions import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .optimizer import _descend_loop, _hard_result, _merged_restarts, gdm
+from .objective import hard_cluster_dims, pnorm
+from .optimizer import SegmentationResult, _descend_loop, _merged_restarts, gdm
 
 # Initial membership mass placed on the outlier row after merge
 # initialization; the remaining 1 - beta sits on the point's own set.
@@ -194,6 +195,13 @@ def reassignment_distances(a, cfg, fraction=0.20, alpha=0.01):
         if np.any(cols):
             dists[k] = subspace_distances(a, fit_cluster_subspace(cols, cfg.eps))
     return np.argmin(dists, axis=0), dists.min(axis=0), dists, kf
+
+
+def _hard_result(a, labels, cfg, **fields):
+    """SegmentationResult whose per-cluster dimensions and global
+    dimension are those of the hard partition given by labels."""
+    dims = hard_cluster_dims(a, labels, cfg.n_clusters, cfg.eps, on_degenerate="zero")
+    return SegmentationResult(labels, pnorm(dims, cfg.p), dims, **fields)
 
 
 def model_reassign(a, cfg, kappa=0.05, fraction=0.20, alpha=0.01, threads=1):

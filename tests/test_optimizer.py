@@ -333,7 +333,7 @@ def test_refine_wave_matches_reference_per_start(k, passes):
     cfg = GdmConfig(n_clusters=k, genetic_passes=passes, seed=40 + k)
     starts = refine_wave_starts(a, k, k)
     kept = [start.copy() for start in starts]
-    refined = _refine_wave(a, starts, cfg)
+    refined = [labels for labels, _ in _refine_wave(a, starts, cfg)]
     assert len(refined) == len(starts)
     for start, start_copy, labels in zip(starts, kept, refined):
         np.testing.assert_array_equal(start, start_copy)
@@ -632,6 +632,38 @@ def test_stages_match_reference_oracles(kind, k, scale):
         np.testing.assert_array_equal(
             genetic_refine(a * scale, start, cfg), reference_refine(a * scale, start, cfg)
         )
+
+
+def refine_case(kind, k):
+    """(data, start labelings) of one refine wave: the oracle case's
+    scrambled starts of refine_wave_starts, or for kind "n120" the
+    thresholded descents of gdm's restarts on the N = 120 two-view scene
+    of test_merge_eigvalsh_counts."""
+    if kind != "n120":
+        a = oracle_case(kind, k, 40 + k)
+        return a, refine_wave_starts(a, k, k)
+    scene = sample_two_view_scene(2, [60, 60], noise_sigma=0.001, seed=900)
+    a = embed_dataset(scene.correspondences)
+    cfg = GdmConfig(n_clusters=2, seed=11)
+    merged = optimizer._merged_restarts(a, cfg)
+    m0 = np.array([indicator_membership(labels, 2) for labels in merged])
+    ms, _ = _descend_loop(a, m0, cfg, cfg.objective_params(), outlier=False)
+    return a, [threshold(m) for m in ms]
+
+
+@pytest.mark.parametrize("kind, k", [(kind, k) for kind in ORACLE_KINDS for k in (2, 3)]
+                         + [("n120", 2)])
+def test_refine_wave_dims_are_hard_cluster_dims_of_its_labels(kind, k):
+    # gdm scores its restarts from the dimensions the refine wave kept up
+    # to date, so they must be the SVD path's of the refined labels, bit
+    # for bit, and each start must get its own array.
+    a, starts = refine_case(kind, k)
+    cfg = GdmConfig(n_clusters=k, seed=40 + k)
+    refined = _refine_wave(a, starts, cfg)
+    for labels, dims in refined:
+        expected = hard_cluster_dims(a, labels, k, cfg.eps, on_degenerate="zero")
+        assert dims.dtype == expected.dtype and dims.tobytes() == expected.tobytes()
+    assert len({id(dims) for _, dims in refined}) == len(starts)
 
 
 def replay_merges(a, cfg):

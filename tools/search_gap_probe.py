@@ -9,6 +9,9 @@ n_clusters and the seed are set) and prints one row per set:
             hard global dimension of the true partition
   <=truth   restarts whose hard global dimension is at or below the
             truth's, over all restarts of the set
+  margin    median GD margin: the returned gd_value minus the hard
+            global dimension of the true partition (negative where the
+            objective prefers a partition other than the truth)
   cpu_s     CPU seconds of the set's segmentation calls
 
 The outlier sets run known_fraction at its default fraction and alpha
@@ -97,7 +100,7 @@ SETS = {
 
 def probe(name):
     """The row of one set."""
-    mis, tprs, gap, at_or_below, restarts, cpu = [], [], 0, 0, 0, 0.0
+    mis, tprs, margins, at_or_below, restarts, cpu = [], [], [], 0, 0, 0.0
     for a, truth, outliers, cfg in SETS[name]():
         start = time.process_time()
         res = known_fraction(a, cfg) if outliers.size else gdm(a, cfg)
@@ -108,16 +111,17 @@ def probe(name):
             continue
         true_gd = global_dimension_hard(a, truth, cfg.objective_params(),
                                         n_clusters=cfg.n_clusters, on_degenerate="zero")
-        gap += res.gd_value > true_gd
+        margins.append(res.gd_value - true_gd)
         at_or_below += int(np.count_nonzero(res.restart_gd_values <= true_gd))
         restarts += res.restart_gd_values.size
     if tprs:
         over = sum(m > 5.0 for m in mis)
         return "%-8s %4d  median TPR %.1f %%, %d/%d over 5 %%%12.1f" % (
             name, len(tprs), np.median(tprs), over, len(tprs), cpu)
-    return "%-8s %4d %8.2f %% %4d/%-3d %3d/%-3d %7d/%-5d %8.1f" % (
+    gap = sum(margin > 0.0 for margin in margins)
+    return "%-8s %4d %8.2f %% %4d/%-3d %3d/%-3d %7d/%-5d %+8.3f %8.1f" % (
         name, len(mis), np.median(mis), mis.count(0.0), len(mis), gap, len(mis),
-        at_or_below, restarts, cpu)
+        at_or_below, restarts, np.median(margins), cpu)
 
 
 def main(argv):
@@ -127,7 +131,7 @@ def main(argv):
         print("unknown set %s; choose from %s" % (", ".join(unknown), ", ".join(SETS)),
               file=sys.stderr)
         return 2
-    print("set    scenes misclass     zero     gap       <=truth    cpu_s")
+    print("set    scenes misclass     zero     gap       <=truth    margin    cpu_s")
     for name in names:
         print(probe(name), flush=True)
     return 0
