@@ -9,14 +9,16 @@ are run and the partition with the lowest hard global dimension wins.
 
 All restarts of one call merge in one lockstep wave (_merge_init),
 descend in a second (_descend_loop) and, after thresholding, refine in
-a third (_refine_wave); gdm then scores each in restart order from the
-per-cluster dimensions its refine kept, and keeps the first with the
-lowest score. The waves batch, cache and screen work across restarts,
-but each restart gets the labels it gets alone. Both screens bound
-dimensions with one kernel (_dim_lower_bounds), one Gram error term
-(_GRAM_ERROR_FACTOR) and one rounding slack (_SCREEN_SLACK).
-The docstrings of _merge_init, _descend_loop, _refine_wave and
-genetic_refine give the caches, screens and batching of each stage.
+a third (_refine_wave), whose sweeps after the first stop at the
+previous sweep's last move until they make one; gdm then scores each
+in restart order from the per-cluster dimensions its refine kept, and
+keeps the first with the lowest score. The waves batch, cache and
+screen work across restarts, but each restart gets the labels it gets
+alone. Both screens bound dimensions with one kernel
+(_dim_lower_bounds), one Gram error term (_GRAM_ERROR_FACTOR) and one
+rounding slack (_SCREEN_SLACK). The docstrings of _merge_init,
+_descend_loop, _refine_wave and genetic_refine give the caches, screens
+and batching of each stage.
 """
 
 import math
@@ -308,6 +310,24 @@ def _check_merge(d, cfg):
     _check_eps(cfg.eps, d)
 
 
+def _check_p(k, p):
+    """Raise unless p keeps the p-norm of k cluster dimensions and its
+    gradient finite. For p < 1 the norm's chain factor, (d_k / GD)**(p -
+    1) = (sum_j (d_j / d_k)**p)**((1 - p) / p), grows as k**(1/p) (all k
+    dimensions equal), and every nonzero dimension lies in [1, D], so it
+    is at most D k**(1/p). Descent squares the gradient for its column
+    norms, so k**(1/p) may take at most 2**256, the fourth root of the
+    float range, which leaves the rest for the gradient's other factors
+    and sums: p >= log2(k) / 256."""
+    bound = math.log2(k) / 256.0
+    if p < bound:
+        # Rounded up to 1e-6.
+        raise InvalidParameterError(
+            "p = %g may overflow the gradient of the p-norm of %d cluster dimensions; "
+            "the smallest p allowed is %.6f" % (p, k, math.ceil(bound * 1e6) / 1e6)
+        )
+
+
 def _merged_dims(grams, tril, x, y, eps, piece):
     """Merged dimensions of packed Gram rows x and y, from batched eigvalsh
     calls on at most piece of their sums each; a batched eigvalsh gives
@@ -594,6 +614,7 @@ def descend(a, m0, cfg):
     matrix with one column per data column.
     """
     a, m0 = _validate_soft(a, m0, False, cfg.eps, "zero")
+    _check_p(m0.shape[0], cfg.p)
     return _descend_loop(a, m0[None], cfg, cfg.objective_params(), outlier=False)[0][0]
 
 
@@ -603,7 +624,7 @@ def threshold(m):
     return np.argmax(_validate_weights(m), axis=0)
 
 
-# Refinement screens the next unsettled points in blocks that start at
+# Refinement screens the points of a scan in blocks that start at
 # _FIRST_BLOCK points, after every accepted move and at every pass start,
 # and double while no move is accepted.
 _FIRST_BLOCK = 8
@@ -650,73 +671,65 @@ def _screen_moves(req, idx, labels, dims, grams, sizes, point_grams, exp, cfg):
     return np.all(gd_lo >= pnorm(cur, cfg.p)[:, None] * (1.0 + _SCREEN_SLACK), axis=1)
 
 
-def _refine_restart(a, labels, dims, grams, sizes, point_grams, cfg):
+def _refine_restart(a, labels, dims, grams, sizes, skip, point_grams, cfg):
     """Greedy passes of one restart, in place on its rows of the wave's
-    labels, dims, grams and sizes. The last two are rebuilt from labels
-    before a block is chosen whenever a move has been accepted since
-    they were last built, rather than updated move by move.
+    labels, dims, grams, sizes and skip. Sizes and grams are rebuilt from
+    the labels at the start and after each accepted move, rather than
+    updated move by move.
 
     A generator: it yields the points it needs screened, in index order,
-    and is sent one screen result per point. A point is settled while no
-    move has been accepted since it was last found unable to move; then
-    labels, dims and sizes, on which its decision depends, are those of
-    that check, so it is not screened or tried again.
+    and reads their screen results from skip when next resumes it. The
+    first pass scans every point. A later pass scans only up to and
+    including the point of the previous pass's last move, until it
+    accepts a move of its own; then it scans on to N. Every point past
+    that last move was found unable to move after it, and labels, dims
+    and sizes, on which its decision depends, have not changed since, so
+    it is not screened or tried again. A pass with no move ends refine.
     """
     k_total = cfg.n_clusters
     n = labels.size
-    # Accepted moves so far, their count at each point's last check and
-    # at the last build.
-    moves = 0
-    settled = np.full(n, -1)
-    built = -1
+
+    def build():
+        sizes[:] = np.bincount(labels, minlength=k_total)
+        grams[:] = np.tensordot(indicator_membership(labels, k_total), point_grams, axes=1)
+
+    build()
+    stop = n
     for _ in range(cfg.genetic_passes):
-        moves_before = moves
-        j, width = 0, _FIRST_BLOCK
+        # end bounds this pass's scan; stop becomes one past its last move.
+        j, width, end, stop = 0, _FIRST_BLOCK, stop, 0
         while True:
-            if built != moves:
-                sizes[:] = np.bincount(labels, minlength=k_total)
-                grams[:] = np.tensordot(indicator_membership(labels, k_total), point_grams,
-                                        axes=1)
-                built = moves
             # A point alone in its cluster cannot move.
-            block = j + np.flatnonzero((settled[j:] != moves) & (sizes[labels[j:]] > 1))[:width]
+            block = j + np.flatnonzero(sizes[labels[j:end]] > 1)[:width]
             if not block.size:
                 break
-            skip = yield block
-            # Points past a move below are marked with the count before
-            # it, so they stay unsettled.
-            settled[block[skip]] = moves
+            yield block
             j, width = block[-1] + 1, 2 * width
-            for i in block[~skip].tolist():
+            for i in block[~skip[block]].tolist():
                 k0 = labels[i]
-                gd_cur = pnorm(dims, cfg.p)
-                mask_src = labels == k0
-                mask_src[i] = False
-                dim_src = _dim_of_columns(a[:, mask_src], cfg.eps, "zero")
-                best_gd, best_k, best_tgt = gd_cur, -1, 0.0
+                # Relabelled in place, labels == k selects the columns of
+                # each candidate cluster in index order.
+                labels[i] = -1
+                dim_src = _dim_of_columns(a[:, labels == k0], cfg.eps, "zero")
+                best_gd, best_k, best_tgt = pnorm(dims, cfg.p), k0, 0.0
                 for k in range(k_total):
                     if k == k0:
                         continue
-                    mask_tgt = labels == k
-                    mask_tgt[i] = True
-                    dim_tgt = _dim_of_columns(a[:, mask_tgt], cfg.eps, "zero")
+                    labels[i] = k
+                    dim_tgt = _dim_of_columns(a[:, labels == k], cfg.eps, "zero")
                     cand = dims.copy()
-                    cand[k0] = dim_src
-                    cand[k] = dim_tgt
+                    cand[[k0, k]] = dim_src, dim_tgt
                     gd_cand = pnorm(cand, cfg.p)
                     if gd_cand < best_gd:
                         best_gd, best_k, best_tgt = gd_cand, k, dim_tgt
-                if best_k < 0:
-                    settled[i] = moves
-                    continue
-                # The moved point stays unsettled: its check was before the move.
                 labels[i] = best_k
-                dims[k0] = dim_src
-                dims[best_k] = best_tgt
-                moves += 1
-                j, width = i + 1, _FIRST_BLOCK
+                if best_k == k0:
+                    continue
+                dims[[k0, best_k]] = dim_src, best_tgt
+                build()
+                j, width, end, stop = i + 1, _FIRST_BLOCK, n, i + 1
                 break
-        if moves == moves_before:
+        if not stop:
             break
 
 
@@ -728,14 +741,15 @@ def _refine_wave(a, starts, cfg):
     the bits of hard_cluster_dims(a, labels, K, eps, on_degenerate="zero").
 
     Starts with equal labels are refined once. Each restart runs its
-    passes (_refine_restart) until it needs screen results; then one
-    _screen_moves call, stacked by rows (restart, point), serves every
-    waiting restart. A restart's blocks depend only on its accepted
-    moves, so the wave makes as many screen calls as its busiest
-    restart needs alone.
+    passes (_refine_restart) until it yields a block of points to screen;
+    then one _screen_moves call, stacked by rows (restart, point), serves
+    every such block, writes its results into the (R, N) array skip and
+    resumes those restarts. A restart's blocks depend only on its
+    accepted moves, so the wave makes as many screen calls as its
+    busiest restart needs alone.
     """
     k_total = cfg.n_clusters
-    d = a.shape[0]
+    d, n = a.shape
     labels, which = np.unique(np.array(starts, dtype=int), axis=0, return_inverse=True)
     r = labels.shape[0]
     dims = np.array([hard_cluster_dims(a, row, k_total, cfg.eps, on_degenerate="zero")
@@ -743,24 +757,17 @@ def _refine_wave(a, starts, cfg):
     point_grams, exp = _point_grams(a)
     grams = np.empty((r, k_total, d, d))
     sizes = np.empty((r, k_total), dtype=int)
-    waiting = []
-    for i in range(r):
-        restart = _refine_restart(a, labels[i], dims[i], grams[i], sizes[i], point_grams, cfg)
-        block = next(restart, None)
-        if block is not None:
-            waiting.append((i, restart, block))
-    while waiting:
-        req = np.concatenate([np.full(block.size, i) for i, _, block in waiting])
-        idx = np.concatenate([block for _, _, block in waiting])
-        skip = _screen_moves(req, idx, labels, dims, grams, sizes, point_grams, exp, cfg)
-        step, first = [], 0
-        for i, restart, block in waiting:
-            try:
-                step.append((i, restart, restart.send(skip[first : first + block.size])))
-            except StopIteration:
-                pass
-            first += block.size
-        waiting = step
+    skip = np.zeros((r, n), dtype=bool)
+    restarts = [_refine_restart(a, labels[i], dims[i], grams[i], sizes[i], skip[i],
+                                point_grams, cfg) for i in range(r)]
+    blocks = [next(restart, None) for restart in restarts]
+    while live := [i for i in range(r) if blocks[i] is not None]:
+        req = np.repeat(live, [blocks[i].size for i in live])
+        idx = np.concatenate([blocks[i] for i in live])
+        skip[req, idx] = _screen_moves(req, idx, labels, dims, grams, sizes, point_grams,
+                                       exp, cfg)
+        for i in live:
+            blocks[i] = next(restarts[i], None)
     return [(labels[u].copy(), dims[u].copy()) for u in which.ravel()]
 
 
@@ -774,22 +781,24 @@ def genetic_refine(a, labels, cfg):
     after the first sweep with no accepted move.
 
     Every decision is the one the per-candidate SVDs give, but most
-    points never need them. A point found unable to move is settled, and
-    passed over, until the next accepted move: nothing its decision
-    depends on has changed. The other points are screened in blocks
-    (_screen_moves) with rigorous lower bounds from per-cluster D x D
-    Grams, the sums of the members' point Grams, rebuilt from the labels
-    before the first block after each accepted move; only a point whose
-    bounds do not rule out every move runs the per-candidate SVDs, so
-    accepted moves and stored dimensions are SVD values. Blocks start at
-    8 points after each accepted move and at each pass start, and double
-    while no move is accepted.
+    points never need them. A sweep after the first stops at the point
+    of the previous sweep's last move unless it accepts a move itself:
+    every point past that move was found unable to move after it, and
+    nothing its decision depends on has changed. The points a sweep
+    reaches are screened in blocks (_screen_moves) with rigorous lower
+    bounds from per-cluster D x D Grams, the sums of the members' point
+    Grams, rebuilt from the labels after each accepted move; only a
+    point whose bounds do not rule out every move runs the
+    per-candidate SVDs, so accepted moves and stored dimensions are SVD
+    values. Blocks start at 8 points after each accepted move and at
+    each pass start, and double while no move is accepted.
 
     This is a wave of one; gdm refines all its restarts in one lockstep
     wave (_refine_wave), which gives every restart these labels.
     """
     a = _validate_data(a)
     _check_eps(cfg.eps, a.shape[0])
+    _check_p(cfg.n_clusters, cfg.p)
     labels = _labels(labels, a.shape[1], cfg.n_clusters)
     return _refine_wave(a, [labels], cfg)[0][0]
 
@@ -806,6 +815,7 @@ def _merged_restarts(a, cfg):
     """
     d, n = a.shape
     _check_merge(d, cfg)
+    _check_p(cfg.n_clusters, cfg.p)
     if n <= cfg.n_clusters:
         raise InvalidParameterError(
             "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)
@@ -824,11 +834,11 @@ def gdm(a, cfg, threads=1):
     (_merged_restarts) and descend in another, starting from the
     indicator memberships of their merged labels; their thresholded
     labels are refined in a third (_refine_wave), in which one screen
-    call per step serves every restart and settled points are not
-    screened again. Each restart is then scored in restart order by the
-    p-norm of the per-cluster dimensions its refine returns, and only
-    the winner's result is built. Each restart's result is the one it
-    gets alone.
+    call per step serves every restart and a sweep stops at the previous
+    sweep's last move until it makes one. Each restart is then scored in
+    restart order by the p-norm of the per-cluster dimensions its refine
+    returns, and only the winner's result is built. Each restart's
+    result is the one it gets alone.
     Fully deterministic given cfg.seed. threads is accepted for
     compatibility and has no effect: everything runs in one thread.
     """

@@ -471,6 +471,20 @@ def assert_one_error_line(res, exit_code):
     assert "schema_version" not in res.output
 
 
+@pytest.mark.parametrize("k, smallest", [(2, "0.003907"), (3, "0.006192")])
+def test_p_that_overflows_the_gradient_is_one_error_line(k, smallest, tmp_path, runner):
+    # Below log2(K) / 256 the p-norm or its gradient can overflow;
+    # unchecked, p = 0.0005 wrote "gd_value": Infinity, which is not JSON.
+    path = tmp_path / "scene.csv"
+    res = runner.invoke(cli, ["generate", str(path), "--bodies", str(k), "--points", "20",
+                              "--seed", "5"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(cli, ["segment", str(path), "--k", str(k), "--seed", "1",
+                              "--restarts", "2", "--p", "0.0005"])
+    assert_one_error_line(res, 1)
+    assert "smallest p allowed is %s" % smallest in res.output
+
+
 def not_utf8(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"x,y,x2,y2\n0.5,1,2,3\n\xe9,1,2,3\n")

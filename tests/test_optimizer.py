@@ -95,6 +95,25 @@ def test_p_that_overflows_merge_scores_is_rejected():
     assert gdm(a, replace(cfg, p=322.72)).labels.size == 12
 
 
+@pytest.mark.parametrize("k, smallest", [(2, 0.003907), (3, 0.006192)])
+def test_p_that_overflows_the_gradient_is_rejected(k, smallest):
+    # The smallest p is log2(K) / 256, rounded up to 1e-6: K**(1/p), the
+    # p-norm's chain factor when all K dimensions are equal, stays within
+    # 2**256. gdm runs there without a RuntimeWarning (an error here);
+    # at p = 0.002 (K = 2) or 0.003 (K = 3) descent's gradient overflows.
+    scene = sample_two_view_scene(k, [20] * k, noise_sigma=0.001, seed=5)
+    a = embed_dataset(scene.correspondences)
+    start = np.arange(a.shape[1]) % k
+    cfg = GdmConfig(n_clusters=k, p=smallest, restarts=3, seed=5)
+    assert np.isfinite(gdm(a, cfg).gd_value)
+    runs = (gdm, gdm_outlier_core,
+            lambda a, cfg: genetic_refine(a, start, cfg),
+            lambda a, cfg: descend(a, indicator_membership(start, k), cfg))
+    for run in runs:
+        with pytest.raises(InvalidParameterError, match="smallest p allowed is %g" % smallest):
+            run(a, replace(cfg, p=smallest - 1e-6))
+
+
 def test_eps_that_overflows_dimensions_is_rejected():
     # With D = 9 the eps-norm root of a spectrum, at most 9**(1/eps),
     # is finite for eps above 0.003096.
@@ -957,9 +976,14 @@ def test_merge_eigvalsh_counts(k, sizes, seed, merge_only, monkeypatch):
 
 
 # 9 x 9 Grams that the refine screens of the same N = 120 and N = 150
-# gdm calls decompose. Screening settled points again, or blocks that an
-# accepted move throws away, gives the same labels but raises them.
+# gdm calls decompose. Screening points past the stop index again, or
+# blocks that an accepted move throws away, gives the same labels but
+# raises them.
 REFINE_SCREEN_MATRICES = {120: 9846, 150: 27120}
+# SVDs that their refine waves run: K per distinct start for its
+# dimensions, and K per tried point. A try of a point that the screen
+# clears, or of one past the stop index, raises them.
+REFINE_SVDS = {120: 228, 150: 831}
 
 
 @pytest.mark.parametrize("k, sizes, seed", [(2, [60, 60], 900), (3, [50, 50, 50], 901)],
@@ -982,8 +1006,23 @@ def test_refine_screen_counts(k, sizes, seed, monkeypatch):
             return screen(*args)
 
     monkeypatch.setattr(optimizer, "_screen_moves", spy)
+    svd = np.linalg.svd
+    refine_wave = optimizer._refine_wave
+    svds = []
+
+    def counting_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    def wave(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counting_svd)
+            return refine_wave(*args)
+
+    monkeypatch.setattr(optimizer, "_refine_wave", wave)
     gdm(a, GdmConfig(n_clusters=k, seed=11))
     assert sum(matrices) == REFINE_SCREEN_MATRICES[a.shape[1]]
+    assert len(svds) == REFINE_SVDS[a.shape[1]]
 
 
 def merge_layout_bytes(d, n, r, c, cached):

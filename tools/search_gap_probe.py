@@ -14,6 +14,12 @@ n_clusters and the seed are set) and prints one row per set:
             objective prefers a partition other than the truth)
   cpu_s     CPU seconds of the set's segmentation calls
 
+Under the row of each two-view set, one line per scene gives its seed,
+its GD margin and whether the truth is a fixed point of the pipeline's
+last stages: descend from the truth's indicator membership, threshold
+and genetic_refine give the truth back ("fixed yes"), or else the number
+of points they move off it ("fixed no, 2 moved").
+
 The outlier sets run known_fraction at its default fraction and alpha
 and report, instead of the search columns, its median true positive
 rate and its scenes over 5 % misclassified (rejected points excluded).
@@ -55,13 +61,17 @@ import numpy as np  # noqa: E402
 from gdm import (  # noqa: E402
     GdmConfig,
     SyntheticSpec,
+    descend,
     embed_dataset,
     gdm,
+    genetic_refine,
     global_dimension_hard,
+    indicator_membership,
     known_fraction,
     misclassification_rate,
     sample_subspace_mixture,
     sample_two_view_scene,
+    threshold,
     tpr_fpr,
 )
 
@@ -98,9 +108,21 @@ SETS = {
 }
 
 
+TWO_VIEW = ("acc6", "k3", "n400", "n800")
+
+
+def truth_moves(a, truth, cfg):
+    """Points that descend, threshold and genetic_refine move off the
+    true partition, started from its indicator membership."""
+    m = descend(a, indicator_membership(truth, cfg.n_clusters), cfg)
+    return int(np.count_nonzero(genetic_refine(a, threshold(m), cfg) != truth))
+
+
 def probe(name):
-    """The row of one set."""
+    """The lines of one set: its row, then for a two-view set one line
+    per scene."""
     mis, tprs, margins, at_or_below, restarts, cpu = [], [], [], 0, 0, 0.0
+    scenes = []
     for a, truth, outliers, cfg in SETS[name]():
         start = time.process_time()
         res = known_fraction(a, cfg) if outliers.size else gdm(a, cfg)
@@ -112,16 +134,20 @@ def probe(name):
         true_gd = global_dimension_hard(a, truth, cfg.objective_params(),
                                         n_clusters=cfg.n_clusters, on_degenerate="zero")
         margins.append(res.gd_value - true_gd)
+        if name in TWO_VIEW:
+            moves = truth_moves(a, truth, cfg)
+            scenes.append("  seed %4d  margin %+8.3f  fixed %s" % (
+                cfg.seed, margins[-1], "no, %d moved" % moves if moves else "yes"))
         at_or_below += int(np.count_nonzero(res.restart_gd_values <= true_gd))
         restarts += res.restart_gd_values.size
     if tprs:
         over = sum(m > 5.0 for m in mis)
-        return "%-8s %4d  median TPR %.1f %%, %d/%d over 5 %%%12.1f" % (
-            name, len(tprs), np.median(tprs), over, len(tprs), cpu)
+        return ["%-8s %4d  median TPR %.1f %%, %d/%d over 5 %%%12.1f" % (
+            name, len(tprs), np.median(tprs), over, len(tprs), cpu)]
     gap = sum(margin > 0.0 for margin in margins)
-    return "%-8s %4d %8.2f %% %4d/%-3d %3d/%-3d %7d/%-5d %+8.3f %8.1f" % (
+    return ["%-8s %4d %8.2f %% %4d/%-3d %3d/%-3d %7d/%-5d %+8.3f %8.1f" % (
         name, len(mis), np.median(mis), mis.count(0.0), len(mis), gap, len(mis),
-        at_or_below, restarts, np.median(margins), cpu)
+        at_or_below, restarts, np.median(margins), cpu)] + scenes
 
 
 def main(argv):
@@ -133,7 +159,7 @@ def main(argv):
         return 2
     print("set    scenes misclass     zero     gap       <=truth    margin    cpu_s")
     for name in names:
-        print(probe(name), flush=True)
+        print("\n".join(probe(name)), flush=True)
     return 0
 
 

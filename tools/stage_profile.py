@@ -93,24 +93,21 @@ class Profile:
         return screen
 
     def _restart(self, fn):
-        """Wrap one restart's refine generator. Each screen result it is
-        sent leads to at most one accepted move, found by comparing its
-        labels before and after; the points of the block it tried are the
-        unskipped ones up to that move, or all of them."""
+        """Wrap one restart's refine generator. Each resumption after a
+        block's screen leads to at most one accepted move, found by
+        comparing its labels before and after; the points of the block it
+        tried are the unskipped ones up to that move, or all of them."""
         work = self.work
 
-        def restart(a, labels, *args):
-            inner = fn(a, labels, *args)
+        def restart(a, labels, dims, grams, sizes, skip, *args):
+            inner = fn(a, labels, dims, grams, sizes, skip, *args)
             block = next(inner, None)
             while block is not None:
-                skip = yield block
+                yield block
                 before = labels.copy()
-                try:
-                    after = inner.send(skip)
-                except StopIteration:
-                    after = None
+                after = next(inner, None)
                 moved = np.flatnonzero(labels != before)
-                tried = block[~skip]
+                tried = block[~skip[block]]
                 work["rows"] += block.size
                 work["tries"] += np.count_nonzero(tried <= moved[0]) if moved.size else tried.size
                 work["moves"] += moved.size
