@@ -42,16 +42,22 @@ def _split_fields(line):
     return line.split()
 
 
-def _as_label(value, path, lineno):
-    """A parsed label value as an int, by the library's label rule
-    (_reals with whole=True): nan, inf, fractions and values outside the
-    int64 range are errors."""
+def _as_label(token, path, lineno):
+    """A label token as an int, by the library's label rule (_reals with
+    whole=True): nan, inf, fractions and values outside the int64 range
+    are errors. An integer token is read by int(), exactly; a float
+    would round integers beyond 2**53."""
+    try:
+        value = int(token)
+    except ValueError:
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError("%s:%d: cannot parse %r as a label" % (path, lineno, token))
     try:
         return int(_reals(value, "label", whole=True))
     except InvalidInputError:
-        raise ParseError(
-            "%s:%d: label %r is not an integer" % (path, lineno, value)
-        )
+        raise ParseError("%s:%d: label %s is not an integer" % (path, lineno, token))
 
 
 def _data_lines(path):
@@ -75,7 +81,8 @@ def read_correspondences(path):
     n_cols = None
     for row, (lineno, line) in enumerate(_data_lines(path)):
         try:
-            values = [float(t) for t in _split_fields(line)]
+            tokens = _split_fields(line)
+            values = [float(t) for t in tokens]
         except ValueError:
             if row == 0:
                 continue  # header row
@@ -92,7 +99,7 @@ def read_correspondences(path):
             raise ParseError("%s:%d: inconsistent column count" % (path, lineno))
         coords.append(values[:4])
         if n_cols == 5:
-            labels.append(_as_label(values[4], path, lineno))
+            labels.append(_as_label(tokens[4], path, lineno))
     if not coords:
         raise ParseError("%s: no data rows found" % (path,))
     coords = np.asarray(coords, dtype=float)
@@ -100,15 +107,7 @@ def read_correspondences(path):
 
 
 def read_label_file(path):
-    out = []
-    for lineno, line in _data_lines(path):
-        try:
-            value = float(line)
-        except ValueError:
-            raise ParseError(
-                "%s:%d: cannot parse %r as a label" % (path, lineno, line)
-            )
-        out.append(_as_label(value, path, lineno))
+    out = [_as_label(line, path, lineno) for lineno, line in _data_lines(path)]
     if not out:
         raise ParseError("%s: no labels found" % (path,))
     return np.asarray(out, dtype=int)

@@ -42,7 +42,8 @@ class SyntheticSpec:
     is an int applied to all clusters or a per-cluster sequence, and is
     stored as a tuple of one count per cluster. Each cluster needs at
     least dim + 1 points so it is adequately represented. Dimensions and
-    counts must be integers (Python or numpy ones, not bools).
+    counts must be integers (Python or numpy ones, not bools), and seed
+    None or such an integer >= 0.
     """
 
     dims: tuple
@@ -58,6 +59,8 @@ class SyntheticSpec:
         dims = _per_group(self.dims, "dims", low=1, high=ambient)
         object.__setattr__(self, "dims", dims)
         _count(self.outlier_count, "outlier_count", 0)
+        if self.seed is not None:
+            _count(self.seed, "seed", 0)
         if not dims:
             raise InvalidParameterError("need at least one cluster")
         counts = _per_group(self.points_per_cluster, "points_per_cluster", len(dims))
@@ -190,14 +193,14 @@ def sample_two_view_scene(n_bodies, points_per_body, noise_sigma=0.0,
     n_outliers bad matches (both views drawn independently over the
     inlier image extent) are appended with label -1. n_bodies,
     points_per_body, n_outliers and max_retries must be integers (Python
-    or numpy ones, not bools).
+    or numpy ones, not bools), and seed None or such an integer >= 0.
     """
     n_bodies = _count(n_bodies, "n_bodies", 1)
     n_outliers = _count(n_outliers, "n_outliers", 0)
     max_retries = _count(max_retries, "max_retries", 0)
     counts = _per_group(points_per_body, "points_per_body", n_bodies, low=1)
     _real(noise_sigma, "noise_sigma", 0.0, np.inf, "[)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(None if seed is None else _count(seed, "seed", 0))
     rows = []
     labels = []
     motions = []

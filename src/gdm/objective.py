@@ -41,11 +41,12 @@ SVD, and each membership's value and gradient have the bits of
 evaluating it alone. The public functions pass a stack of one.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _count, _labels, _real, _reals, _validate_data
+from ._checks import _count, _finite_power, _labels, _real, _reals, _validate_data
 from .dimension import _check_eps, _degenerate, _dims, _power_sums
 from .exceptions import InvalidInputError, InvalidParameterError
 
@@ -60,7 +61,8 @@ class ObjectiveParams:
 
     eps is the empirical-dimension strictness (must be strictly inside
     (0, 1) so that delta = eps / (1 - eps) is finite), p the exponent of
-    the combining norm (positive and finite, as in GdmConfig), and alpha
+    the combining norm (positive and finite, as in GdmConfig; each
+    function that takes it with data bounds it further by _check_p), and alpha
     the weight of the quadratic outlier-row charge alpha / 2 *
     sum(M[0]^2) (used only by the outlier-augmented objective).
     """
@@ -135,6 +137,35 @@ def pnorm(values, p):
     return float(norm) if v.ndim == 1 else norm
 
 
+def _check_p(d, k, p):
+    """Raise unless p keeps finite what is built from the p-norm of k
+    cluster dimensions of d-dimensional data, every nonzero one in
+    [1, d].
+
+    From above, the p-th powers of the dimensions: the merge scores
+    dim**p - dp[sa] - dp[sb] need 2 * d**p < inf, since inf - inf is NaN
+    and argmin would commit the first NaN pair. From below, the norm and
+    its gradient: for p < 1 the norm's chain factor, (d_k / GD)**(p - 1)
+    = (sum_j (d_j / d_k)**p)**((1 - p) / p), grows as k**(1/p) (all k
+    dimensions equal), so it is at most d k**(1/p). Descent squares the
+    gradient for its column norms, so k**(1/p) may take at most 2**256,
+    the fourth root of the float range, which leaves the rest for the
+    gradient's other factors and sums: p >= log2(k) / 256.
+    """
+    if not _finite_power(d, p, scale=2.0):
+        # Rounded down to 0.01, with room for the logarithms' rounding.
+        bound = math.log(np.finfo(float).max / 2.0) / math.log(d)
+        raise InvalidParameterError(
+            "p = %g overflows the p-th powers of dimensions of %d-dimensional data; "
+            "the largest p allowed is %.2f" % (p, d, math.floor(bound * 100.0 - 1e-6) / 100.0))
+    bound = math.log2(max(k, 1)) / 256.0
+    if p < bound:
+        # Rounded up to 1e-6.
+        raise InvalidParameterError(
+            "p = %g may overflow the p-norm of %d cluster dimensions or its gradient; "
+            "the smallest p allowed is %.6f" % (p, k, math.ceil(bound * 1e6) / 1e6))
+
+
 def _check_on_degenerate(on_degenerate):
     if not (isinstance(on_degenerate, str) and on_degenerate in ("raise", "zero")):
         raise InvalidParameterError(
@@ -183,10 +214,12 @@ def global_dimension_hard(a, labels, params=None, n_clusters=None, on_degenerate
         extension in which an empty cluster contributes dimension 0.
     """
     params = params or ObjectiveParams()
+    a = _validate_data(a)
     if n_clusters is None:
-        labels = _labels(labels, _validate_data(a).shape[1], rejects=True)
+        labels = _labels(labels, a.shape[1], rejects=True)
         n_clusters = max(int(labels.max()), -1) + 1
     dims = hard_cluster_dims(a, labels, n_clusters, params.eps, on_degenerate)
+    _check_p(a.shape[0], dims.size, params.p)
     return pnorm(dims, params.p)
 
 
@@ -265,7 +298,9 @@ def value_and_gradient(a, m, params, outlier, on_degenerate, want_grad):
     return values, grad
 
 
-def _validate_soft(a, m, outlier, eps, on_degenerate):
+def _validate_soft(a, m, outlier, eps, p, on_degenerate):
+    """Checked data and membership, the outlier row (row 0) taken out of
+    the K that _check_p counts."""
     _check_on_degenerate(on_degenerate)
     a = _validate_data(a)
     m = _validate_weights(m)
@@ -274,6 +309,7 @@ def _validate_soft(a, m, outlier, eps, on_degenerate):
     if a.shape[1] != m.shape[1]:
         raise InvalidInputError("data and membership disagree on point count")
     _check_eps(eps, a.shape[0])
+    _check_p(a.shape[0], m.shape[0] - outlier, p)
     return a, m
 
 
@@ -281,7 +317,7 @@ def _checked_soft(a, m, params, outlier, on_degenerate, want_grad):
     """One membership's value (a float) or, if want_grad, gradient, after
     checking the arguments; params None means ObjectiveParams()."""
     params = params or ObjectiveParams()
-    a, m = _validate_soft(a, m, outlier, params.eps, on_degenerate)
+    a, m = _validate_soft(a, m, outlier, params.eps, params.p, on_degenerate)
     values, grads = value_and_gradient(a, m[None], params, outlier, on_degenerate, want_grad)
     return grads[0] if want_grad else float(values[0])
 

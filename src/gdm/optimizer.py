@@ -21,16 +21,16 @@ _descend_loop, _refine_wave and genetic_refine give the caches, screens
 and batching of each stage.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _count, _finite_power, _labels, _real, _reals, _validate_data
+from ._checks import _count, _labels, _real, _reals, _validate_data
 from .dimension import _check_eps, _degenerate, _dims
 from .exceptions import InvalidInputError, InvalidParameterError
 from .objective import (
     ObjectiveParams,
+    _check_p,
     _dim_of_columns,
     _validate_soft,
     _validate_weights,
@@ -246,7 +246,7 @@ def _dim_lower_bounds(evals, err, exp, eps):
 # and each pow rounds within 4 ulps, so bound**p * (1 - _SCREEN_SLACK)
 # <= dim**p needs a slack above about 2 p rho + 9 u; taken outside the
 # power, the slack covers pow's own rounding however small p is. At
-# D = 9, 1e-9 covers every p up to 322.7, the largest _check_merge
+# D = 9, 1e-9 covers every p up to 322.7, the largest _check_p
 # accepts, for eps >= 0.002, and p = 15 for eps >= 1e-4; _check_eps
 # rejects eps below 0.0031 there anyway. The row-stacked refine screen
 # takes the p-norm of each row's current dimensions as an array power,
@@ -284,48 +284,14 @@ def greedy_merge_init(a, cfg, rng=None):
     restart these labels.
     """
     a = _validate_data(a)
-    _check_merge(a.shape[0], cfg)
+    _check_p(a.shape[0], cfg.n_clusters, cfg.p)
+    _check_eps(cfg.eps, a.shape[0])
     n = a.shape[1]
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     if n <= cfg.n_clusters:
         return np.arange(n)
     return _merge_init(a, cfg, [rng])[0]
-
-
-def _check_merge(d, cfg):
-    """Raise unless cfg suits a merge of d-dimensional data: its eps must
-    pass _check_eps, and its p must keep a merge score, dim**p - dp[sa]
-    - dp[sb] with every dimension at most D, finite. That needs
-    2 * D**p < inf, since inf - inf is NaN and argmin would commit the
-    first NaN pair."""
-    if not _finite_power(d, cfg.p, scale=2.0):
-        # Rounded down to 0.01, with room for the logarithms' rounding.
-        bound = math.log(np.finfo(float).max / 2.0) / math.log(d)
-        largest = math.floor(bound * 100.0 - 1e-6) / 100.0
-        raise InvalidParameterError(
-            "p = %g overflows the merge scores of %d-dimensional data; "
-            "the largest p allowed is %.2f" % (cfg.p, d, largest)
-        )
-    _check_eps(cfg.eps, d)
-
-
-def _check_p(k, p):
-    """Raise unless p keeps the p-norm of k cluster dimensions and its
-    gradient finite. For p < 1 the norm's chain factor, (d_k / GD)**(p -
-    1) = (sum_j (d_j / d_k)**p)**((1 - p) / p), grows as k**(1/p) (all k
-    dimensions equal), and every nonzero dimension lies in [1, D], so it
-    is at most D k**(1/p). Descent squares the gradient for its column
-    norms, so k**(1/p) may take at most 2**256, the fourth root of the
-    float range, which leaves the rest for the gradient's other factors
-    and sums: p >= log2(k) / 256."""
-    bound = math.log2(k) / 256.0
-    if p < bound:
-        # Rounded up to 1e-6.
-        raise InvalidParameterError(
-            "p = %g may overflow the gradient of the p-norm of %d cluster dimensions; "
-            "the smallest p allowed is %.6f" % (p, k, math.ceil(bound * 1e6) / 1e6)
-        )
 
 
 def _merged_dims(grams, tril, x, y, eps, piece):
@@ -613,8 +579,7 @@ def descend(a, m0, cfg):
     its restarts together, with the same bits. m0 must be a finite
     matrix with one column per data column.
     """
-    a, m0 = _validate_soft(a, m0, False, cfg.eps, "zero")
-    _check_p(m0.shape[0], cfg.p)
+    a, m0 = _validate_soft(a, m0, False, cfg.eps, cfg.p, "zero")
     return _descend_loop(a, m0[None], cfg, cfg.objective_params(), outlier=False)[0][0]
 
 
@@ -798,7 +763,7 @@ def genetic_refine(a, labels, cfg):
     """
     a = _validate_data(a)
     _check_eps(cfg.eps, a.shape[0])
-    _check_p(cfg.n_clusters, cfg.p)
+    _check_p(a.shape[0], cfg.n_clusters, cfg.p)
     labels = _labels(labels, a.shape[1], cfg.n_clusters)
     return _refine_wave(a, [labels], cfg)[0][0]
 
@@ -814,8 +779,8 @@ def _merged_restarts(a, cfg):
     label.
     """
     d, n = a.shape
-    _check_merge(d, cfg)
-    _check_p(cfg.n_clusters, cfg.p)
+    _check_p(d, cfg.n_clusters, cfg.p)
+    _check_eps(cfg.eps, d)
     if n <= cfg.n_clusters:
         raise InvalidParameterError(
             "need more points than clusters (N=%d, K=%d)" % (n, cfg.n_clusters)

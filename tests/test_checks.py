@@ -73,6 +73,7 @@ INTEGER_ARGS = {
         lambda v: SyntheticSpec(dims=(1,), points_per_cluster=v), 2, 1),
     "SyntheticSpec.outlier_count": (lambda v: SyntheticSpec(dims=(1,), outlier_count=v),
                                     2, -1),
+    "SyntheticSpec.seed": (lambda v: SyntheticSpec(dims=(1,), seed=v), 2, -1),
     "sample_two_view_scene.n_bodies": (lambda v: sample_two_view_scene(v, 8, seed=0), 2, 0),
     "sample_two_view_scene.points_per_body": (
         lambda v: sample_two_view_scene(1, v, seed=0), 2, 0),
@@ -80,6 +81,7 @@ INTEGER_ARGS = {
         lambda v: sample_two_view_scene(1, 8, n_outliers=v, seed=0), 2, -1),
     "sample_two_view_scene.max_retries": (
         lambda v: sample_two_view_scene(1, 8, seed=0, max_retries=v), 2, -1),
+    "sample_two_view_scene.seed": (lambda v: sample_two_view_scene(1, 8, seed=v), 2, -1),
     "scaled_cluster_matrix.k": (
         lambda v: scaled_cluster_matrix(DATA, np.full((3, 4), 1 / 3), v), 2, -1),
     "tpr_fpr.n_points": (lambda v: tpr_fpr([0], [1], v), 2, -1),

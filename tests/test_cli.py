@@ -1,9 +1,16 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from gdm.cli import ParseError, cli, read_correspondences, read_label_file
+from gdm.cli import ParseError, cli, main, read_correspondences, read_label_file
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -209,7 +216,10 @@ def test_parse_failure_reports_line_number(tmp_path, runner):
     assert ":3:" in res.output
 
 
-@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1.7", "1e20", "-1e20"])
+# The last two lie just outside the int64 range, which as floats would
+# round onto its ends 2**63 and -2**63.
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1.7", "1e20", "-1e20",
+                                   "9223372036854775808", "-9223372036854775809"])
 def test_non_integer_label_is_a_parse_error(label, tmp_path, runner):
     scene = tmp_path / "labels.csv"
     scene.write_text("x,y,x2,y2,label\n1,2,3,4,0\n5,6,7,8,%s\n" % label)
@@ -221,6 +231,32 @@ def test_non_integer_label_is_a_parse_error(label, tmp_path, runner):
     res = runner.invoke(cli, ["eval", str(pred), str(pred)])
     assert res.exit_code == 2, res.output
     assert ":2:" in res.output and "not an integer" in res.output
+
+
+def test_labels_are_read_exactly(tmp_path):
+    # 2**53 + 1 and the int64 ends, which a float would round.
+    exact = [2**53 + 1, 2**63 - 1, -2**63, 0]
+    scene = tmp_path / "scene.csv"
+    scene.write_text("".join("1,2,3,4,%d\n" % label for label in exact))
+    assert read_correspondences(scene)[1].tolist() == exact
+    pred = tmp_path / "pred.txt"
+    pred.write_text("".join("%d\n" % label for label in exact) + "1.0\n")
+    assert read_label_file(pred).tolist() == exact + [1]
+
+
+def test_the_console_script_runs_the_cli():
+    # pyproject.toml's [project.scripts] entry resolves to cli.main, and
+    # python -m gdm.cli runs it. tomllib is in the standard library from
+    # Python 3.11.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["gdm"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-m", "gdm.cli", "--help"], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "segment" in res.stdout
 
 
 def test_only_the_first_line_may_be_a_header(tmp_path, runner):

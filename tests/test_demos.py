@@ -1,4 +1,6 @@
-"""Every script in demos/ runs to completion against the package source."""
+"""Every script in demos/ runs to completion against the package source,
+under the test suite's warning policy: a RuntimeWarning or a
+DeprecationWarning is an error."""
 
 import os
 import subprocess
@@ -14,6 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    res = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-W", "error::DeprecationWarning", str(demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr

@@ -6,6 +6,7 @@ from gdm import (
     InvalidInputError,
     InvalidParameterError,
     ObjectiveParams,
+    embed_dataset,
     gd_gradient,
     gd_gradient_outlier,
     global_dimension_hard,
@@ -13,6 +14,7 @@ from gdm import (
     global_dimension_soft,
     hard_cluster_dims,
     indicator_membership,
+    sample_two_view_scene,
     scaled_cluster_matrix,
     validate_membership,
 )
@@ -216,6 +218,36 @@ def test_on_degenerate_is_raise_or_zero(call, bad):
     with pytest.raises(DegenerateClusterError):
         call(a, m, "raise")
     call(a, m, "zero")
+
+
+# name: call with data, labels into K = 2 clusters and params; the outlier
+# functions get the labels' indicator below an empty outlier row.
+P_FUNCTIONS = {
+    "global_dimension_hard": global_dimension_hard,
+    "global_dimension_soft": lambda a, labels, params: global_dimension_soft(
+        a, indicator_membership(labels, 2), params),
+    "gd_gradient": lambda a, labels, params: gd_gradient(
+        a, indicator_membership(labels, 2), params),
+    "global_dimension_outlier": lambda a, labels, params: global_dimension_outlier(
+        a, indicator_membership(labels + 1, 3), params),
+    "gd_gradient_outlier": lambda a, labels, params: gd_gradient_outlier(
+        a, indicator_membership(labels + 1, 3), params),
+}
+
+
+@pytest.mark.parametrize("call", P_FUNCTIONS.values(), ids=P_FUNCTIONS.keys())
+def test_p_takes_the_pipelines_bounds(call):
+    # Below log2(K) / 256 the p-norm of K = 2 dimensions or its gradient
+    # can overflow (unchecked, p = 0.0005 gave inf); above 322.72, 2 * 9**p
+    # overflows for the 9-d embedding. Both ends are accepted.
+    scene = sample_two_view_scene(2, [20, 20], noise_sigma=0.001, seed=5)
+    a, labels = embed_dataset(scene.correspondences), scene.labels
+    with pytest.raises(InvalidParameterError, match="smallest p allowed is 0.003907"):
+        call(a, labels, ObjectiveParams(p=0.0005))
+    with pytest.raises(InvalidParameterError, match="largest p allowed is 322.72"):
+        call(a, labels, ObjectiveParams(p=322.73))
+    for p in (0.003907, 322.72):
+        assert np.all(np.isfinite(call(a, labels, ObjectiveParams(p=p))))
 
 
 class TestGradient:

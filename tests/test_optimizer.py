@@ -86,10 +86,16 @@ def test_config_validation():
 
 
 def test_p_that_overflows_merge_scores_is_rejected():
-    # With D = 9, 2 * 9**p is finite up to p = 322.72.
+    # With D = 9, 2 * 9**p is finite up to p = 322.72. A lone descent or
+    # refine scores no merge but takes the same bound: one rule bounds p
+    # wherever it meets data.
     a = np.random.default_rng(0).normal(size=(9, 12))
+    start = np.arange(12) % 2
     cfg = GdmConfig(n_clusters=2, restarts=2, seed=1)
-    for run in (gdm, gdm_outlier_core, greedy_merge_init):
+    runs = (gdm, gdm_outlier_core, greedy_merge_init,
+            lambda a, cfg: genetic_refine(a, start, cfg),
+            lambda a, cfg: descend(a, indicator_membership(start, 2), cfg))
+    for run in runs:
         with pytest.raises(InvalidParameterError, match="largest p allowed is 322.72"):
             run(a, replace(cfg, p=322.73))
     assert gdm(a, replace(cfg, p=322.72)).labels.size == 12
